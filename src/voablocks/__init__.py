@@ -6,20 +6,19 @@ q-series and torus characters, and simple-pole ODE machinery."""
 
 from .series import (TruncSeries, BivarSeries, QExpansion, series_mul,
                      series_compose, series_comp_inverse, series_residue)
-from .graded import (GradedSpace, GradedVector, weight_of, dual_insertion,
-                     insertion_pair, q_weighted_insertion)
+from .graded import weight_of
 from .models import (Module, HeisenbergVOA, FockModule, VirasoroVOA,
                      DualModule, CapError, heisenberg_model, fock_module,
                      virasoro_model, contragredient, mode_matrix,
                      jacobi_check)
-from .virasoro import CentralCharge, vir_bracket
+from .virasoro import vir_bracket
 from .coordchange import (CoordChange, extract_coeffs, U_apply,
                           U_inverse_apply, gamma_series,
                           huang_conjugation_check)
 from .schwarzian import (schwarzian, mobius_series, cocycle_check,
                          conformal_transition, uniformize)
-from .blocks import (INFINITY, SpherePoints, RationalFunction, LaurentTail,
-                     BlockFunctional, IntertwinerError, UnderdeterminedCap,
+from .blocks import (INFINITY, SpherePoints, RationalFunction, BlockFunctional,
+                     IntertwinerError, UnderdeterminedCap,
                      strong_residue_check, rational_glue, residue_pairing,
                      hom_block, identity_hom, three_point_block,
                      vertex_block, propagate_eval, propagate_block,

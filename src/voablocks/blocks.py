@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .graded import vec_add_into, vec_is_zero, vec_max_weight, weight_of
 from .linalg import solve_linear
-from .models import Module, contragredient
+from .models import Module, contragredient, exp_L1_terms
 from .series import TruncSeries
 from .virasoro import gbinom
 
@@ -35,7 +35,6 @@ __all__ = [
     "INFINITY",
     "SpherePoints",
     "RationalFunction",
-    "LaurentTail",
     "ResidueReport",
     "UnderdeterminedCap",
     "strong_residue_check",
@@ -230,23 +229,6 @@ class RationalFunction:
         return f"RationalFunction(poly={self.poly}, poles={self.poles})"
 
 
-class LaurentTail:
-    """Declared Laurent data: one truncated series per marked point, in the
-    local coordinate of that point (zeta - p, or w = 1/zeta at INFINITY)."""
-
-    def __init__(self, tails: dict):
-        self.tails = dict(tails)
-        for p, s in self.tails.items():
-            if not isinstance(s, TruncSeries):
-                raise TypeError(f"tail at {p} must be a TruncSeries")
-
-    def items(self):
-        return self.tails.items()
-
-    def __getitem__(self, p):
-        return self.tails[p]
-
-
 # ---------------------------------------------------------------------------
 # strong residue theorem on P^1
 
@@ -339,8 +321,6 @@ def strong_residue_check(tails, points=None, divisor=None) -> ResidueReport:
     pole order of the reconstruction at each point (defaults to the pole
     orders visible in the tails).  The configuration must include INFINITY.
     """
-    if isinstance(tails, LaurentTail):
-        tails = dict(tails.items())
     if points is None:
         points = SpherePoints([p for p in tails if p is not INFINITY] +
                               ([INFINITY] if INFINITY in tails else []))
@@ -566,31 +546,17 @@ def gamma_twist(v, module) -> list:
     with VOA-vector coefficients."""
     if isinstance(v, tuple):
         v = {v: F1}
-    voa = module.voa
     # (-w^2)^{Ltilde0}: the weight-k component picks up (-1)^k w^{2k}
     by_exp: dict[int, dict] = {}
     for label, c in v.items():
         k = weight_of(label)
         vec_add_into(by_exp.setdefault(2 * k, {}), {label: c * (-1) ** k})
-    out: dict[int, dict] = {e: dict(vec) for e, vec in by_exp.items()}
-    term = by_exp
-    m = 0
-    fact = 1
-    while term:
-        m += 1
-        fact *= m
-        nxt: dict[int, dict] = {}
-        for e, vec in term.items():
-            img = voa.mode_apply(voa.conformal_vector, 2, vec)  # L_1
-            img = {l: c for l, c in img.items() if c}
-            if img:
-                vec_add_into(nxt.setdefault(e - 1, {}), img)
-        term = {e: vec for e, vec in nxt.items() if not vec_is_zero(vec)}
-        for e, vec in term.items():
-            vec_add_into(out.setdefault(e, {}), vec, Fraction(1, fact))
-    return sorted((e, vec) for e, vec in
-                  ((e, {l: c for l, c in vec.items() if c}) for e, vec in out.items())
-                  if vec)
+    # e^{w^{-1} L_1}: the term L_1^m / m! lowers the w-exponent by m
+    out: dict[int, dict] = {}
+    for e, vec in by_exp.items():
+        for m, term in exp_L1_terms(module.voa, vec):
+            vec_add_into(out.setdefault(e - m, {}), term)
+    return sorted((e, vec) for e, vec in out.items() if vec)
 
 
 def _mode_window(cap: int, wt_v: int, wt_w: int):
@@ -598,45 +564,18 @@ def _mode_window(cap: int, wt_v: int, wt_w: int):
     return (wt_v + wt_w - 1 - cap, wt_v + wt_w - 1)
 
 
-def _slot_tail_finite(phi: BlockFunctional, i: int, v: dict, w_vecs) -> TruncSeries:
-    """Tail of the propagated section at the finite marked point i: the
-    coefficient of t^{-n-1} is phi(..., Y(v)_n w_i, ...), certified for
-    the modes the slot cap can see."""
+def _slot_tail(phi: BlockFunctional, i: int, terms, w_vecs, var: str) -> TruncSeries:
+    """Tail of the propagated section at marked point i, for the insertion
+    given as (shift, vector) terms: [(0, v)] at a finite point, and
+    gamma_twist(v, ...) at infinity.  The coefficient of var^{shift-n-1}
+    collects phi(..., Y(vector)_n w_i, ...), certified for the modes the
+    slot cap can see."""
     module = phi.modules[i]
     cap = phi.caps[i]
     w_i = w_vecs[i]
     cmap: dict = {}
     order = None
-    for vl, vc in v.items():
-        wt_v = weight_of(vl)
-        for wl, wc in w_i.items():
-            n_min, n_max = _mode_window(cap, wt_v, weight_of(wl))
-            for n in range(n_min, n_max + 1):
-                img = module.mode_apply({vl: F1}, n, {wl: F1})
-                if img:
-                    args = list(w_vecs)
-                    args[i] = img
-                    val = phi(*args)
-                    if val:
-                        cmap[-n - 1] = cmap.get(-n - 1, F0) + vc * wc * val
-            top = -n_min  # exponents < top are fully certified
-            order = top if order is None else min(order, top)
-    if order is None:
-        order = cap + 1
-    cmap = {e: c for e, c in cmap.items() if c and e < order}
-    return TruncSeries.from_coeff_map("t", cmap, order)
-
-
-def _slot_tail_infinity(phi: BlockFunctional, v: dict, w_vecs) -> TruncSeries:
-    """Tail at infinity: insert Y_{M}(U(gamma_{1/w}) v, w) into the last
-    slot, collecting the w-Laurent bookkeeping from the twist."""
-    i = len(phi.modules) - 1
-    module = phi.modules[i]
-    cap = phi.caps[i]
-    w_i = w_vecs[i]
-    cmap: dict = {}
-    order = None
-    for shift, vec in gamma_twist(v, phi.modules[0]):
+    for shift, vec in terms:
         for vl, vc in vec.items():
             wt_v = weight_of(vl)
             for wl, wc in w_i.items():
@@ -650,12 +589,12 @@ def _slot_tail_infinity(phi: BlockFunctional, v: dict, w_vecs) -> TruncSeries:
                         if val:
                             e = shift - n - 1
                             cmap[e] = cmap.get(e, F0) + vc * wc * val
-                top = shift - n_min
+                top = shift - n_min  # exponents < top are fully certified
                 order = top if order is None else min(order, top)
     if order is None:
         order = cap + 1
     cmap = {e: c for e, c in cmap.items() if c and e < order}
-    return TruncSeries.from_coeff_map("w", cmap, order)
+    return TruncSeries.from_coeff_map(var, cmap, order)
 
 
 def _propagated_section(phi: BlockFunctional, v: dict, w_vecs) -> RationalFunction:
@@ -664,9 +603,9 @@ def _propagated_section(phi: BlockFunctional, v: dict, w_vecs) -> RationalFuncti
     tails = {}
     for i, p in enumerate(phi.points):
         if p is INFINITY:
-            tails[INFINITY] = _slot_tail_infinity(phi, v, w_vecs)
+            tails[p] = _slot_tail(phi, i, gamma_twist(v, phi.modules[0]), w_vecs, "w")
         else:
-            tails[p] = _slot_tail_finite(phi, i, v, w_vecs)
+            tails[p] = _slot_tail(phi, i, [(0, v)], w_vecs, "t")
     report = strong_residue_check(tails, phi.points)
     if not report.passed:
         raise AssertionError(

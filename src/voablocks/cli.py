@@ -17,6 +17,7 @@ Exit status: 0 on success, 1 on any failed check, 2 on a config error.
 from __future__ import annotations
 
 import argparse
+import json
 import random
 import sys
 from fractions import Fraction
@@ -73,6 +74,18 @@ def _emit(args, payload, csv_rows=None) -> None:
         sys.stdout.write(text)
 
 
+def _load_fixture(path, *keys) -> dict:
+    """Read a JSON fixture object and check that it has ``keys``."""
+    with open(path) as fh:
+        fx = json.load(fh)
+    if not isinstance(fx, dict):
+        raise ConfigError(f"fixture {path} must be a JSON object")
+    missing = [k for k in keys if k not in fx]
+    if missing:
+        raise ConfigError(f"fixture {path} lacks {', '.join(missing)}")
+    return fx
+
+
 def _series_arg(text, var, order):
     if var is None:
         import re
@@ -95,7 +108,7 @@ def cmd_character(args):
     s = torus_character(module, (), args.cap)
     q = s.standard
     if args.normalize:
-        q = normalize_character(s, module.voa.central_charge())
+        q = normalize_character(s, module.voa.c)
     payload = {"command": "character", "model": module.name,
                "cap": args.cap, "normalized": bool(args.normalize),
                "character": encode_qexpansion(q)}
@@ -115,6 +128,8 @@ def cmd_coord_extract(args):
 
 
 def cmd_coord_huang(args):
+    if args.cap < 0:
+        raise ConfigError("--cap must be non-negative")
     module = _build_model(args)
     alpha = CoordChange(parse_poly(args.alpha))
     gen = (module.voa.gen_weight,)
@@ -152,9 +167,7 @@ def _decode_vec(obj):
 
 
 def cmd_blocks_three_point(args):
-    import json
-    with open(args.fixture) as fh:
-        fx = json.load(fh)
+    fx = _load_fixture(args.fixture, "model", "v", "z0", "w", "wp")
     module = _build_model(argparse.Namespace(
         model=fx["model"], c=fx.get("c"), mu=fx.get("mu")))
     val = three_point_block(module, _decode_vec(fx["v"]),
@@ -183,9 +196,7 @@ def _report_payload(report):
 
 
 def cmd_blocks_glue(args):
-    import json
-    with open(args.fixture) as fh:
-        fx = json.load(fh)
+    fx = _load_fixture(args.fixture, "at0", "atz0", "atinf", "z0")
     rep = rational_glue(decode_series(fx["at0"]), decode_series(fx["atz0"]),
                         decode_series(fx["atinf"]), decode_rational(fx["z0"]))
     _emit(args, {"command": "blocks glue", **_report_payload(rep)})
@@ -193,9 +204,7 @@ def cmd_blocks_glue(args):
 
 
 def cmd_blocks_residue_check(args):
-    import json
-    with open(args.fixture) as fh:
-        fx = json.load(fh)
+    fx = _load_fixture(args.fixture, "tails")
     tails = {}
     for key, sobj in fx["tails"].items():
         p = INFINITY if key in ("inf", "infinity") else decode_rational(key)
@@ -211,9 +220,7 @@ def cmd_blocks_residue_check(args):
 
 
 def cmd_ode_solve(args):
-    import json
-    with open(args.matrix) as fh:
-        fx = json.load(fh)
+    fx = _load_fixture(args.matrix, "entries")
     entries = [[decode_series(e) for e in row] for row in fx["entries"]]
     ode = PoleODE(entries)
     seeds = {int(n): [decode_rational(x) for x in vec]
@@ -230,11 +237,8 @@ def cmd_ode_solve(args):
 
 
 def cmd_ode_continue(args):
-    import json
-    with open(args.matrix) as fh:
-        fx = json.load(fh)
-    with open(args.path) as fh:
-        pfx = json.load(fh)
+    fx = _load_fixture(args.matrix, "entries")
+    pfx = _load_fixture(args.path, "waypoints", "start")
     ode = PoleODE([[decode_series(e) for e in row] for row in fx["entries"]])
     waypoints = [complex(w[0], w[1]) for w in pfx["waypoints"]]
     start = [complex(x[0], x[1]) for x in pfx["start"]]

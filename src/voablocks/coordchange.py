@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .graded import vec_add_into, vec_is_zero, vec_max_weight, vec_scale, weight_of
+from .graded import vec_add_into, vec_is_zero, vec_max_weight, weight_of
 from .models import Module
-from .series import TruncSeries, series_comp_inverse
+from .series import TruncSeries, _inv, _is_scalar, _nonzero, series_comp_inverse
 from .virasoro import apply_exp_raising, gbinom
 
 __all__ = [
@@ -35,24 +35,11 @@ __all__ = [
     "U_apply_series",
     "U_inverse_apply",
     "gamma_relation_check",
-    "derivative_at_identity",
     "huang_conjugation_check",
 ]
 
 F0 = Fraction(0)
 F1 = Fraction(1)
-
-
-def _is_scalar(x):
-    return isinstance(x, (int, Fraction))
-
-
-def _inv(x):
-    return Fraction(1) / x if _is_scalar(x) else x.reciprocal()
-
-
-def _nz(x) -> bool:
-    return x != 0 if _is_scalar(x) else bool(x)
 
 
 def poly_series(cmap: dict, var: str, order: int) -> TruncSeries:
@@ -99,15 +86,8 @@ class CoordChange:
         self.degree = max(poly)
         self._coeff_cache: dict[int, list] = {}
 
-    @classmethod
-    def identity(cls) -> "CoordChange":
-        return cls({1: F1})
-
     def series(self, order: int, var: str = "z") -> TruncSeries:
         return poly_series(self.poly, var, max(order, self.degree + 1))
-
-    def compose(self, other: "CoordChange") -> "CoordChange":
-        return CoordChange(poly_compose(self.poly, other.poly))
 
     def inverse_series(self, order: int, var: str = "z") -> TruncSeries:
         return series_comp_inverse(self.series(order, var))
@@ -117,13 +97,6 @@ class CoordChange:
         if count not in self._coeff_cache:
             self._coeff_cache[count] = extract_coeffs(self.series(count + 2), count)
         return list(self._coeff_cache[count])
-
-    def deriv_at0(self, k: int) -> Fraction:
-        """k-th derivative of rho at 0."""
-        fact = 1
-        for i in range(2, k + 1):
-            fact *= i
-        return self.poly.get(k, F0) * fact
 
     def __repr__(self):
         return f"CoordChange({self.poly})"
@@ -160,9 +133,9 @@ def extract_coeffs(rho: TruncSeries, count: int | None = None) -> list:
     if rho.floor > 1:
         raise ValueError("rho'(0) = 0: not a coordinate change")
     a1 = rho.coeff(1)
-    if not _nz(a1):
+    if not _nonzero(a1):
         raise ValueError("rho'(0) = 0: not a coordinate change")
-    if rho.floor < 1 and _nz(rho.coeff(0)):
+    if rho.floor < 1 and _nonzero(rho.coeff(0)):
         raise ValueError("rho(0) must be 0")
     if count is None:
         count = rho.order - 2
@@ -213,10 +186,6 @@ def U_inverse_apply(rho: CoordChange, w: dict, module: Module) -> dict:
     return U_apply_series(rho.inverse_series(W + 2), w, module)
 
 
-def _ltilde0(w: dict) -> dict:
-    return {label: c * weight_of(label) for label, c in w.items() if weight_of(label)}
-
-
 def _scale_ltilde0(s, w: dict) -> dict:
     return {label: c * s ** weight_of(label) for label, c in w.items()}
 
@@ -232,36 +201,13 @@ def gamma_relation_check(xi, w: dict, module: Module) -> bool:
     return vec_is_zero(diff)
 
 
-def derivative_at_identity(drho: TruncSeries, w: dict, module: Module) -> dict:
-    """d/dzeta U(rho_zeta) w at zeta = 0 for the family rho_zeta = z + zeta*drho:
-
-        sum_{n>=1} (coefficient of z^n in drho) * Ltilde_{n-1} w
-
-    where Ltilde_0 is the grading operator (not L_0).
-    """
-    W = vec_max_weight(w)
-    nmax = W + 1
-    if drho.order - 1 < nmax:
-        raise ValueError("drho truncated too soon for this vector's weights")
-    out: dict = {}
-    for n in range(1, nmax + 1):
-        cn = drho.coeff(n)
-        if _is_scalar(cn) and cn == 0:
-            continue
-        ln_w = _ltilde0(w) if n == 1 else module.L_apply(n - 1, w)
-        vec_add_into(out, ln_w, cn)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Huang's conjugation identity
 
 
 class HuangReport:
-    def __init__(self, passed: bool, lhs: dict, rhs: dict, window: tuple):
+    def __init__(self, passed: bool, window: tuple):
         self.passed = passed
-        self.lhs = lhs  # label -> TruncSeries in z
-        self.rhs = rhs
         self.window = window
 
     def __bool__(self):
@@ -353,4 +299,4 @@ def huang_conjugation_check(alpha: CoordChange, v, w: dict, module: Module,
     if not window_ok:
         raise ValueError("internal z-window exhausted; raise the order margin")
     passed = _series_map_eq(lhs, rhs, floor, K)
-    return HuangReport(passed, lhs, rhs, (floor, K))
+    return HuangReport(passed, (floor, K))

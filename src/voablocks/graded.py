@@ -1,5 +1,4 @@
-"""N-graded spaces with labeled bases, weight projections, and the
-truncated dual-basis insertion.
+"""Weights and dict-vector helpers for N-graded spaces with labeled bases.
 
 Basis labels throughout the library are partition tuples ``(n1, n2, ...)``
 sorted in non-increasing order; the grading weight of a label is the sum of
@@ -7,17 +6,16 @@ its parts.  Dual spaces reuse the same labels (a dual basis vector is
 identified by the label it pairs to 1 with), so the dual-basis pairing is
 label equality.
 
-Vectors are plain ``{label: coefficient}`` dicts in the computational core;
-:class:`GradedVector` is the typed wrapper used at API boundaries.
-Coefficients are Fractions, or any ring value when series-valued scalars
-flow through (see series module notes).
+Vectors are plain ``{label: coefficient}`` dicts.  Coefficients are
+Fractions, or any ring value when series-valued scalars flow through (see
+series module notes).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .series import QExpansion
+from .series import _nonzero
 
 __all__ = [
     "weight_of",
@@ -26,13 +24,6 @@ __all__ = [
     "vec_weight_project",
     "vec_max_weight",
     "vec_is_zero",
-    "GradedSpace",
-    "GradedVector",
-    "DualInsertion",
-    "weight_project",
-    "dual_insertion",
-    "insertion_pair",
-    "q_weighted_insertion",
 ]
 
 _ZERO = Fraction(0)
@@ -41,14 +32,6 @@ _ZERO = Fraction(0)
 def weight_of(label: tuple) -> int:
     """L-tilde-0 weight of a basis label: the sum of its parts."""
     return sum(label)
-
-
-# ---------------------------------------------------------------------------
-# dict-vector helpers (the computational representation)
-
-
-def _nonzero(c) -> bool:
-    return bool(c) if not isinstance(c, Fraction) else c != 0
 
 
 def vec_add_into(dst: dict, src: dict, c=1) -> dict:
@@ -76,135 +59,3 @@ def vec_max_weight(v: dict) -> int:
 
 def vec_is_zero(v: dict) -> bool:
     return not any(_nonzero(a) for a in v.values())
-
-
-# ---------------------------------------------------------------------------
-# typed boundary objects
-
-
-class GradedSpace:
-    """Finite-rank window of an N-graded space with labeled bases.
-
-    ``weights`` maps n to the ordered list of labels of weight n;
-    ``delta`` is the conformal-weight offset (L0 = delta + Ltilde0).
-    """
-
-    def __init__(self, name: str, weights: dict[int, list], delta=Fraction(0), dual: bool = False):
-        self.name = name
-        self.weights = {n: list(labels) for n, labels in sorted(weights.items())}
-        self.delta = Fraction(delta)
-        self.dual = dual
-        seen = set()
-        for labels in self.weights.values():
-            for label in labels:
-                if label in seen:
-                    raise ValueError(f"duplicate label {label!r}")
-                seen.add(label)
-
-    @property
-    def cap(self) -> int:
-        return max(self.weights, default=-1)
-
-    def labels(self):
-        for n in self.weights:
-            yield from self.weights[n]
-
-    def vector(self, coeffs: dict) -> "GradedVector":
-        return GradedVector(self, coeffs)
-
-
-class GradedVector:
-    def __init__(self, space: GradedSpace, coeffs: dict):
-        known = set(space.labels())
-        for label in coeffs:
-            if label not in known:
-                raise ValueError(f"label {label!r} not in space {space.name!r}")
-        self.space = space
-        self.coeffs = dict(coeffs)
-
-    def project(self, n: int) -> "GradedVector":
-        return GradedVector(self.space, vec_weight_project(self.coeffs, n))
-
-    def __add__(self, other: "GradedVector") -> "GradedVector":
-        if other.space is not self.space:
-            raise ValueError("space mismatch")
-        return GradedVector(self.space, vec_add_into(dict(self.coeffs), other.coeffs))
-
-    def scale(self, c) -> "GradedVector":
-        return GradedVector(self.space, vec_scale(self.coeffs, c))
-
-    def __eq__(self, other):
-        if not isinstance(other, GradedVector):
-            return NotImplemented
-        a = {k: v for k, v in self.coeffs.items() if _nonzero(v)}
-        b = {k: v for k, v in other.coeffs.items() if _nonzero(v)}
-        return a == b
-
-    def __repr__(self):
-        return f"GradedVector({self.space.name}, {self.coeffs})"
-
-
-def weight_project(w: GradedVector, n: int) -> GradedVector:
-    """Component of w in the weight-n subspace (P(n) projection)."""
-    return w.project(n)
-
-
-class DualInsertion:
-    """The truncated identity insertion sum_{n<=K} sum_a m(n,a) (x) dual m(n,a)."""
-
-    def __init__(self, space: GradedSpace, K: int):
-        self.space = space
-        self.K = K
-
-    def pairs(self):
-        for n, labels in self.space.weights.items():
-            if n > self.K:
-                continue
-            for label in labels:
-                yield n, label
-
-
-def dual_insertion(space: GradedSpace, K: int) -> DualInsertion:
-    return DualInsertion(space, K)
-
-
-def _check_support(v: dict, K: int):
-    bad = [label for label in v if weight_of(label) > K]
-    if bad:
-        raise ValueError(f"support exceeds cap {K}: {bad[:3]}")
-
-
-def insertion_pair(ins: DualInsertion, m_dual: dict | GradedVector, m: dict | GradedVector):
-    """Canonical pairing <m_dual, m> through the truncated insertion."""
-    md = m_dual.coeffs if isinstance(m_dual, GradedVector) else m_dual
-    mm = m.coeffs if isinstance(m, GradedVector) else m
-    _check_support(md, ins.K)
-    _check_support(mm, ins.K)
-    total = _ZERO
-    for label, a in md.items():
-        b = mm.get(label)
-        if b is not None:
-            total += a * b
-    return total
-
-
-def q_weighted_insertion(ins: DualInsertion, mode: str = "Ltilde0"):
-    """Bilinear form (m_dual, m) -> QExpansion for the q^{L0}/q^{Ltilde0}
-    weighted insertion; offset 0 for Ltilde0, offset delta for L0."""
-    if mode not in ("Ltilde0", "L0"):
-        raise ValueError("mode must be 'Ltilde0' or 'L0'")
-    offset = ins.space.delta if mode == "L0" else Fraction(0)
-
-    def form(m_dual, m) -> QExpansion:
-        md = m_dual.coeffs if isinstance(m_dual, GradedVector) else m_dual
-        mm = m.coeffs if isinstance(m, GradedVector) else m
-        _check_support(md, ins.K)
-        _check_support(mm, ins.K)
-        coeffs = [_ZERO] * (ins.K + 1)
-        for label, a in md.items():
-            b = mm.get(label)
-            if b is not None:
-                coeffs[weight_of(label)] += a * b
-        return QExpansion(offset, coeffs)
-
-    return form

@@ -55,6 +55,8 @@ def encode_series(s: TruncSeries) -> dict:
 
 
 def decode_series(obj) -> TruncSeries:
+    if not isinstance(obj, dict) or not {"var", "floor", "order", "coeffs"} <= obj.keys():
+        raise ValueError(f"not a series encoding: {obj!r}")
     coeffs = [decode_rational(c) for c in obj["coeffs"]]
     return TruncSeries(obj["var"], int(obj["floor"]), coeffs, int(obj["order"]))
 

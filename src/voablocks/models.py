@@ -24,22 +24,21 @@ partition labels, L_k by PBW straightening through the Virasoro bracket.
 
 Contragredient modules are realized on the same labels with the twisted
 action Y_{W'}(v)_n = sum_m ((-1)^{wt v} / m!) Y_W(L_1^m v)^t at mode index
--n - m - 2 + 2 wt(v).
+-n - m - 2 + 2 wt(v).  The terms L_1^m v / m! come from ``exp_L1_terms``,
+which also serves the twist at infinity in the blocks module.
+
+Memoized mode images are stored as read-only mappings, so a caller that
+mutates a returned image cannot corrupt later results.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
-from .graded import (
-    GradedSpace,
-    vec_add_into,
-    vec_is_zero,
-    vec_max_weight,
-    weight_of,
-)
-from .virasoro import CentralCharge, gbinom, vir_bracket
+from .graded import vec_add_into, vec_is_zero, vec_max_weight, vec_scale, weight_of
+from .virasoro import gbinom, vir_bracket
 
 __all__ = [
     "partitions",
@@ -54,9 +53,9 @@ __all__ = [
     "fock_module",
     "virasoro_model",
     "contragredient",
+    "exp_L1_terms",
     "ModeOperator",
     "mode_matrix",
-    "contragredient_mode",
     "JacobiReport",
     "jacobi_check",
 ]
@@ -89,9 +88,9 @@ class CapError(Exception):
 class Module:
     """Common machinery for graded modules with a single generating field.
 
-    Subclasses provide ``basis_at`` and ``gen_apply``; everything else
-    (generic modes, L_n action, spaces) is shared.  Vectors are
-    label -> coefficient dicts.
+    Subclasses provide ``basis_at`` and ``gen_apply`` (or override the
+    per-basis ``_mode_basis``); everything else (vector modes, L_n action)
+    is shared.  Vectors are label -> coefficient dicts.
     """
 
     voa: "VOAModel"
@@ -112,17 +111,6 @@ class Module:
 
     # -- shared ---------------------------------------------------------
 
-    def space(self, cap: int, dual: bool = False) -> GradedSpace:
-        name = self.name + ("'" if dual else "")
-        return GradedSpace(name, {n: list(self.basis_at(n)) for n in range(cap + 1)},
-                           delta=self.delta, dual=dual)
-
-    def gen_apply_vec(self, k: int, v: dict) -> dict:
-        out: dict = {}
-        for label, c in v.items():
-            vec_add_into(out, self.gen_apply(k, label), c)
-        return out
-
     def mode_apply(self, v, h: int, w: dict) -> dict:
         """Y_W(v)_h w for v a VOA label or label->coefficient dict."""
         if isinstance(v, tuple):
@@ -135,7 +123,7 @@ class Module:
                     vec_add_into(out, t, vc * wc)
         return out
 
-    def _mode_basis(self, vl: tuple, h: int, wl: tuple) -> dict:
+    def _mode_basis(self, vl: tuple, h: int, wl: tuple) -> MappingProxyType:
         key = (vl, h, wl)
         hit = self._mode_cache.get(key)
         if hit is not None:
@@ -169,7 +157,7 @@ class Module:
                     t = self._mode_basis(rest, j + h - l, gl)
                     if t:
                         vec_add_into(res, t, coef * gc)
-        self._mode_cache[key] = res
+        res = self._mode_cache[key] = MappingProxyType(res)
         return res
 
     def L_apply(self, n: int, w: dict) -> dict:
@@ -188,9 +176,6 @@ class VOAModel(Module):
     def peel(self, label: tuple) -> tuple[int, tuple]:
         """Split a basis label as v = Y(g)_j u; returns (j, label of u)."""
         raise NotImplementedError
-
-    def central_charge(self) -> CentralCharge:
-        return CentralCharge(self.c)
 
 
 class HeisenbergVOA(VOAModel):
@@ -262,7 +247,7 @@ class VirasoroVOA(VOAModel):
     def gen_apply(self, k: int, label: tuple) -> dict:
         return self._L(k - 1, label)
 
-    def _L(self, n: int, label: tuple) -> dict:
+    def _L(self, n: int, label: tuple) -> MappingProxyType:
         """L_n on a PBW word, straightened through the Virasoro bracket."""
         key = (n, label)
         hit = self._L_cache.get(key)
@@ -286,7 +271,7 @@ class VirasoroVOA(VOAModel):
                 _, central = vir_bracket(n, -lam, self.c)
                 if central:
                     vec_add_into(res, {rest: F1}, central)
-        self._L_cache[key] = res
+        res = self._L_cache[key] = MappingProxyType(res)
         return res
 
     def L_apply(self, n: int, w: dict) -> dict:
@@ -310,18 +295,7 @@ class DualModule(Module):
     def basis_at(self, n: int) -> tuple:
         return self.base.basis_at(n)
 
-    def mode_apply(self, v, h: int, w: dict) -> dict:
-        if isinstance(v, tuple):
-            v = {v: F1}
-        out: dict = {}
-        for vl, vc in v.items():
-            for wl, wc in w.items():
-                t = self._dual_mode_basis(vl, h, wl)
-                if t:
-                    vec_add_into(out, t, vc * wc)
-        return out
-
-    def _dual_mode_basis(self, vl: tuple, h: int, wl: tuple) -> dict:
+    def _mode_basis(self, vl: tuple, h: int, wl: tuple) -> MappingProxyType:
         key = (vl, h, wl)
         hit = self._mode_cache.get(key)
         if hit is not None:
@@ -329,17 +303,10 @@ class DualModule(Module):
         wtv = weight_of(vl)
         sign = Fraction(-1 if wtv % 2 else 1)
         res: dict = {}
-        lv: dict = {vl: F1}
-        m = 0
-        fact = 1
-        while lv:
+        for m, lv in exp_L1_terms(self.voa, {vl: F1}):
             k = -h - m - 2 + 2 * wtv
-            vec_add_into(res, self._transpose_apply(lv, k, wl), sign / fact)
-            m += 1
-            fact *= m
-            lv = self.voa.mode_apply(self.voa.conformal_vector, 2, lv)  # L_1
-            lv = {l: c for l, c in lv.items() if c}
-        self._mode_cache[key] = res
+            vec_add_into(res, self._transpose_apply(lv, k, wl), sign)
+        res = self._mode_cache[key] = MappingProxyType(res)
         return res
 
     def _transpose_apply(self, u_vec: dict, k: int, wl: tuple) -> dict:
@@ -357,8 +324,17 @@ class DualModule(Module):
                     vec_add_into(out, {wl2: F1}, uc * cc)
         return out
 
-    def gen_apply(self, k: int, label: tuple) -> dict:  # pragma: no cover
-        raise NotImplementedError("dual modules act through mode_apply only")
+
+def exp_L1_terms(voa: VOAModel, v: dict) -> list:
+    """The terms (m, L_1^m v / m!) of e^{L_1} v for m = 0, 1, ... while
+    nonzero; the sum is finite because L_1 lowers the weight by one."""
+    terms = []
+    m = 0
+    while v:
+        terms.append((m, v))
+        m += 1
+        v = vec_scale(voa.L_apply(1, v), Fraction(1, m))
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -423,11 +399,6 @@ def mode_matrix(module: Module, v, n: int, cap: int) -> ModeOperator:
                     f"mode image needs weight {over} > cap {cap} (source {wl}, mode {n})")
             columns[wl] = img
     return ModeOperator(module, v, n, cap, columns)
-
-
-def contragredient_mode(module: Module, v, n: int, cap: int) -> ModeOperator:
-    """Matrix of Y_{W'}(v)_n on the dual space to the same cap."""
-    return mode_matrix(contragredient(module), v, n, cap)
 
 
 # ---------------------------------------------------------------------------

@@ -38,15 +38,26 @@ __all__ = [
 _ZERO = Fraction(0)
 
 
+# Scalar helpers shared by every module whose coefficients may be either
+# rationals or series in another variable.
+
+
 def _is_scalar(x) -> bool:
     return isinstance(x, (int, Fraction))
 
 
 def _nonzero(c) -> bool:
     """True when a coefficient is (known to be) nonzero."""
+    if isinstance(c, Fraction):  # the common case, tested first
+        return c != 0
     if isinstance(c, TruncSeries):
         return any(_nonzero(x) for x in c.coeffs)
     return c != 0
+
+
+def _inv(x):
+    """Multiplicative inverse of a rational or of a series coefficient."""
+    return Fraction(1) / x if _is_scalar(x) else x.reciprocal()
 
 
 class TruncSeries:
@@ -119,12 +130,6 @@ class TruncSeries:
         while i < len(self.coeffs) and not _nonzero(self.coeffs[i]):
             i += 1
         return TruncSeries(self.var, self.floor + i, self.coeffs[i:], self.order)
-
-    def true_floor(self) -> int:
-        s = self.normalize()
-        if not s.coeffs:
-            raise ValueError("zero series has no floor")
-        return s.floor
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -255,7 +260,7 @@ class TruncSeries:
         v = f.floor
         rel = f.order - v  # number of known relative coefficients
         a = f.coeffs
-        lead_inv = Fraction(1) / a[0] if _is_scalar(a[0]) else a[0].reciprocal()
+        lead_inv = _inv(a[0])
         b = [lead_inv]
         for n in range(1, rel):
             s = _ZERO
@@ -338,7 +343,7 @@ def series_comp_inverse(f: TruncSeries) -> TruncSeries:
         raise ValueError("compositional inverse needs f(0)=0 and f'(0) != 0")
     order = f.order
     a1 = fn.coeff(1)
-    inv_a1 = Fraction(1) / a1 if _is_scalar(a1) else a1.reciprocal()
+    inv_a1 = _inv(a1)
     b = {1: inv_a1}
     for n in range(2, order):
         g = TruncSeries.from_coeff_map(f.var, b, n + 1)
@@ -442,10 +447,6 @@ class QExpansion:
     def scale(self, s) -> "QExpansion":
         return QExpansion(self.offset, [c * s for c in self.coeffs])
 
-    def normalize(self) -> "QExpansion":
-        """Drop trailing storage only (offset canonicalization is done in add)."""
-        return self
-
     def __add__(self, other: "QExpansion") -> "QExpansion":
         if not isinstance(other, QExpansion):
             return NotImplemented
@@ -483,25 +484,13 @@ class QExpansion:
             n_common = 0
         return all(self.coeffs[n + d] == other.coeffs[n] for n in range(n_common))
 
-    def __hash__(self):
-        return hash((self.offset, tuple(self.coeffs)))
+    # Equality compares only the common window, so it is not transitive and
+    # no non-constant hash can agree with it.
+    __hash__ = None
 
     def q_ddq(self) -> "QExpansion":
         """Apply q d/dq: multiplies the q^(offset+n) coefficient by offset+n."""
         return QExpansion(self.offset, [c * (self.offset + n) for n, c in enumerate(self.coeffs)])
-
-    def mul_series(self, a: TruncSeries) -> "QExpansion":
-        """Multiply by a truncated power series in q (floor >= 0)."""
-        if a.floor < 0:
-            raise ValueError("need a power series (floor >= 0)")
-        order = min(self.order, a.order)  # conservative: both truncations bite
-        coeffs = [_ZERO] * order
-        for n in range(order):
-            s = _ZERO
-            for j in range(a.floor, min(n, a.order - 1) + 1):
-                s += a.coeff(j) * self.coeffs[n - j]
-            coeffs[n] = s
-        return QExpansion(self.offset, coeffs)
 
     def __repr__(self):
         terms = [f"{c}*q^{self.offset + n}" for n, c in enumerate(self.coeffs) if c]

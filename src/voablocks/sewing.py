@@ -27,7 +27,6 @@ from .graded import weight_of
 from .linalg import mat_inverse, mat_mul
 from .models import CapError, DualModule, Module
 from .series import BivarSeries, QExpansion
-from .virasoro import CentralCharge
 
 __all__ = [
     "SewableBlock",
@@ -137,8 +136,7 @@ def torus_character(module: Module, v, K: int) -> SewnSeries:
 def normalize_character(s: SewnSeries, c) -> QExpansion:
     """Multiply the standard series by q^{-c/24}: the modular-ready
     character with offset Delta_M - c/24."""
-    cc = c.c if isinstance(c, CentralCharge) else Fraction(c)
-    return s.standard.shift_offset(-cc / 24)
+    return s.standard.shift_offset(-Fraction(c) / 24)
 
 
 # ---------------------------------------------------------------------------

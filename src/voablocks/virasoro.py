@@ -13,26 +13,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .graded import vec_add_into, vec_scale, weight_of
+from .series import _is_scalar
 
-__all__ = ["CentralCharge", "vir_bracket", "apply_exp_raising", "gbinom"]
-
-
-class CentralCharge:
-    """Thin named wrapper so signatures say what the rational means."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, c):
-        self.c = Fraction(c)
-
-    def __repr__(self):
-        return f"CentralCharge({self.c})"
+__all__ = ["vir_bracket", "apply_exp_raising", "gbinom"]
 
 
 def vir_bracket(m: int, n: int, c) -> tuple[int, Fraction]:
     """[L_m, L_n] = (m-n) L_{m+n} + central; returns (m-n, central scalar)."""
-    cc = c.c if isinstance(c, CentralCharge) else Fraction(c)
-    central = Fraction(m ** 3 - m, 12) * cc if m == -n else Fraction(0)
+    central = Fraction(m ** 3 - m, 12) * Fraction(c) if m == -n else Fraction(0)
     return m - n, central
 
 
@@ -55,7 +43,7 @@ def apply_exp_raising(coeffs, c0, w: dict, module) -> dict:
     Scalars may be Fractions or series-valued (the grading power c0^n is an
     integer power either way).
     """
-    if isinstance(c0, (int, Fraction)) and c0 == 0:
+    if _is_scalar(c0) and c0 == 0:
         raise ValueError("c0 = 0 is not a coordinate change")
     out = dict(w)
     term = dict(w)
@@ -64,7 +52,7 @@ def apply_exp_raising(coeffs, c0, w: dict, module) -> dict:
         k += 1
         nxt: dict = {}
         for i, ci in enumerate(coeffs, start=1):
-            if isinstance(ci, (int, Fraction)) and ci == 0:
+            if _is_scalar(ci) and ci == 0:
                 continue
             vec_add_into(nxt, module.L_apply(i, term), ci)
         term = vec_scale(nxt, Fraction(1, k))

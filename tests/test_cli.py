@@ -164,3 +164,32 @@ def test_out_file(tmp_path, capsys):
                  "--out", str(dest)])
     assert code == 0 and capsys.readouterr().out == ""
     assert json.loads(dest.read_text())["cap"] == 3
+
+
+class TestMalformedInput:
+    """Bad input exits 2 with one error line and no output or traceback."""
+
+    def check(self, capsys, *argv):
+        code = main(list(argv))
+        cap = capsys.readouterr()
+        assert code == 2
+        assert cap.out == ""
+        assert cap.err.startswith("error: ") and cap.err.count("\n") == 1
+
+    def test_glue_fixture_missing_point(self, capsys, tmp_path):
+        one = {"num": "1", "den": "1"}
+        fx = tmp_path / "bad_glue.json"
+        fx.write_text(json.dumps({
+            "at0": {"var": "t", "floor": 0, "order": 1, "coeffs": [one]},
+            "atinf": {"var": "w", "floor": 0, "order": 1, "coeffs": [one]},
+            "z0": one}))
+        self.check(capsys, "blocks", "glue", "--fixture", str(fx))
+
+    def test_ode_entry_not_a_series(self, capsys, tmp_path):
+        fx = tmp_path / "bad_ode.json"
+        fx.write_text(json.dumps({"entries": [["x"]]}))
+        self.check(capsys, "ode", "solve", "--matrix", str(fx), "--order", "3")
+
+    def test_huang_negative_cap(self, capsys):
+        self.check(capsys, "coord", "huang", "--alpha", "z + 1/2*z^2",
+                   "--cap", "-1")

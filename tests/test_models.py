@@ -6,9 +6,9 @@ from fractions import Fraction as F
 import pytest
 
 from voablocks.graded import vec_add_into, vec_is_zero, weight_of
-from voablocks.models import (CapError, contragredient, fock_module,
-                              heisenberg_model, jacobi_check, mode_matrix,
-                              virasoro_model)
+from voablocks.models import (CapError, contragredient, exp_L1_terms,
+                              fock_module, heisenberg_model, jacobi_check,
+                              mode_matrix, virasoro_model)
 
 H = heisenberg_model()
 VIR = virasoro_model(F(1, 2))
@@ -137,3 +137,30 @@ def test_fock_zero_mode():
     Fm = fock_module(H, F(3))
     assert Fm.gen_apply(0, ()) == {(): F(3)}
     assert Fm.delta == F(9, 2)
+
+
+@pytest.mark.parametrize("voa", MODELS, ids=["heisenberg", "virasoro"])
+def test_exp_L1_terms_match_conformal_mode(voa):
+    # oracle: L_1 = Y(conformal vector)_2 through the generic Jacobi recursion
+    for wt in range(7):
+        for label in voa.basis_at(wt):
+            want = {label: F(1)}
+            for m, term in exp_L1_terms(voa, {label: F(1)}):
+                assert term == want, (label, m)
+                want = {k: c / (m + 1) for k, c in
+                        voa.mode_apply(voa.conformal_vector, 2, want).items()}
+            assert want == {}, label
+
+
+def test_memo_caches_are_read_only():
+    V = virasoro_model(F(1, 2))
+    r = V.gen_apply(-1, (2,))
+    with pytest.raises(TypeError):
+        r[(9,)] = 7
+    assert dict(V.gen_apply(-1, (2,))) == {(2, 2): F(1)}
+    for M in (heisenberg_model(), contragredient(heisenberg_model())):
+        before = dict(M._mode_basis((1,), -1, (1,)))
+        assert before
+        with pytest.raises(TypeError):
+            M._mode_basis((1,), -1, (1,))[(9,)] = 7
+        assert dict(M._mode_basis((1,), -1, (1,))) == before

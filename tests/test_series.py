@@ -122,3 +122,13 @@ class TestQExpansion:
 def test_bivar_monomials():
     b = BivarSeries.from_monomials(("x", "y"), {(0, 0): F(1), (2, 1): F(-3)}, (4, 4))
     assert sorted(b.monomials()) == [(0, 0, F(1)), (2, 1, F(-3))]
+
+
+def test_qexpansion_window_equality_is_unhashable():
+    # equality compares the common window only, so it cannot agree with a hash
+    pairs = [(QExpansion(0, [0, 1]), QExpansion(1, [1])),
+             (QExpansion(0, [1, 2]), QExpansion(0, [1]))]
+    for a, b in pairs:
+        assert a == b
+        with pytest.raises(TypeError):
+            hash(a)
