@@ -6,7 +6,8 @@ poles only at the marked points are stored in partial-fraction form
 
     f(zeta) = sum_k c_k zeta^k  +  sum_p sum_m a_{p,m} (zeta - p)^{-m},
 
-and gluing/reconstruction from Laurent tails is exact linear algebra.  The
+so on P^1 such a function is the sum of its principal parts (Mittag-Leffler)
+and gluing reads the global function straight off the Laurent tails.  The
 solvability criterion is the strong residue theorem: the tails s_i glue to
 a global function iff sum_i Res_i (s_i * lambda) = 0 for every 1-form
 lambda with poles only at the marked points; a violated pairing is
@@ -15,7 +16,7 @@ reported as a witness of the shape lambda = zeta^m (zeta - z0)^n dzeta.
 Block functionals are linear maps on tensors of capped module vectors.
 Propagation inserts one extra VOA vector varying over the sphere; its
 value at a rational point y is computed by assembling the Laurent tails of
-the propagated section at every marked point, reconstructing the unique
+the propagated section at every marked point, gluing them into the unique
 global rational function, and evaluating at y.  At infinity the insertion
 is twisted by U(gamma_{1/w}) = e^{w^{-1} L_1} (-w^2)^{Ltilde0} and the
 1-form bookkeeping uses dzeta = -w^{-2} dw.
@@ -26,7 +27,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .graded import vec_add_into, vec_is_zero, vec_max_weight, weight_of
-from .linalg import solve_linear
 from .models import Module, contragredient, exp_L1_terms
 from .series import TruncSeries
 from .virasoro import gbinom
@@ -104,16 +104,6 @@ class SpherePoints:
 
     def __repr__(self):
         return f"SpherePoints({self.points})"
-
-
-def _recip_power(c0, c1, m: int, var: str, order: int) -> TruncSeries:
-    """(c0 + c1 t)^(-m) as a series in t (c0 != 0, m >= 1)."""
-    base = TruncSeries.from_coeff_map(var, {0: Fraction(c0), 1: Fraction(c1)},
-                                      order + 1).reciprocal()
-    out = base
-    for _ in range(m - 1):
-        out = out * base
-    return out.truncate(order)
 
 
 class RationalFunction:
@@ -194,12 +184,11 @@ class RationalFunction:
         for p2, part in self.poles.items():
             if p2 == p:
                 continue
+            d = p - p2
             for m, c in part.items():
-                if order <= 0:
-                    continue
-                s = _recip_power(p - p2, F1, m, var, order)
+                # (t + d)^{-m} = sum_e C(-m, e) d^{-m-e} t^e
                 for e in range(0, order):
-                    cmap[e] = cmap.get(e, F0) + c * s.coeff(e)
+                    cmap[e] = cmap.get(e, F0) + c * gbinom(-m, e) * d ** (-m - e)
         cmap = {e: c for e, c in cmap.items() if c and e < order}
         return TruncSeries.from_coeff_map(var, cmap, order)
 
@@ -209,14 +198,9 @@ class RationalFunction:
         for p, part in self.poles.items():
             for m, c in part.items():
                 # (1/w - p)^{-m} = w^m (1 - p w)^{-m}
-                if p == 0:
-                    cmap[m] = cmap.get(m, F0) + c
-                    continue
-                if order - m <= 0:
-                    continue
-                s = _recip_power(F1, -p, m, var, order - m)
+                #               = sum_e C(-m, e) (-p)^e w^{m+e}
                 for e in range(0, order - m):
-                    cmap[e + m] = cmap.get(e + m, F0) + c * s.coeff(e)
+                    cmap[e + m] = cmap.get(e + m, F0) + c * gbinom(-m, e) * (-p) ** e
         cmap = {e: c for e, c in cmap.items() if c and e < order}
         return TruncSeries.from_coeff_map(var, cmap, order)
 
@@ -283,43 +267,27 @@ def _form_expansion(g: RationalFunction, p, order: int) -> TruncSeries:
     return g.expand_at(p, order)
 
 
-def _tail_residue(tail: TruncSeries, lam: TruncSeries) -> Fraction:
-    """Res of (tail * lam) at the point; lam is exact with finite pole,
-    so the sum runs over tail exponents k < -lam.floor."""
-    lam_pole = max(0, -lam.floor)
-    if tail.order < lam_pole:
-        raise UnderdeterminedCap(
-            f"tail order {tail.order} < dual pole order {lam_pole}")
-    total = F0
-    for k in range(tail.floor, lam_pole):
-        c = tail.coeff(k)
-        if c:
-            total += c * lam.coeff(-1 - k)
-    return total
-
-
-def _dual_form_family(points: SpherePoints, tails: dict):
-    """Spanning 1-forms with poles only at the marked points, up to the
-    pole orders the tail windows can certify."""
-    fams = []
-    for p in points.finite:
-        for m in range(1, tails[p].order + 1):
-            fams.append(("pole", p, m, RationalFunction(poles={p: {m: F1}})))
-    if points.has_infinity:
-        for k in range(0, tails[INFINITY].order - 1):
-            fams.append(("infinity", INFINITY, k, RationalFunction(poly={k: F1})))
-    return fams
-
-
-def strong_residue_check(tails, points=None, divisor=None) -> ResidueReport:
-    """Test the residue criterion for the declared tails; on pass,
-    reconstruct the global meromorphic function by exact linear algebra
-    and re-expand to confirm every tail.
+def strong_residue_check(tails, points=None) -> ResidueReport:
+    """Test the residue criterion for the declared tails; on pass, return
+    the glued global meromorphic function as the section.
 
     ``tails`` maps each marked point (rational or INFINITY) to a
-    TruncSeries in its local coordinate; ``divisor`` optionally bounds the
-    pole order of the reconstruction at each point (defaults to the pole
-    orders visible in the tails).  The configuration must include INFINITY.
+    TruncSeries in its local coordinate; the configuration must include
+    INFINITY.  A global function with poles only at the marked points is
+    the sum of its principal parts, so the only candidate section f takes
+    the pole parts of the finite tails and the polynomial part (constant
+    included) of the tail at infinity.  The tails glue iff each one agrees
+    with the re-expansion of f on its window.
+
+    The conditions run over the spanning dual forms (zeta - p)^{-m} dzeta,
+    1 <= m <= order_p, at each finite p in turn, then zeta^k dzeta,
+    0 <= k <= order_inf - 2.  Since sum_p Res_p(f * lambda) = 0, pairing
+    lambda with the tails equals pairing it with tail - f, which has no
+    principal part anywhere; so only one coefficient of tail - f survives:
+    exponent m - 1 at p, or k + 1 at infinity (with the sign of
+    dzeta = -w^{-2} dw).  The first nonzero one is the witness.  Finite
+    windows need order >= 0 and the window at infinity order >= 1, else
+    UnderdeterminedCap names the short window.
     """
     if points is None:
         points = SpherePoints([p for p in tails if p is not INFINITY] +
@@ -328,64 +296,35 @@ def strong_residue_check(tails, points=None, divisor=None) -> ResidueReport:
         raise ValueError("configurations must include the point at infinity")
     if {repr(p) for p in tails} != {repr(p) for p in points}:
         raise ValueError("tails and marked points disagree")
-    if divisor is None:
-        divisor = {}
-    dcap = {p: divisor.get(p, max(0, -tails[p].floor)) for p in points}
-
-    # residue conditions against the spanning dual forms
-    conditions = 0
-    for kind, p0, m, g in _dual_form_family(points, tails):
-        total = F0
-        for p in points:
-            lam = _form_expansion(g, p, max(1, -tails[p].floor))
-            total += _tail_residue(tails[p], lam)
-        conditions += 1
-        if total:
-            return ResidueReport(False, None, _Witness(kind, p0, m, total), conditions)
-
-    # reconstruction in the partial-fraction basis allowed by the divisor
-    basis = []
-    for p in points.finite:
-        for m in range(1, dcap[p] + 1):
-            basis.append(RationalFunction(poles={p: {m: F1}}))
-    for k in range(0, dcap[INFINITY] + 1):
-        basis.append(RationalFunction(poly={k: F1}))
-
-    rows, rhs = [], []
     for p in points:
-        t = tails[p]
-        expans = [b.expand_at_point(p, t.order) for b in basis]
-        lo = min(t.floor, -dcap[p])
-        for e in range(lo, t.order):
-            rows.append([s.coeff(e) if e < s.order else F0 for s in expans])
-            rhs.append(t.coeff(e) if e >= t.floor else F0)
-    if rows:
-        res = solve_linear(rows, rhs)
-        if not res.consistent:
-            raise AssertionError("residue conditions passed but matching failed")
-        if res.free:
+        need = 1 if p is INFINITY else 0
+        if tails[p].order < need:
             raise UnderdeterminedCap(
-                f"{len(res.free)} free coefficients at the declared windows")
-        coeffs = res.solution
-    else:
-        coeffs = [F0] * len(basis)
-    section = RationalFunction()
-    for c, b in zip(coeffs, basis):
-        if c:
-            section = section + b.scale(c)
-    for p in points:  # re-expansion confirmation
-        t = tails[p]
-        s = section.expand_at_point(p, t.order)
-        for e in range(min(t.floor, s.floor), t.order):
-            have = s.coeff(e) if e >= s.floor else F0
-            want = t.coeff(e) if e >= t.floor else F0
-            if have != want:
-                raise AssertionError("reconstructed section fails re-expansion")
+                f"tail at {p} has order {tails[p].order}; "
+                f"the residue check needs order >= {need}")
+
+    poles = {p: {m: tails[p].coeff(-m) for m in range(1, 1 - tails[p].floor)}
+             for p in points.finite}
+    at_inf = tails[INFINITY]
+    poly = {k: at_inf.coeff(-k) for k in range(0, 1 - at_inf.floor)}
+    section = RationalFunction(poly, poles)
+
+    conditions = 0
+    for p in points:
+        tail = tails[p]
+        s = section.expand_at_point(p, tail.order)
+        for e in range(1 if p is INFINITY else 0, tail.order):
+            conditions += 1
+            d = tail.coeff(e) - s.coeff(e)
+            if d:
+                witness = (_Witness("infinity", INFINITY, e - 1, -d)
+                           if p is INFINITY else _Witness("pole", p, e + 1, d))
+                return ResidueReport(False, None, witness, conditions)
     return ResidueReport(True, section, None, conditions)
 
 
 def rational_glue(exp0: TruncSeries, exp_z0: TruncSeries, exp_inf: TruncSeries,
-                  z0, divisor=None) -> ResidueReport:
+                  z0) -> ResidueReport:
     """Glue expansions at 0, z0 and infinity into a global rational
     function, or report the violated pairing zeta^m (zeta - z0)^n dzeta
     (read it off the witness with ``product_exponents(z0)``)."""
@@ -394,7 +333,7 @@ def rational_glue(exp0: TruncSeries, exp_z0: TruncSeries, exp_inf: TruncSeries,
         raise ValueError("z0 must be nonzero")
     tails = {F0: exp0, z0: exp_z0, INFINITY: exp_inf}
     points = SpherePoints([F0, z0, INFINITY])
-    return strong_residue_check(tails, points, divisor)
+    return strong_residue_check(tails, points)
 
 
 def residue_pairing(sigma: dict, t: RationalFunction) -> Fraction:

@@ -117,7 +117,15 @@ def cmd_character(args):
     return 0
 
 
+def _non_negative(args, *names):
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value < 0:
+            raise ConfigError(f"--{name} must be non-negative")
+
+
 def cmd_coord_extract(args):
+    _non_negative(args, "count")
     rho = _series_arg(args.series, None, args.order)
     count = args.count if args.count is not None else max(rho.order - 2, 0)
     cs = extract_coeffs(rho, count)
@@ -128,8 +136,7 @@ def cmd_coord_extract(args):
 
 
 def cmd_coord_huang(args):
-    if args.cap < 0:
-        raise ConfigError("--cap must be non-negative")
+    _non_negative(args, "cap", "order")
     module = _build_model(args)
     alpha = CoordChange(parse_poly(args.alpha))
     gen = (module.voa.gen_weight,)
@@ -162,6 +169,8 @@ def cmd_uniformize(args):
 
 
 def _decode_vec(obj):
+    if not isinstance(obj, dict):
+        raise ConfigError(f"not a vector encoding: {obj!r}")
     return {tuple(int(p) for p in key.split(",") if p): decode_rational(val)
             for key, val in obj.items()}
 
@@ -195,36 +204,61 @@ def _report_payload(report):
     return out
 
 
+def _emit_residue(args, command, check, *check_args):
+    """Run a residue check and emit its report; a window too short to
+    certify the check fails it (exit 1) and names the window."""
+    try:
+        rep = check(*check_args)
+    except UnderdeterminedCap as e:
+        _emit(args, {"command": command, "passed": False, "underdetermined": str(e)})
+        return 1
+    _emit(args, {"command": command, **_report_payload(rep)})
+    return 0 if rep.passed else 1
+
+
 def cmd_blocks_glue(args):
     fx = _load_fixture(args.fixture, "at0", "atz0", "atinf", "z0")
-    rep = rational_glue(decode_series(fx["at0"]), decode_series(fx["atz0"]),
-                        decode_series(fx["atinf"]), decode_rational(fx["z0"]))
-    _emit(args, {"command": "blocks glue", **_report_payload(rep)})
-    return 0 if rep.passed else 1
+    return _emit_residue(args, "blocks glue", rational_glue,
+                         decode_series(fx["at0"]), decode_series(fx["atz0"]),
+                         decode_series(fx["atinf"]), decode_rational(fx["z0"]))
 
 
 def cmd_blocks_residue_check(args):
     fx = _load_fixture(args.fixture, "tails")
+    if not isinstance(fx["tails"], dict):
+        raise ConfigError("tails must map marked points to series")
     tails = {}
     for key, sobj in fx["tails"].items():
         p = INFINITY if key in ("inf", "infinity") else decode_rational(key)
+        if p in tails:
+            raise ConfigError(f"tails name the point {p} twice")
         tails[p] = decode_series(sobj)
-    try:
-        rep = strong_residue_check(tails)
-    except UnderdeterminedCap as e:
-        _emit(args, {"command": "blocks residue-check",
-                     "passed": False, "underdetermined": str(e)})
-        return 1
-    _emit(args, {"command": "blocks residue-check", **_report_payload(rep)})
-    return 0 if rep.passed else 1
+    return _emit_residue(args, "blocks residue-check", strong_residue_check, tails)
+
+
+def _decode_ode(fx) -> PoleODE:
+    entries = fx["entries"]
+    if not (isinstance(entries, list) and all(isinstance(row, list) for row in entries)):
+        raise ConfigError("entries must be a list of rows of series")
+    return PoleODE([[decode_series(e) for e in row] for row in entries])
+
+
+def _decode_complex(obj, what) -> list:
+    if not (isinstance(obj, list) and all(
+            isinstance(z, list) and len(z) == 2 and
+            all(isinstance(x, (int, float)) for x in z) for z in obj)):
+        raise ConfigError(f"{what} must be a list of [re, im] pairs")
+    return [complex(z[0], z[1]) for z in obj]
 
 
 def cmd_ode_solve(args):
+    _non_negative(args, "order")
     fx = _load_fixture(args.matrix, "entries")
-    entries = [[decode_series(e) for e in row] for row in fx["entries"]]
-    ode = PoleODE(entries)
-    seeds = {int(n): [decode_rational(x) for x in vec]
-             for n, vec in fx.get("seeds", {}).items()}
+    ode = _decode_ode(fx)
+    seeds = fx.get("seeds", {})
+    if not (isinstance(seeds, dict) and all(isinstance(v, list) for v in seeds.values())):
+        raise ConfigError("seeds must map indices to lists of rationals")
+    seeds = {int(n): [decode_rational(x) for x in vec] for n, vec in seeds.items()}
     try:
         sol = formal_solve(ode, seeds, args.order)
     except ResonanceError as e:
@@ -237,11 +271,12 @@ def cmd_ode_solve(args):
 
 
 def cmd_ode_continue(args):
-    fx = _load_fixture(args.matrix, "entries")
+    ode = _decode_ode(_load_fixture(args.matrix, "entries"))
     pfx = _load_fixture(args.path, "waypoints", "start")
-    ode = PoleODE([[decode_series(e) for e in row] for row in fx["entries"]])
-    waypoints = [complex(w[0], w[1]) for w in pfx["waypoints"]]
-    start = [complex(x[0], x[1]) for x in pfx["start"]]
+    waypoints = _decode_complex(pfx["waypoints"], "waypoints")
+    start = _decode_complex(pfx["start"], "start")
+    if len(start) != ode.dim:
+        raise ConfigError(f"start has {len(start)} entries; the system has {ode.dim}")
     value, err = numeric_continue(ode, start, NumericPath(waypoints),
                                   steps=args.steps)
     payload = {"command": "ode continue", "steps": args.steps,

@@ -36,12 +36,13 @@ def encode_rational(x) -> dict:
 
 
 def decode_rational(obj) -> Fraction:
-    if isinstance(obj, dict):
-        return Fraction(int(obj["num"]), int(obj["den"]))
-    if isinstance(obj, str):
-        return Fraction(obj)
-    if isinstance(obj, int):
-        return Fraction(obj)
+    try:
+        if isinstance(obj, dict):
+            return Fraction(int(obj["num"]), int(obj["den"]))
+        if isinstance(obj, (str, int)):
+            return Fraction(obj)
+    except (KeyError, TypeError, ZeroDivisionError) as e:
+        raise ValueError(f"not a rational encoding: {obj!r}") from e
     raise ValueError(f"not a rational encoding: {obj!r}")
 
 

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from voablocks.blocks import (INFINITY, BlockFunctional, IntertwinerError,
                               RationalFunction, SpherePoints,
@@ -115,6 +116,80 @@ class TestStrongResidue:
     def test_requires_infinity(self):
         with pytest.raises(ValueError):
             strong_residue_check({F(0): TruncSeries.zero("t", 2)})
+
+
+POOL = (F(0), F(1), F(-2), F(1, 2), F(3))
+small = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+
+
+def oracle_tail(f, p, order):
+    """f's Laurent tail at p, built from TruncSeries powers and reciprocals
+    rather than RationalFunction.expand_at (which the check re-expands with)."""
+    var = "w" if p is INFINITY else "t"
+    work = order + 8
+
+    def lin(a, b):  # a + b * var as a power series
+        return TruncSeries(var, 0, [F(a), F(b)] + [F(0)] * (work - 2), work)
+
+    cmap = {}
+
+    def add(series, shift, c):
+        for e in range(series.floor, series.order):
+            cmap[e + shift] = cmap.get(e + shift, F(0)) + c * series.coeff(e)
+
+    for k, c in f.poly.items():
+        if p is INFINITY:
+            cmap[-k] = cmap.get(-k, F(0)) + c
+        else:
+            add(lin(p, 1) ** k, 0, c)
+    for q, part in f.poles.items():
+        for m, c in part.items():
+            if p is INFINITY:  # (1/w - q)^{-m} = w^m (1 - q w)^{-m}
+                add(lin(1, -q) ** (-m), m, c)
+            elif q == p:
+                cmap[-m] = cmap.get(-m, F(0)) + c
+            else:  # zeta - q = t + (p - q)
+                add(lin(p - q, 1) ** (-m), 0, c)
+    return TruncSeries.from_coeff_map(
+        var, {e: c for e, c in cmap.items() if c and e < order}, order)
+
+
+@settings(max_examples=60, derandomize=True)
+@given(st.data())
+def test_glue_by_principal_parts(data):
+    """A global f glues back to itself with one condition per compared
+    coefficient; one bad non-principal coefficient delta is its own witness:
+    the residue theorem leaves exactly delta (or -delta at infinity, from
+    dzeta = -w^{-2} dw) in the pairing with the matching dual form."""
+    pts = data.draw(st.lists(st.sampled_from(POOL), min_size=1, max_size=4, unique=True))
+    f = RationalFunction(
+        data.draw(st.dictionaries(st.integers(0, 3), small)),
+        {p: data.draw(st.dictionaries(st.integers(1, 3), small, min_size=1)) for p in pts})
+    points = pts + [INFINITY]
+    orders = [data.draw(st.integers(0, 6)) for _ in pts] + [data.draw(st.integers(1, 7))]
+    tails = {p: oracle_tail(f, p, o) for p, o in zip(points, orders)}
+    rep = strong_residue_check(tails, SpherePoints(points))
+    assert rep.passed and rep.section == f
+    assert rep.conditions == sum(orders) - 1
+
+    walk = [(p, e) for p, o in zip(points, orders)
+            for e in range(1 if p is INFINITY else 0, o)]
+    if not walk:
+        return
+    i = data.draw(st.integers(0, len(walk) - 1))
+    p, e = walk[i]
+    delta = data.draw(small.filter(bool))
+    t = tails[p]
+    cmap = {k: t.coeff(k) for k in range(t.floor, t.order)}
+    cmap[e] = cmap.get(e, F(0)) + delta
+    tails[p] = TruncSeries.from_coeff_map(t.var, cmap, t.order)
+    rep = strong_residue_check(tails, SpherePoints(points))
+    w = rep.witness
+    assert not rep.passed
+    assert (w.kind, w.point, w.order, w.residue) == (
+        ("infinity", INFINITY, e - 1, -delta) if p is INFINITY
+        else ("pole", p, e + 1, delta))
+    assert rep.conditions == i + 1
 
 
 class TestResiduePairing:

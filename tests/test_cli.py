@@ -105,6 +105,29 @@ class TestBlocks:
         doc = json.loads(out)
         assert doc["passed"] is False and "witness" in doc
 
+    def check_underdetermined(self, capsys, command, fixture):
+        code, out = run(capsys, "blocks", command, "--fixture", str(fixture))
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["passed"] is False and "order" in doc["underdetermined"]
+
+    def test_glue_underdetermined_window(self, capsys, tmp_path):
+        one = {"num": "1", "den": "1"}
+        fx = tmp_path / "short.json"
+        fx.write_text(json.dumps({
+            "at0": {"var": "t", "floor": -1, "order": -1, "coeffs": []},
+            "atz0": {"var": "t", "floor": 0, "order": 1, "coeffs": [one]},
+            "atinf": {"var": "w", "floor": 0, "order": 1, "coeffs": [one]},
+            "z0": one}))
+        self.check_underdetermined(capsys, "glue", fx)
+
+    def test_residue_check_empty_windows_fail_closed(self, capsys, tmp_path):
+        fx = tmp_path / "empty.json"
+        fx.write_text(json.dumps({"tails": {
+            "0": {"var": "t", "floor": 0, "order": 0, "coeffs": []},
+            "inf": {"var": "w", "floor": 0, "order": 0, "coeffs": []}}}))
+        self.check_underdetermined(capsys, "residue-check", fx)
+
 
 class TestOde:
     @pytest.fixture
@@ -193,3 +216,77 @@ class TestMalformedInput:
     def test_huang_negative_cap(self, capsys):
         self.check(capsys, "coord", "huang", "--alpha", "z + 1/2*z^2",
                    "--cap", "-1")
+
+    def test_ode_entries_not_a_matrix(self, capsys, tmp_path):
+        fx = tmp_path / "bad_ode.json"
+        fx.write_text(json.dumps({"entries": 5}))
+        self.check(capsys, "ode", "solve", "--matrix", str(fx), "--order", "3")
+
+    def test_ode_seeds_not_an_object(self, capsys, tmp_path):
+        zero = {"num": "0", "den": "1"}
+        fx = tmp_path / "bad_ode.json"
+        fx.write_text(json.dumps({"entries": [[
+            {"var": "q", "floor": 0, "order": 2, "coeffs": [zero, zero]}]],
+            "seeds": 5}))
+        self.check(capsys, "ode", "solve", "--matrix", str(fx), "--order", "1")
+
+    def continue_path(self, capsys, tmp_path, path_fixture):
+        zero = {"num": "0", "den": "1"}
+        fx = tmp_path / "mat.json"
+        fx.write_text(json.dumps({"entries": [[
+            {"var": "q", "floor": 0, "order": 2, "coeffs": [zero, zero]}]]}))
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps(path_fixture))
+        self.check(capsys, "ode", "continue", "--matrix", str(fx),
+                   "--path", str(path), "--steps", "50")
+
+    def test_ode_waypoint_not_a_pair(self, capsys, tmp_path):
+        self.continue_path(capsys, tmp_path,
+                           {"waypoints": [[0.1]], "start": [[1.0, 0.0]]})
+
+    def test_ode_start_wrong_length(self, capsys, tmp_path):
+        self.continue_path(capsys, tmp_path,
+                           {"waypoints": [[0.05, 0.0], [0.1, 0.0]],
+                            "start": [[1.0, 0.0], [1.0, 0.0]]})
+
+    def test_residue_check_tails_not_an_object(self, capsys, tmp_path):
+        fx = tmp_path / "bad_rc.json"
+        fx.write_text(json.dumps({"tails": 5}))
+        self.check(capsys, "blocks", "residue-check", "--fixture", str(fx))
+
+    def test_residue_check_point_named_twice(self, capsys, tmp_path):
+        tail = {"var": "t", "floor": 0, "order": 1,
+                "coeffs": [{"num": "1", "den": "1"}]}
+        fx = tmp_path / "dup_rc.json"
+        fx.write_text(json.dumps({"tails": {"0": tail, "0/1": tail, "inf": tail}}))
+        self.check(capsys, "blocks", "residue-check", "--fixture", str(fx))
+
+    def test_rational_zero_denominator(self, capsys, tmp_path):
+        one = {"num": "1", "den": "1"}
+        fx = tmp_path / "bad_tp.json"
+        fx.write_text(json.dumps({"model": "heisenberg", "v": {"1": one},
+                                  "z0": {"num": "1", "den": "0"},
+                                  "w": {"1": one}, "wp": {"": one}}))
+        self.check(capsys, "blocks", "three-point", "--fixture", str(fx))
+
+    def test_three_point_vector_not_an_object(self, capsys, tmp_path):
+        one = {"num": "1", "den": "1"}
+        fx = tmp_path / "bad_tp.json"
+        fx.write_text(json.dumps({"model": "heisenberg", "v": 5, "z0": one,
+                                  "w": {"1": one}, "wp": {"": one}}))
+        self.check(capsys, "blocks", "three-point", "--fixture", str(fx))
+
+    def test_huang_negative_order(self, capsys):
+        self.check(capsys, "coord", "huang", "--alpha", "z + 1/2*z^2",
+                   "--order", "-3")
+
+    def test_ode_negative_order(self, capsys, tmp_path):
+        zero = {"num": "0", "den": "1"}
+        fx = tmp_path / "mat.json"
+        fx.write_text(json.dumps({"entries": [[
+            {"var": "q", "floor": 0, "order": 2, "coeffs": [zero, zero]}]]}))
+        self.check(capsys, "ode", "solve", "--matrix", str(fx), "--order", "-2")
+
+    def test_extract_negative_count(self, capsys):
+        self.check(capsys, "coord", "extract", "--series", "z + z^2",
+                   "--count", "-3")
