@@ -6,8 +6,9 @@ Core identity: every rho factors as
     rho(z) = c0 * exp(sum_{n>0} c_n z^{n+1} d/dz) z,
 
 and the representation is U(rho) = c0^{Ltilde0} exp(sum_{n>0} c_n L_n).
-The c_n are extracted by an order-by-order triangular solve: the equation
-for the z^{n+1} coefficient contains c_n linearly with coefficient c0.
+The c_n are extracted in one pass over the exponents of z: the terms
+V^k z / k! of the Lie series, V = sum c_m z^{m+1} d/dz, obey a recurrence
+in k, and c_n enters the z^{n+1} coefficient only through the k = 1 term.
 
 The scalar ring is generic: coefficients may be rationals or truncated
 series in another variable.  The latter is what powers the conjugation
@@ -21,7 +22,7 @@ from fractions import Fraction
 
 from .graded import vec_add_into, vec_is_zero, vec_max_weight, weight_of
 from .models import Module
-from .series import TruncSeries, _inv, _is_scalar, _nonzero, series_comp_inverse
+from .series import TruncSeries, _inv, _nonzero, series_comp_inverse
 from .virasoro import apply_exp_raising, gbinom
 
 __all__ = [
@@ -30,7 +31,6 @@ __all__ = [
     "poly_compose",
     "gamma_series",
     "extract_coeffs",
-    "exp_field_series",
     "U_apply",
     "U_apply_series",
     "U_inverse_apply",
@@ -102,29 +102,13 @@ class CoordChange:
         return f"CoordChange({self.poly})"
 
 
-def exp_field_series(cs, var: str, order: int) -> TruncSeries:
-    """exp(sum_{m>=1} cs[m-1] z^{m+1} d/dz) applied to z, truncated."""
-    f = TruncSeries.identity(var, order)
-    out = f
-    term = f
-    k = 0
-    while not term.is_zero():
-        k += 1
-        d = term.deriv()
-        nxt = TruncSeries.zero(var, order)
-        for m, cm in enumerate(cs, start=1):
-            if _is_scalar(cm) and cm == 0:
-                continue
-            nxt = nxt + d.shift(m + 1).scale(cm)
-        term = (nxt / k).truncate(min(order, nxt.order))
-        out = out + term
-    return out
-
-
 def extract_coeffs(rho: TruncSeries, count: int | None = None) -> list:
     """[c0, c1, ..., c_count] with rho = c0 exp(sum c_n z^{n+1} d/dz) z.
 
-    c0 = rho'(0); each further c_n is solved linearly at order z^{n+1}.
+    c0 = rho'(0).  With V = sum_m c_m z^{m+1} d/dz, the coefficients
+    t[k, j] = [z^j] V^k z / k! obey t[k, j] = (1/k) sum_m c_m (j-m) t[k-1, j-m]
+    with t[1, j] = c_{j-1}, so one sweep over j gives
+    c_n = [z^{n+1}] rho / c0 - sum_{k>=2} t[k, n+1] from the earlier c_m.
     Closed forms at low order: c1 = (1/2) rho''(0)/rho'(0),
     c2 = (1/6) rho'''(0)/rho'(0) - (1/4)(rho''(0)/rho'(0))^2.
     """
@@ -139,15 +123,20 @@ def extract_coeffs(rho: TruncSeries, count: int | None = None) -> list:
         raise ValueError("rho(0) must be 0")
     if count is None:
         count = rho.order - 2
+    if count < 0:
+        raise ValueError(f"coefficient count must be >= 0, got {count}")
     if count > rho.order - 2:
         raise ValueError("series order too small for requested coefficient count")
     inv_a1 = _inv(a1)
-    cs: list = []
-    for n in range(1, count + 1):
-        s = exp_field_series(cs, rho.var, n + 2)
-        cn = rho.coeff(n + 1) * inv_a1 - s.coeff(n + 1)
-        cs.append(cn)
-    return [a1] + cs
+    cs = [a1]
+    t: dict = {}  # (k, j) -> [z^j] V^k z / k!, zero unless j > k
+    for j in range(2, count + 2):
+        for k in range(2, j):
+            t[k, j] = sum((cs[m] * (j - m) * t[k - 1, j - m]
+                           for m in range(1, j - k + 1)), F0) / k
+        t[1, j] = rho.coeff(j) * inv_a1 - sum((t[k, j] for k in range(2, j)), F0)
+        cs.append(t[1, j])
+    return cs
 
 
 def gamma_series(xi, order: int, var: str = "z") -> TruncSeries:

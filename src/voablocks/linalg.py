@@ -1,9 +1,11 @@
 """Exact linear algebra over the rationals.
 
-Gaussian elimination with deterministic pivoting (first nonzero entry in
-column order, scanning rows top to bottom), solving A x = b with either a
-solution, a report of free columns, or an inconsistency certificate: a row
-vector y with y A = 0 and y b != 0.
+Everything rests on one Gauss-Jordan reduction of the augmented rows
+[A | b | I] with deterministic pivoting (first nonzero entry in column
+order, scanning rows top to bottom).  Solving A x = b reads off a solution
+and its free columns, or an inconsistency certificate: the identity block
+y of the first zero row of A with nonzero b, so y A = 0 and y b != 0.
+The inverse of A is the identity block of the reduction of [A | 0 | I].
 """
 
 from __future__ import annotations
@@ -39,53 +41,52 @@ class LinSolve:
         return self.consistent and not self.free
 
 
-def solve_linear(rows, rhs) -> LinSolve:
-    """Solve (rows) x = rhs exactly; rows is a list of equal-length lists."""
+def _reduce(rows, rhs):
+    """Gauss-Jordan reduction of the augmented rows [A | b | I].
+
+    Returns the reduced rows and the (row, col) pivots of A.  The identity
+    block records the row operations: it ends as T with T A = reduced A.
+    """
     m = len(rows)
     ncols = len(rows[0]) if m else 0
     a = [[Fraction(x) for x in row] for row in rows]
     b = [Fraction(x) for x in rhs]
     if len(b) != m or any(len(row) != ncols for row in a):
         raise ValueError("shape mismatch")
-    # trans tracks the row operations: trans . original = current
-    trans = [[F1 if i == j else F0 for j in range(m)] for i in range(m)]
-    pivots = []  # (row, col)
+    aug = [row + [y] + e for row, y, e in zip(a, b, identity_matrix(m))]
+    pivots = []
     prow = 0
     for col in range(ncols):
-        sel = None
-        for r in range(prow, m):
-            if a[r][col]:
-                sel = r
-                break
+        sel = next((r for r in range(prow, m) if aug[r][col]), None)
         if sel is None:
             continue
-        if sel != prow:
-            a[prow], a[sel] = a[sel], a[prow]
-            b[prow], b[sel] = b[sel], b[prow]
-            trans[prow], trans[sel] = trans[sel], trans[prow]
-        inv = F1 / a[prow][col]
-        a[prow] = [x * inv for x in a[prow]]
-        b[prow] *= inv
-        trans[prow] = [x * inv for x in trans[prow]]
+        aug[prow], aug[sel] = aug[sel], aug[prow]
+        inv = F1 / aug[prow][col]
+        aug[prow] = [x * inv for x in aug[prow]]
         for r in range(m):
-            if r != prow and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[prow])]
-                b[r] -= f * b[prow]
-                trans[r] = [x - f * y for x, y in zip(trans[r], trans[prow])]
+            f = aug[r][col]
+            if r != prow and f:
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[prow])]
         pivots.append((prow, col))
         prow += 1
         if prow == m:
             break
+    return aug, pivots
+
+
+def solve_linear(rows, rhs) -> LinSolve:
+    """Solve (rows) x = rhs exactly; rows is a list of equal-length lists."""
+    aug, pivots = _reduce(rows, rhs)
+    ncols = len(rows[0]) if rows else 0
     rank = len(pivots)
-    for r in range(rank, m):
-        if b[r]:
-            return LinSolve(None, [], list(trans[r]), rank)
+    for row in aug[rank:]:
+        if row[ncols]:
+            return LinSolve(None, [], row[ncols + 1:], rank)
     pivot_cols = {col for _, col in pivots}
     free = [c for c in range(ncols) if c not in pivot_cols]
     x = [F0] * ncols
     for r, col in pivots:
-        x[col] = b[r]
+        x[col] = aug[r][ncols]
     return LinSolve(x, free, None, rank)
 
 
@@ -106,14 +107,10 @@ def mat_vec(a, v):
 def mat_inverse(a):
     """Exact inverse; raises ValueError when singular."""
     n = len(a)
-    cols = []
-    for j in range(n):
-        e = [F1 if i == j else F0 for i in range(n)]
-        res = solve_linear(a, e)
-        if not res.unique:
-            raise ValueError("matrix is singular")
-        cols.append(res.solution)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    aug, pivots = _reduce(a, [F0] * n)
+    if len(pivots) != n or any(len(row) != n for row in a):
+        raise ValueError("matrix is singular")
+    return [row[n + 1:] for row in aug]
 
 
 def vec_one_norm(v) -> Fraction:

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from voablocks.coordchange import (CoordChange, U_apply, U_inverse_apply,
                                    extract_coeffs, gamma_relation_check,
@@ -12,6 +13,7 @@ from voablocks.coordchange import (CoordChange, U_apply, U_inverse_apply,
                                    poly_compose)
 from voablocks.graded import vec_add_into, vec_is_zero, weight_of
 from voablocks.models import heisenberg_model, virasoro_model
+from voablocks.series import TruncSeries
 
 H = heisenberg_model()
 VIR = virasoro_model(F(1, 2))
@@ -49,6 +51,35 @@ class TestExtract:
         rho = CoordChange({1: F(1), 2: F(1), 3: F(1)})
         cs = extract_coeffs(rho.series(8), 2)
         assert cs == [F(1), F(1), F(0)]
+
+    def test_negative_count_rejected(self):
+        rho = CoordChange({1: F(1), 2: F(1)}).series(6)
+        with pytest.raises(ValueError, match="-3"):
+            extract_coeffs(rho, -3)
+
+
+def flow_series(c0, a, m, order):
+    """c0 z (1 - m a z^m)^{-1/m}, the time-1 flow of a z^{m+1} d/dz scaled
+    by c0, expanded by the binomial series (1 - x)^{-1/m} with x = m a z^m:
+    the z^{mk+1} coefficient is c0 (1/m)(1/m + 1)...(1/m + k - 1) (m a)^k / k!."""
+    cmap = {}
+    term = F(c0)
+    k = 0
+    while m * k + 1 < order:
+        cmap[m * k + 1] = term
+        term = term * (F(1, m) + k) * m * a / (k + 1)
+        k += 1
+    return TruncSeries.from_coeff_map("z", cmap, order)
+
+
+@settings(max_examples=40, derandomize=True)
+@given(st.builds(F, st.integers(1, 9).map(lambda n: n * (-1) ** n), st.integers(1, 5)),
+       st.builds(F, st.integers(-6, 6), st.integers(1, 4)),
+       st.integers(1, 3), st.integers(0, 9))
+def test_extract_flow_closed_form(c0, a, m, count):
+    # rho = c0 exp(a z^{m+1} d/dz) z, so c_m = a and every other c_n = 0
+    cs = extract_coeffs(flow_series(c0, a, m, count + 2), count)
+    assert cs == [c0] + [a if n == m else F(0) for n in range(1, count + 1)]
 
 
 @pytest.mark.parametrize("voa", [H, VIR], ids=["heisenberg", "virasoro"])

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from voablocks.linalg import (identity_matrix, mat_inverse, mat_mul, mat_one_norm,
                               mat_vec, solve_linear, vec_one_norm)
@@ -52,3 +53,49 @@ def test_singular_inverse_raises():
 def test_norms():
     assert vec_one_norm([F(-2), F(1, 2)]) == F(5, 2)
     assert mat_one_norm([[F(1), F(-3)], [F(-1), F(0)]]) == 3
+
+
+entries = st.one_of(st.just(F(0)), st.builds(F, st.integers(-5, 5), st.integers(1, 3)))
+
+
+def matrices(rows, cols):
+    return st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+def det(a):
+    """Laplace expansion along the first row: an oracle that shares no code
+    with the elimination."""
+    if not a:
+        return F(1)
+    return sum(((-1) ** j * a[0][j] * det([row[:j] + row[j + 1:] for row in a[1:]])
+                for j in range(len(a))), F(0))
+
+
+@settings(max_examples=100, derandomize=True)
+@given(st.integers(1, 5).flatmap(lambda m: st.integers(1, 5).flatmap(
+    lambda n: st.tuples(matrices(m, n), st.lists(entries, min_size=m, max_size=m)))))
+def test_solve_or_certificate(system):
+    a, b = system
+    res = solve_linear(a, b)
+    if res.consistent:
+        assert mat_vec(a, res.solution) == b
+        assert all(res.solution[c] == 0 for c in res.free)
+        assert res.rank + len(res.free) == len(a[0])
+    else:
+        y = res.certificate
+        assert all(sum((y[i] * a[i][j] for i in range(len(a))), F(0)) == 0
+                   for j in range(len(a[0])))
+        assert sum((yi * bi for yi, bi in zip(y, b)), F(0)) != 0
+
+
+@settings(max_examples=100, derandomize=True)
+@given(st.integers(1, 4).flatmap(lambda n: matrices(n, n)))
+def test_inverse_or_singular(a):
+    if det(a) == 0:
+        with pytest.raises(ValueError):
+            mat_inverse(a)
+    else:
+        inv = mat_inverse(a)
+        assert mat_mul(a, inv) == identity_matrix(len(a))
+        assert mat_mul(inv, a) == identity_matrix(len(a))
