@@ -44,15 +44,23 @@ class ConfigError(Exception):
     pass
 
 
+def _fraction_flag(args, name: str, default: str) -> Fraction:
+    text = getattr(args, name, None) or default
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ConfigError(f"--{name} has a zero denominator: {text!r}") from None
+
+
 def _build_model(args):
     name = args.model
     if name == "heisenberg":
         return heisenberg_model()
     if name == "virasoro":
-        return virasoro_model(Fraction(getattr(args, "c", None) or "1/2"))
+        return virasoro_model(_fraction_flag(args, "c", "1/2"))
     if name == "fock":
         voa = heisenberg_model()
-        return fock_module(voa, Fraction(getattr(args, "mu", None) or 0))
+        return fock_module(voa, _fraction_flag(args, "mu", "0"))
     raise ConfigError(f"unknown model {name!r}")
 
 

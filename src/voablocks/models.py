@@ -10,24 +10,28 @@ Two models:
 * the universal Virasoro VOA at rational central charge c, with basis
   ``L_{-n1} ... L_{-nk} 1`` for partitions into parts >= 2.
 
-Mode operators Y_W(v)_h are computed recursively: every basis vector of V
-peels as v = Y(g)_j u for the generating field g (alpha resp. the conformal
-vector), and the m = 0 case of the Jacobi identity rewrites Y_W(v)_h as a
-finite sum of products of generator modes with modes of the shorter word u:
+Modes come in weight blocks: ``Module.mode_block(v, h, wt)`` is Y_W(v)_h
+on every basis label of weight wt, memoized per (v label, h, wt).  Every
+basis vector of V peels as v = Y(g)_j u for the generating field g (alpha
+resp. the conformal vector), and the m = 0 case of the Jacobi identity
+rewrites a block of v through generator modes and blocks of the shorter u:
 
     Y_W(Y(g)_j u)_h = sum_l (-1)^l C(j,l) g_{j-l} u_{h+l}
                     - sum_l (-1)^{l+j} C(j,l) u_{j+h-l} g_l
 
-Both sums terminate on any vector because modes kill everything below
-weight 0.  Generator modes act directly: alpha_k by exact bracket algebra on
-partition labels, L_k by PBW straightening through the Virasoro bracket.
+Both sums terminate because modes kill everything below weight 0.
+Generator modes act directly: alpha_k by exact bracket algebra on partition
+labels, L_k by PBW straightening through the Virasoro bracket.  The models
+also give L_n per label, by PBW resp. the Sugawara form; ``Module.L_apply``,
+Y(conformal vector)_{n+1} through the blocks, stays the reference and the
+L_n of contragredients.
 
-Contragredient modules are realized on the same labels with the twisted
+A contragredient block is the transpose of base blocks under the twisted
 action Y_{W'}(v)_n = sum_m ((-1)^{wt v} / m!) Y_W(L_1^m v)^t at mode index
 -n - m - 2 + 2 wt(v).  The terms L_1^m v / m! come from ``exp_L1_terms``,
 which also serves the twist at infinity in the blocks module.
 
-Memoized mode images are stored as read-only mappings, so a caller that
+Blocks and their images are stored as read-only mappings, so a caller that
 mutates a returned image cannot corrupt later results.
 """
 
@@ -88,9 +92,9 @@ class CapError(Exception):
 class Module:
     """Common machinery for graded modules with a single generating field.
 
-    Subclasses provide ``basis_at`` and ``gen_apply`` (or override the
-    per-basis ``_mode_basis``); everything else (vector modes, L_n action)
-    is shared.  Vectors are label -> coefficient dicts.
+    Subclasses provide ``basis_at`` and ``gen_apply`` (or override ``_block``).
+    ``mode_block`` memoizes the blocks per (v label, h, weight); ``mode_apply``
+    and ``L_apply`` read them.  Vectors are label -> coefficient dicts.
     """
 
     voa: "VOAModel"
@@ -98,7 +102,7 @@ class Module:
     name: str
 
     def __init__(self):
-        self._mode_cache: dict = {}
+        self._blocks: dict = {}
 
     # -- subclass interface --------------------------------------------
 
@@ -118,46 +122,50 @@ class Module:
         out: dict = {}
         for vl, vc in v.items():
             for wl, wc in w.items():
-                t = self._mode_basis(vl, h, wl)
+                t = self.mode_block(vl, h, weight_of(wl)).get(wl)
                 if t:
                     vec_add_into(out, t, vc * wc)
         return out
 
-    def _mode_basis(self, vl: tuple, h: int, wl: tuple) -> MappingProxyType:
-        key = (vl, h, wl)
-        hit = self._mode_cache.get(key)
-        if hit is not None:
-            return hit
+    def mode_block(self, vl: tuple, h: int, wt: int) -> MappingProxyType:
+        """Y_W(v)_h on the basis labels of weight wt, for v a VOA label:
+        a read-only {label: read-only image} of the nonzero images."""
+        key = (vl, h, wt)
+        blk = self._blocks.get(key)
+        if blk is None:
+            blk = self._blocks[key] = MappingProxyType({
+                wl: MappingProxyType(img) for wl, img in self._block(vl, h, wt).items() if img})
+        return blk
+
+    def _block(self, vl: tuple, h: int, wt: int) -> dict:
+        """The block as {label: image}, by the Jacobi recursion."""
+        res: dict = {wl: {} for wl in self.basis_at(wt)}
         if not vl:
-            res = {wl: F1} if h == -1 else {}
-        else:
-            j, rest = self.voa.peel(vl)
-            res = {}
-            # first sum: g_{j-l} u_{h+l}, dies once u_{h+l} hits weight < 0
-            lmax1 = weight_of(rest) + weight_of(wl) - h - 1
-            for l in range(0, lmax1 + 1):
-                b = gbinom(j, l)
-                if b == 0:
-                    continue
-                t = self._mode_basis(rest, h + l, wl)
-                if not t:
-                    continue
-                coef = Fraction(-b if l % 2 else b)
+            return {wl: {wl: F1} for wl in res} if h == -1 else res
+        j, rest = self.voa.peel(vl)
+        # first sum: g_{j-l} u_{h+l}, dies once u_{h+l} hits weight < 0
+        for l in range(0, weight_of(rest) + wt - h):
+            b = gbinom(j, l)
+            if b == 0:
+                continue
+            coef = Fraction(-b if l % 2 else b)
+            for wl, t in self.mode_block(rest, h + l, wt).items():
                 for tl, tc in t.items():
-                    vec_add_into(res, self.gen_apply(j - l, tl), coef * tc)
-            # second sum: u_{j+h-l} g_l, dies once g_l hits weight < 0
-            lmax2 = self.voa.gen_weight + weight_of(wl) - 1
-            for l in range(0, lmax2 + 1):
-                b = gbinom(j, l)
-                if b == 0:
-                    continue
-                coef = Fraction(b if (l + j) % 2 else -b)
-                g = self.gen_apply(l, wl)
-                for gl, gc in g.items():
-                    t = self._mode_basis(rest, j + h - l, gl)
+                    vec_add_into(res[wl], self.gen_apply(j - l, tl), coef * tc)
+        # second sum: u_{j+h-l} g_l, dies once g_l hits weight < 0
+        for l in range(0, self.voa.gen_weight + wt):
+            b = gbinom(j, l)
+            if b == 0:
+                continue
+            blk = self.mode_block(rest, j + h - l, wt + self.voa.gen_weight - 1 - l)
+            if not blk:
+                continue
+            coef = Fraction(b if (l + j) % 2 else -b)
+            for wl, img in res.items():
+                for gl, gc in self.gen_apply(l, wl).items():
+                    t = blk.get(gl)
                     if t:
-                        vec_add_into(res, t, coef * gc)
-        res = self._mode_cache[key] = MappingProxyType(res)
+                        vec_add_into(img, t, coef * gc)
         return res
 
     def L_apply(self, n: int, w: dict) -> dict:
@@ -177,6 +185,13 @@ class VOAModel(Module):
         """Split a basis label as v = Y(g)_j u; returns (j, label of u)."""
         raise NotImplementedError
 
+    def L_apply(self, n: int, w: dict) -> dict:
+        """L_n label by label through the model's own ``_L(n, label)``."""
+        out: dict = {}
+        for label, c in w.items():
+            vec_add_into(out, self._L(n, label), c)
+        return out
+
 
 class HeisenbergVOA(VOAModel):
     """Rank-1 free boson: basis alpha_{-n1}...alpha_{-nk} 1, c = 1."""
@@ -190,6 +205,7 @@ class HeisenbergVOA(VOAModel):
         self.mu = F0
         self.gen_weight = 1
         self.conformal_vector = {(1, 1): Fraction(1, 2)}
+        self._L_cache: dict = {}
 
     def basis_at(self, n: int) -> tuple:
         return partitions(n)
@@ -209,6 +225,24 @@ class HeisenbergVOA(VOAModel):
         shorter = list(label)
         shorter.remove(k)
         return {tuple(shorter): Fraction(k * cnt)}
+
+    def _L(self, n: int, label: tuple) -> MappingProxyType:
+        """Sugawara form with annihilators to the right:
+        L_n = sum_{b > n/2} alpha_{n-b} alpha_b + [n even] alpha_{n/2}^2 / 2,
+        where alpha_b kills the label once b exceeds its weight."""
+        key = (n, label)
+        hit = self._L_cache.get(key)
+        if hit is not None:
+            return hit
+        terms = [(b, F1) for b in range(n // 2 + 1, weight_of(label) + 1)]
+        if n % 2 == 0:
+            terms.append((n // 2, Fraction(1, 2)))
+        res: dict = {}
+        for b, c in terms:
+            for l1, c1 in self.gen_apply(b, label).items():
+                vec_add_into(res, self.gen_apply(n - b, l1), c * c1)
+        res = self._L_cache[key] = MappingProxyType(res)
+        return res
 
 
 class FockModule(HeisenbergVOA):
@@ -274,12 +308,6 @@ class VirasoroVOA(VOAModel):
         res = self._L_cache[key] = MappingProxyType(res)
         return res
 
-    def L_apply(self, n: int, w: dict) -> dict:
-        out: dict = {}
-        for label, c in w.items():
-            vec_add_into(out, self._L(n, label), c)
-        return out
-
 
 class DualModule(Module):
     """Contragredient module on the same labels, modes via the finite
@@ -295,34 +323,21 @@ class DualModule(Module):
     def basis_at(self, n: int) -> tuple:
         return self.base.basis_at(n)
 
-    def _mode_basis(self, vl: tuple, h: int, wl: tuple) -> MappingProxyType:
-        key = (vl, h, wl)
-        hit = self._mode_cache.get(key)
-        if hit is not None:
-            return hit
+    def _block(self, vl: tuple, h: int, wt: int) -> dict:
+        """Transpose of base blocks over the L_1 twist; every term m reads
+        the base block of the same source weight wt + wt(v) - h - 1."""
         wtv = weight_of(vl)
         sign = Fraction(-1 if wtv % 2 else 1)
-        res: dict = {}
-        for m, lv in exp_L1_terms(self.voa, {vl: F1}):
-            k = -h - m - 2 + 2 * wtv
-            vec_add_into(res, self._transpose_apply(lv, k, wl), sign)
-        res = self._mode_cache[key] = MappingProxyType(res)
+        src = wt + wtv - h - 1
+        res: dict = {wl: {} for wl in self.basis_at(wt)}
+        if src >= 0:
+            for m, lv in exp_L1_terms(self.voa, {vl: F1}):
+                k = -h - m - 2 + 2 * wtv
+                for ul, uc in lv.items():
+                    for wl2, img in self.base.mode_block(ul, k, src).items():
+                        for wl, c in img.items():
+                            vec_add_into(res[wl], {wl2: c}, sign * uc)
         return res
-
-    def _transpose_apply(self, u_vec: dict, k: int, wl: tuple) -> dict:
-        """Y_W(u)^t_k on the dual basis vector labeled wl."""
-        d = weight_of(wl)
-        out: dict = {}
-        for ul, uc in u_vec.items():
-            src = d - (weight_of(ul) - k - 1)
-            if src < 0:
-                continue
-            for wl2 in self.base.basis_at(src):
-                img = self.base.mode_apply({ul: F1}, k, {wl2: F1})
-                cc = img.get(wl)
-                if cc:
-                    vec_add_into(out, {wl2: F1}, uc * cc)
-        return out
 
 
 def exp_L1_terms(voa: VOAModel, v: dict) -> list:

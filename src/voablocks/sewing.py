@@ -127,8 +127,9 @@ def torus_character(module: Module, v, K: int) -> SewnSeries:
     coeffs = []
     for n in range(K + 1):
         tr = F0
-        for label in module.basis_at(n):
-            tr += module.mode_apply(v, h, {label: F1}).get(label, F0)
+        for vl, vc in v.items():
+            for label, img in module.mode_block(vl, h, n).items():
+                tr += vc * img.get(label, F0)
         coeffs.append(tr)
     return SewnSeries(coeffs, module.delta)
 
@@ -175,20 +176,16 @@ def two_sided_identity_check(u, f: BivarSeries, module: Module, K: int) -> bool:
         for ul, uc in u.items():
             k = weight_of(ul) - 1 + r - s
             for n in range(0, K + 1 - s):
-                for label in module.basis_at(n):
-                    img = module.mode_apply({ul: F1}, k, {label: F1})
-                    if img:
-                        _tensor_add(lhs[n + s], label, img, frs * uc, "left")
+                for label, img in module.mode_block(ul, k, n).items():
+                    _tensor_add(lhs[n + s], label, img, frs * uc, "left")
         # right: u twisted by U(gamma_1), mode k = wt - 1 + s - r on M'(n),
         # q-power n + r
         for _, vec in gamma_twist(u, module):
             for ul, uc in vec.items():
                 k = weight_of(ul) - 1 + s - r
                 for n in range(0, K + 1 - r):
-                    for label in module.basis_at(n):
-                        img = mp.mode_apply({ul: F1}, k, {label: F1})
-                        if img:
-                            _tensor_add(rhs[n + r], label, img, frs * uc, "right")
+                    for label, img in mp.mode_block(ul, k, n).items():
+                        _tensor_add(rhs[n + r], label, img, frs * uc, "right")
     return lhs == rhs
 
 

@@ -213,6 +213,14 @@ class TestMalformedInput:
         fx.write_text(json.dumps({"entries": [["x"]]}))
         self.check(capsys, "ode", "solve", "--matrix", str(fx), "--order", "3")
 
+    def test_character_zero_denominator_c(self, capsys):
+        self.check(capsys, "character", "--model", "virasoro", "--c", "1/0",
+                   "--cap", "4")
+
+    def test_huang_zero_denominator_mu(self, capsys):
+        self.check(capsys, "coord", "huang", "--model", "fock", "--mu", "1/0",
+                   "--alpha", "2z")
+
     def test_huang_negative_cap(self, capsys):
         self.check(capsys, "coord", "huang", "--alpha", "z + 1/2*z^2",
                    "--cap", "-1")

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from voablocks.graded import vec_add_into, vec_is_zero, weight_of
-from voablocks.models import (CapError, contragredient, exp_L1_terms,
+from voablocks.models import (CapError, Module, contragredient, exp_L1_terms,
                               fock_module, heisenberg_model, jacobi_check,
                               mode_matrix, virasoro_model)
 
@@ -159,8 +159,60 @@ def test_memo_caches_are_read_only():
         r[(9,)] = 7
     assert dict(V.gen_apply(-1, (2,))) == {(2, 2): F(1)}
     for M in (heisenberg_model(), contragredient(heisenberg_model())):
-        before = dict(M._mode_basis((1,), -1, (1,)))
-        assert before
+        blk = M.mode_block((1,), -1, 1)
+        before = {wl: dict(img) for wl, img in blk.items()}
+        assert before[(1,)]
         with pytest.raises(TypeError):
-            M._mode_basis((1,), -1, (1,))[(9,)] = 7
-        assert dict(M._mode_basis((1,), -1, (1,))) == before
+            blk[(9,)] = {(9,): 7}
+        with pytest.raises(TypeError):
+            blk[(1,)][(9,)] = 7
+        assert {wl: dict(img) for wl, img in M.mode_block((1,), -1, 1).items()} == before
+
+
+@pytest.mark.parametrize("M", [H, fock_module(H, F(3, 2))], ids=["heisenberg", "fock"])
+def test_sugawara_L_matches_conformal_vector(M):
+    # oracle: the generic Module.L_apply, Y(conformal vector)_{n+1} by the
+    # Jacobi recursion over generator modes
+    for wt in range(8):
+        for label in M.basis_at(wt):
+            for n in range(-4, wt + 3):
+                w = {label: F(1)}
+                assert M.L_apply(n, w) == Module.L_apply(M, n, w), (label, n)
+
+
+def twisted_transpose(M, vl, h, d):
+    """sum_m ((-1)^{wt v} / m!) Y_M(L_1^m v)_k^t on the dual labels of weight
+    d, k = -h - m - 2 + 2 wt(v), entry by entry from single-label modes;
+    L_1 = Y(conformal vector)_2 on the VOA."""
+    voa = M.voa
+    wtv = weight_of(vl)
+    src = d + wtv - h - 1
+    out = {}
+    term, m = {vl: F(1)}, 0
+    while term:
+        k = -h - m - 2 + 2 * wtv
+        for ul, uc in term.items():
+            for wl2 in M.basis_at(src):  # empty below weight 0
+                for wl, c in M.mode_apply(ul, k, {wl2: F(1)}).items():
+                    col = out.setdefault(wl, {})
+                    col[wl2] = col.get(wl2, 0) + (-1) ** wtv * uc * c
+        m += 1
+        term = {l: c / m for l, c in
+                voa.mode_apply(voa.conformal_vector, 2, term).items()}
+    out = {wl: {l: c for l, c in col.items() if c} for wl, col in out.items()}
+    return {wl: col for wl, col in out.items() if col}
+
+
+@pytest.mark.parametrize("M,labels", [
+    (H, [(1,), (1, 1), (2, 1)]),
+    (fock_module(H, F(1, 2)), [(1,), (1, 1), (2, 1)]),
+    (virasoro_model(F(7, 3)), [(2,), (3,)]),
+], ids=["heisenberg", "fock", "virasoro"])
+def test_dual_block_is_twisted_transpose(M, labels):
+    Md = contragredient(M)
+    for vl in labels:
+        wtv = weight_of(vl)
+        for d in range(6):
+            for h in range(wtv - 3, wtv + d + 1):
+                got = {wl: dict(img) for wl, img in Md.mode_block(vl, h, d).items()}
+                assert got == twisted_transpose(M, vl, h, d), (vl, h, d)

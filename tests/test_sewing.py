@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from voablocks.blocks import identity_hom, propagate_block
 from voablocks.models import (CapError, contragredient, fock_module,
@@ -52,6 +53,22 @@ class TestCharacters:
         ch = torus_character(VIR, (2,), 10)
         plain = torus_character(VIR, (), 10)
         assert list(ch.coeffs) == [n * c for n, c in enumerate(plain.coeffs)]
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(st.builds(F, st.integers(-9, 9), st.integers(1, 6)), st.integers(0, 10))
+    def test_fock_L0_trace(self, mu, K):
+        # tr_{F_mu(n)} L_0 = (n + mu^2/2) p(n)
+        ch = torus_character(fock_module(H, mu), {(1, 1): F(1, 2)}, K)
+        assert list(ch.coeffs) == [(n + mu * mu / 2) * partition_count(n)
+                                   for n in range(K + 1)]
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(st.builds(F, st.integers(-30, 30), st.integers(1, 6)), st.integers(0, 12))
+    def test_virasoro_L0_trace(self, c, K):
+        # tr_{V_c(n)} L_0 = n p_{>=2}(n), whatever the central charge
+        ch = torus_character(virasoro_model(c), {(2,): F(1)}, K)
+        assert list(ch.coeffs) == [n * partition_count(n, min_part=2)
+                                   for n in range(K + 1)]
 
     def test_normalize(self):
         ch = normalize_character(torus_character(H, (), 6), F(1))
