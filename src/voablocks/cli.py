@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -388,8 +389,17 @@ def cmd_report(args):
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a negative rational such as ``--c -22/5`` as a value, not as
+    an option; subparsers are built from the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="voablocks")
+    p = _Parser(prog="voablocks")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, order_default=8):

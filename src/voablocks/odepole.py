@@ -5,7 +5,9 @@ psi = sum psihat_n q^n satisfy
 
     (n - Ahat_0) psihat_n = sum_{j<n} Ahat_{n-j} psihat_j,
 
-solved order by order.  At a resonance (n - Ahat_0 singular) no mode is
+solved order by order from the matrices Ahat_0..Ahat_{order-1} that
+PoleODE builds once; the residual self-check and the radius certificate
+read the same matrices.  At a resonance (n - Ahat_0 singular) no mode is
 ever invented: a seed must be supplied and is verified against the
 recursion.  The convergence certificate mirrors the classical majorant
 argument: with M the resonance bound, beta = M + 1 dominates
@@ -14,11 +16,13 @@ argument: with M the resonance bound, beta = M + 1 dominates
 sum ||Ahat_n|| r1^n, gamma = max(1, alpha beta), and every radius
 r0 < r1/gamma works; we certify r0 = r1/(2 gamma) together with the
 inequality  r1^n ||psihat_n|| <= gamma n^{-1} sum_{j<n} r1^j ||psihat_j||
-on all computed modes beyond M.
+on all computed modes beyond M, exactly, the sum kept as a prefix sum.
 
 Numeric side (the only floating-point code in the package): classical
 fixed-step RK4 transport of psi' = A(q) psi / q along straight segments
-between waypoints, with a step-halving Richardson error estimate.
+between waypoints, with a step-halving Richardson error estimate.  Each
+transport evaluates, by Horner's rule, one private complex copy of the
+entries, each on its own window [floor, order).
 """
 
 from __future__ import annotations
@@ -52,42 +56,27 @@ class PoleODE:
         if any(len(row) != n for row in entries):
             raise ValueError("A must be square")
         self.dim = n
-        rows = []
-        ords = []
-        for row in entries:
-            out = []
-            for e in row:
-                if not isinstance(e, TruncSeries):
-                    if order is None:
-                        raise ValueError("scalar entries need an explicit order")
-                    e = TruncSeries.const("q", Fraction(e), order)
-                if e.floor < 0:
-                    raise ValueError("entries must be holomorphic at q = 0")
-                out.append(e)
-                ords.append(e.order)
-            rows.append(out)
-        self.entries = rows
-        self.order = min(ords) if ords else (order or 0)
+
+        def entry(e):
+            if not isinstance(e, TruncSeries):
+                if order is None:
+                    raise ValueError("scalar entries need an explicit order")
+                e = TruncSeries.const("q", Fraction(e), order)
+            if e.floor < 0:
+                raise ValueError("entries must be holomorphic at q = 0")
+            return e
+
+        self.entries = [[entry(e) for e in row] for row in entries]
+        self.order = min((e.order for row in self.entries for e in row), default=order or 0)
+        # Ahat_0..Ahat_{order-1}, built once as tuples no caller can corrupt
+        self._coeffs = tuple(tuple(tuple(e.coeff(k) for e in row) for row in self.entries)
+                             for k in range(self.order))
 
     def coeff_matrix(self, k: int):
-        """Ahat_k, defined for 0 <= k < order."""
+        """Ahat_k, defined for 0 <= k < order (a read-only matrix)."""
         if not 0 <= k < self.order:
             raise IndexError(f"coefficient {k} outside the common window")
-        return [[e.coeff(k) if e.floor <= k else F0 for e in row]
-                for row in self.entries]
-
-    def eval_complex(self, q: complex):
-        """Truncated evaluation of A at a numeric point (Horner)."""
-        out = []
-        for row in self.entries:
-            line = []
-            for e in row:
-                acc = 0j
-                for k in range(e.order - 1, e.floor - 1, -1):
-                    acc = acc * q + complex(e.coeff(k))
-                line.append(acc * q ** e.floor if e.floor else acc)
-            out.append(line)
-        return out
+        return self._coeffs[k]
 
     def __repr__(self):
         return f"PoleODE(dim={self.dim}, order={self.order})"
@@ -226,13 +215,14 @@ def radius_estimate(ode: PoleODE, r1, alpha=None, majorant=None,
     r0 = r1 / (2 * gamma)
     growth_checked = 0
     if solution is not None:
+        # weighted[n] = r1^n ||psihat_n||; prefix = sum_{j<n} weighted[j]
+        weighted = [r1 ** n * vec_one_norm(v) for n, v in enumerate(solution.modes)]
+        prefix = sum(weighted[:M + 1], F0)
         for n in range(M + 1, solution.K + 1):
-            lhs = r1 ** n * vec_one_norm(solution.modes[n])
-            rhs = gamma * Fraction(1, n) * sum(
-                (r1 ** j * vec_one_norm(solution.modes[j]) for j in range(n)), F0)
-            if lhs > rhs:
+            if weighted[n] > gamma * Fraction(1, n) * prefix:
                 raise AssertionError(f"growth inequality fails at n = {n}")
             growth_checked += 1
+            prefix += weighted[n]
     return RadiusEstimate(r0, r1, alpha, beta, gamma, M, growth_checked)
 
 
@@ -252,10 +242,20 @@ class NumericPath:
 
 
 def _rk4_transport(ode: PoleODE, path: NumericPath, psi, steps: int):
+    # the float copy of A: per entry its floor and its coefficients on the
+    # entry's own window [floor, order), highest power first for Horner
+    table = [[(e.floor, [complex(e.coeff(k)) for k in range(e.order - 1, e.floor - 1, -1)])
+              for e in row] for row in ode.entries]
+
+    def entry(q, floor, coeffs):
+        acc = 0j
+        for c in coeffs:
+            acc = acc * q + c
+        return acc * q ** floor if floor else acc
+
     def field(q, v):
-        a = ode.eval_complex(q)
-        return [sum(a[i][j] * v[j] for j in range(len(v))) / q
-                for i in range(len(v))]
+        return [sum(entry(q, *fc) * x for fc, x in zip(row, v)) / q
+                for row in table]
 
     v = [complex(x) for x in psi]
     for a, b in path.segments():

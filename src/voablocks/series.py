@@ -271,17 +271,6 @@ class TruncSeries:
             b.append(-(s * lead_inv))
         return TruncSeries(self.var, -v, b, -v + rel)
 
-    def eval_partial(self, x):
-        """Sum the stored terms at a concrete point (used only by the
-        floating-point ODE cross-checks and the CLI; not an exact value
-        unless the series is a known-complete polynomial)."""
-        total = 0
-        for n in range(self.floor, self.order):
-            c = self.coeff(n)
-            if c:
-                total += c * x ** n if n >= 0 else c / x ** (-n)
-        return total
-
 
 def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
     """Product of truncated series; order = min(a.floor + b.order, b.floor + a.order)."""

@@ -16,6 +16,9 @@ The two-sided residue identity moves a vertex-operator insertion from
 the M side of the dual-basis sum to the M' side, where it reappears
 twisted by U(gamma_1) = e^{L_1} (-1)^{Ltilde0} with the roles of the two
 local sewing coordinates exchanged.
+
+Sewn series s_j with one offset solve q d/dq S = A S for S = diag(s_j),
+with A diagonal: A_jj = (q d/dq s_j) / s_j, an exact series log-derivative.
 """
 
 from __future__ import annotations
@@ -24,9 +27,8 @@ from fractions import Fraction
 
 from .blocks import BlockFunctional, gamma_twist, vertex_block
 from .graded import weight_of
-from .linalg import mat_inverse, mat_mul
 from .models import CapError, DualModule, Module
-from .series import BivarSeries, QExpansion
+from .series import BivarSeries, QExpansion, TruncSeries, series_mul
 
 __all__ = [
     "SewableBlock",
@@ -195,13 +197,16 @@ def two_sided_identity_check(u, f: BivarSeries, module: Module, K: int) -> bool:
 
 def sewn_ode_witness(series, K: int):
     """Find the matrix series A(q) with q d/dq S = A S to order K, where
-    the columns of S are the given sewn series (common offset lambda):
+    S = diag(s_1, ..., s_N) holds the given sewn series (common offset
+    lambda).  A is diagonal too: column j is the series log-derivative
 
-        A_n = (D_n - sum_{m<n} A_m S_{n-m}) S_0^{-1},  D_n = (lambda+n) S_n.
+        a_j = (q d/dq s_j) / s_j,
 
-    Returns the list [A_0, ..., A_K] of exact matrices; raises ValueError
-    naming the rank deficiency when S_0 is singular (a cap artifact: the
-    chosen family does not span at order 0)."""
+    one reciprocal and one product of q-series to order K.
+
+    Returns the list [A_0, ..., A_K] of exact N x N matrices; raises
+    ValueError naming the rank deficiency when S_0 is singular (a cap
+    artifact: the chosen family does not span at order 0)."""
     cols = [s.standard if isinstance(s, SewnSeries) else s for s in series]
     if not cols:
         raise ValueError("empty family")
@@ -211,26 +216,18 @@ def sewn_ode_witness(series, K: int):
     n_ord = min(len(c.coeffs) for c in cols)
     if K >= n_ord:
         raise CapError(f"order {K} beyond the computed coefficients")
-    N = len(cols)
-    S = [[[Fraction(cols[j].coeffs[n]) if i == j else F0 for j in range(N)]
-          for i in range(N)] for n in range(K + 1)]
-    try:
-        S0inv = mat_inverse(S[0])
-    except ValueError:
+    if any(not c.coeffs[0] for c in cols):
         raise ValueError("rank deficiency: S_0 is singular at this cap")
-    A = []
-    for n in range(K + 1):
-        D = [[(lam + n) * x for x in row] for row in S[n]]
-        for m in range(n):
-            corr = mat_mul(A[m], S[n - m])
-            D = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(D, corr)]
-        A.append(mat_mul(D, S0inv))
-    # residual check: q d/dq S - A S = 0 to order K, exactly
-    for n in range(K + 1):
-        resid = [[(lam + n) * x for x in row] for row in S[n]]
-        for m in range(n + 1):
-            corr = mat_mul(A[m], S[n - m])
-            resid = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(resid, corr)]
-        if any(x for row in resid for x in row):
+    logs = []
+    for c in cols:
+        s = QExpansion(lam, [Fraction(x) for x in c.coeffs[:K + 1]])
+        ds = TruncSeries("q", 0, s.q_ddq().coeffs)
+        s = TruncSeries("q", 0, s.coeffs)
+        a = series_mul(ds, s.reciprocal())
+        # residual check: a_j s_j = q d/dq s_j to order K, exactly
+        if series_mul(a, s).coeffs != ds.coeffs:
             raise AssertionError("ODE witness failed its residual check")
-    return A
+        logs.append(a.coeffs)
+    N = len(cols)
+    return [[[logs[j][n] if i == j else F0 for j in range(N)] for i in range(N)]
+            for n in range(K + 1)]

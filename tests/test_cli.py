@@ -44,6 +44,21 @@ class TestCharacter:
                       "--cap", "0")
         assert code == 2
 
+    def test_negative_rational_c_as_separate_value(self, capsys):
+        # the Lee-Yang central charge; argparse must not read it as a flag
+        code, out = run(capsys, "character", "--model", "virasoro",
+                        "--c", "-22/5", "--cap", "4")
+        assert code == 0
+        assert (0, out) == run(capsys, "character", "--model", "virasoro",
+                               "--c=-22/5", "--cap", "4")
+
+    def test_negative_rational_mu_as_separate_value(self, capsys):
+        code, out = run(capsys, "character", "--model", "fock",
+                        "--mu", "-1/2", "--cap", "4")
+        assert code == 0
+        assert (0, out) == run(capsys, "character", "--model", "fock",
+                               "--mu=-1/2", "--cap", "4")
+
 
 class TestCoord:
     def test_extract_golden(self, capsys):

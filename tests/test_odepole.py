@@ -49,6 +49,16 @@ class TestFormal:
             formal_solve(geometric_ode(8), {0: [F(1)], 3: [F(2)]}, 6)
         assert sol.modes[3] == [F(1)]
 
+    def test_coeff_matrix_mutation_cannot_leak(self):
+        ode = geometric_ode(8)
+        before = formal_solve(ode, {0: [F(1)]}, 6).modes
+        try:
+            ode.coeff_matrix(1)[0][0] = F(99)
+        except TypeError:
+            pass
+        assert ode.coeff_matrix(1)[0][0] == F(1)
+        assert formal_solve(ode, {0: [F(1)]}, 6).modes == before
+
     def test_invented_mode_never_appears(self):
         bad = [[F(0), F(1)], [F(0), F(0)]]
         ode = PoleODE([[TruncSeries.const("q", c, 6) for c in row]
@@ -83,6 +93,13 @@ class TestRadius:
         ode = geometric_ode(10)
         with pytest.raises(ValueError, match="majorant fails"):
             radius_estimate(ode, F(1, 2), majorant=(F(1), F(1, 2)))
+
+    def test_growth_inequality_failure_names_n(self):
+        # psihat_n = 1, M = 0, gamma = 1: at n = 1, r1 * 1 = 2 > 1 * 1
+        ode = geometric_ode(8)
+        sol = formal_solve(ode, {0: [F(1)]}, 6)
+        with pytest.raises(AssertionError, match=r"fails at n = 1$"):
+            radius_estimate(ode, F(2), alpha=F(0), solution=sol)
 
     def test_unbounded_majorant_rejected(self):
         ode = geometric_ode(10)
@@ -119,3 +136,17 @@ class TestNumeric:
         a = numeric_continue(ode, [1.0], [0.05, 0.2 + 0.1j], steps=100)
         b = numeric_continue(ode, [1.0], [0.05, 0.2 + 0.1j], steps=100)
         assert a == b
+
+    def test_float_golden(self):
+        # entries on different windows, one with floor 2, and a complex
+        # waypoint; values captured from the per-stage Horner evaluation
+        TS = TruncSeries
+        ode = PoleODE([[TS.from_coeff_map("q", {0: F(1, 2), 1: F(1, 3), 2: F(-1, 5)}, 6),
+                        TS.from_coeff_map("q", {2: F(1), 3: F(1, 7)}, 5)],
+                       [TS.const("q", F(-1, 4), 4),
+                        TS.from_coeff_map("q", {0: F(2, 3), 4: F(5, 9), 6: F(-1, 11)}, 7)]])
+        val, err = numeric_continue(ode, [1.0, 0.5 - 0.25j],
+                                    [0.3, 0.2 + 0.25j, -0.1 + 0.3j], steps=40)
+        assert repr(val) == ("[(0.41131672924607826+0.7395457773074747j), "
+                             "(0.8268214517707179+0.24077053329266432j)]")
+        assert repr(err) == "5.423602670097013e-11"
