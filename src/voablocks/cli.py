@@ -390,12 +390,16 @@ def cmd_report(args):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads a negative rational such as ``--c -22/5`` as a value, not as
-    an option; subparsers are built from the same class."""
+    """Reads a negative rational such as ``--c -22/5`` or a series text
+    with a leading minus such as ``--series -z+z^2`` as a value, not as an
+    option; subparsers are built from the same class.  argparse consults
+    the matcher only for strings that match no option, so ``-h`` and the
+    ``--`` options still parse as options."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+        self._negative_number_matcher = re.compile(
+            r"^-\d+(/\d+)?$|^-\d*\.\d+$|^-[\w/*^ ]+([+-][\w/*^ ]+)*$")
 
 
 def build_parser() -> argparse.ArgumentParser:

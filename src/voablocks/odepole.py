@@ -7,9 +7,12 @@ psi = sum psihat_n q^n satisfy
 
 solved order by order from the matrices Ahat_0..Ahat_{order-1} that
 PoleODE builds once; the residual self-check and the radius certificate
-read the same matrices.  At a resonance (n - Ahat_0 singular) no mode is
-ever invented: a seed must be supplied and is verified against the
-recursion.  The convergence certificate mirrors the classical majorant
+read the same matrices.  The sum on the right, in the recursion and in
+the residual, is one integer dot product per row: PoleODE also keeps each
+row of the Ahat_m over one common denominator, the modes are brought to
+one common denominator, and one Fraction is built per row.  At a
+resonance (n - Ahat_0 singular) no mode is ever invented: a seed must be
+supplied and is verified against the recursion.  The convergence certificate mirrors the classical majorant
 argument: with M the resonance bound, beta = M + 1 dominates
 ||(n - Ahat_0)^{-1}|| for n > M via the Neumann series
 (n - Ahat_0)^{-1} = n^{-1} sum_j (Ahat_0/n)^j, alpha bounds
@@ -28,9 +31,10 @@ entries, each on its own window [floor, order).
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .linalg import mat_one_norm, mat_vec, solve_linear, vec_one_norm
-from .series import TruncSeries
+from .series import TruncSeries, _integer_form
 
 __all__ = [
     "PoleODE",
@@ -71,6 +75,12 @@ class PoleODE:
         # Ahat_0..Ahat_{order-1}, built once as tuples no caller can corrupt
         self._coeffs = tuple(tuple(tuple(e.coeff(k) for e in row) for row in self.entries)
                              for k in range(self.order))
+        # per row i, Ahat_m[i][k] flattened over m = order-1 .. 0 (then k) in
+        # integer form, so the (j, k) terms of a mode sum are one slice
+        self._rows = tuple(_integer_form([A[i][k] for A in reversed(self._coeffs)
+                                          for k in range(n)]) for i in range(n))
+        if None in self._rows:
+            raise ValueError("entries need rational coefficients")
 
     def coeff_matrix(self, k: int):
         """Ahat_k, defined for 0 <= k < order (a read-only matrix)."""
@@ -80,6 +90,16 @@ class PoleODE:
 
     def __repr__(self):
         return f"PoleODE(dim={self.dim}, order={self.order})"
+
+
+def _mode_sum(ode: PoleODE, modes, n: int):
+    """sum_{j < len(modes)} Ahat_{n-j} psihat_j, exactly: per row one integer
+    dot product over the flattened (j, k) terms, divided once."""
+    ode.coeff_matrix(n)  # range check
+    nums, den = _integer_form([x for v in modes for x in v])
+    start = (ode.order - 1 - n) * ode.dim
+    stop = start + len(nums)
+    return [Fraction(sum(map(mul, row[start:stop], nums)), d * den) for row, d in ode._rows]
 
 
 class ResonanceError(Exception):
@@ -97,6 +117,8 @@ class FormalSolution:
     def __init__(self, ode: PoleODE, modes):
         self.ode = ode
         self.modes = [list(map(Fraction, v)) for v in modes]
+        if any(len(v) != ode.dim for v in self.modes):
+            raise ValueError(f"each mode must have length {ode.dim}")
         for n in range(len(self.modes)):
             r = self.residual(n)
             if any(r):
@@ -108,11 +130,8 @@ class FormalSolution:
 
     def residual(self, n: int):
         """n psihat_n - sum_{j<=n} Ahat_{n-j} psihat_j, exactly."""
-        out = [n * x for x in self.modes[n]]
-        for j in range(0, n + 1):
-            img = mat_vec(self.ode.coeff_matrix(n - j), self.modes[j])
-            out = [x - y for x, y in zip(out, img)]
-        return out
+        img = _mode_sum(self.ode, self.modes[:n + 1], n)
+        return [n * x - y for x, y in zip(self.modes[n], img)]
 
     def partial_sum(self, q):
         """Value of the degree-K partial sum at an exact or float point."""
@@ -136,12 +155,11 @@ def formal_solve(ode: PoleODE, seeds: dict, K: int) -> FormalSolution:
         raise ValueError(f"order {K} beyond the coefficient window {ode.order}")
     A0 = ode.coeff_matrix(0)
     N = ode.dim
+    if any(len(v) != N for v in seeds.values()):
+        raise ValueError(f"each seed must have length {N}")
     modes = []
     for n in range(K + 1):
-        rhs = [F0] * N
-        for j in range(n):
-            img = mat_vec(ode.coeff_matrix(n - j), modes[j])
-            rhs = [x + y for x, y in zip(rhs, img)]
+        rhs = _mode_sum(ode, modes, n)
         mat = [[(n if i == k else 0) - A0[i][k] for k in range(N)] for i in range(N)]
         res = solve_linear(mat, rhs)
         if res.unique:

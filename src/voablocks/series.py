@@ -18,11 +18,19 @@ Three flavours:
 Coefficients are ``fractions.Fraction`` in normal use, but any value
 supporting ring arithmetic (e.g. a TruncSeries in another variable) works;
 this is exercised when coordinate-change coefficients are themselves series.
+
+When every coefficient is rational, :func:`series_mul` and
+:meth:`TruncSeries.reciprocal` clear denominators once, work on Python
+integers and build one Fraction per output coefficient (the
+content/primitive-part technique of exact polynomial arithmetic); series
+coefficients take the generic loop.  Both paths give the same window and
+the same values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 __all__ = [
@@ -58,6 +66,18 @@ def _nonzero(c) -> bool:
 def _inv(x):
     """Multiplicative inverse of a rational or of a series coefficient."""
     return Fraction(1) / x if _is_scalar(x) else x.reciprocal()
+
+
+def _integer_form(cs):
+    """(integer numerators, common denominator) of a list of rationals, so
+    that cs[i] == nums[i] / den; None when some entry is not a rational.
+
+    The exact kernels run on these integers and build one Fraction per
+    output, instead of normalizing a Fraction after every + and *."""
+    if not all(isinstance(c, (int, Fraction)) for c in cs):
+        return None
+    den = lcm(*(c.denominator for c in cs))
+    return [c.numerator * (den // c.denominator) for c in cs], den
 
 
 class TruncSeries:
@@ -260,6 +280,18 @@ class TruncSeries:
         v = f.floor
         rel = f.order - v  # number of known relative coefficients
         a = f.coeffs
+        ints = _integer_form(a)
+        if ints is not None:
+            # f = x^v A(x) / d with A integral: C_n = A_0^{n+1} [x^n] 1/A
+            # satisfies C_0 = 1, C_n = -sum_{j=1..n} A_j C_{n-j} A_0^{j-1}
+            A, d = ints
+            p = [1, A[0]]  # powers of A_0
+            C = [1]
+            for n in range(1, rel):
+                C.append(-sum(A[j] * C[n - j] * p[j - 1] for j in range(1, n + 1) if A[j]))
+                p.append(p[-1] * A[0])
+            b = [Fraction(d * c, p[n + 1]) for n, c in enumerate(C)]
+            return TruncSeries(self.var, -v, b, -v + rel)
         lead_inv = _inv(a[0])
         b = [lead_inv]
         for n in range(1, rel):
@@ -280,7 +312,19 @@ def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
     order = min(a.floor + b.order, b.floor + a.order)
     if order <= floor:
         return TruncSeries.zero(a.var, order)
-    coeffs = [_ZERO] * (order - floor)
+    size = order - floor
+    ia, ib = _integer_form(a.coeffs), _integer_form(b.coeffs)
+    if ia is not None and ib is not None:
+        # rational operands: convolve the numerators, divide once
+        (na, da), (nb, db) = ia, ib
+        acc = [0] * size
+        for i, x in enumerate(na[:size]):
+            if x:
+                for j, y in enumerate(nb[:size - i], i):
+                    acc[j] += x * y
+        den = da * db
+        return TruncSeries(a.var, floor, [Fraction(c, den) for c in acc], order)
+    coeffs = [_ZERO] * size
     for i, ca in enumerate(a.coeffs):
         if not _nonzero(ca):
             continue

@@ -205,14 +205,17 @@ def sewn_ode_witness(series, K: int):
     one reciprocal and one product of q-series to order K.
 
     Returns the list [A_0, ..., A_K] of exact N x N matrices; raises
-    ValueError naming the rank deficiency when S_0 is singular (a cap
-    artifact: the chosen family does not span at order 0)."""
+    ValueError naming K when K < 0, and naming the rank deficiency when S_0
+    is singular (a cap artifact: the chosen family does not span at
+    order 0)."""
     cols = [s.standard if isinstance(s, SewnSeries) else s for s in series]
     if not cols:
         raise ValueError("empty family")
     lam = cols[0].offset
     if any(c.offset != lam for c in cols):
         raise ValueError("family members have mixed offsets")
+    if K < 0:
+        raise ValueError(f"order K = {K} must be >= 0")
     n_ord = min(len(c.coeffs) for c in cols)
     if K >= n_ord:
         raise CapError(f"order {K} beyond the computed coefficients")

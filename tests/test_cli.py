@@ -76,6 +76,33 @@ class TestCoord:
         assert json.loads(out)["passed"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ("coord", "extract", "--series", "-z+z^2"),
+    ("coord", "extract", "--series", "-z", "--count", "3"),
+    ("coord", "huang", "--alpha", "-z+1/2*z^2", "--cap", "2"),
+    ("schwarzian", "--series", "-z+z^3"),
+    ("uniformize", "--series", "-1/2*z^2", "--order", "6"),
+])
+def test_negative_series_as_separate_value(capsys, argv):
+    # a series text with a leading minus is a value, as in the "=" form
+    i = argv.index("--series" if "--series" in argv else "--alpha")
+    joined = argv[:i] + (f"{argv[i]}={argv[i + 1]}",) + argv[i + 2:]
+    want = run(capsys, *joined)
+    assert want[0] == 0
+    assert run(capsys, *argv) == want
+
+
+def test_help_still_parses_as_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["schwarzian", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: voablocks schwarzian")
+    with pytest.raises(SystemExit) as exc:
+        main(["schwarzian", "--series", "-h"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_schwarzian_golden(capsys):
     code, out = run(capsys, "schwarzian", "--series", "z + z^3")
     assert code == 0
@@ -162,6 +189,18 @@ class TestOde:
         assert code == 0
         modes = json.loads(out)["modes"]
         assert all(int(v[0]["num"]) == 1 for v in modes)
+
+    @pytest.mark.parametrize("seed", [["1", "2"], []])
+    def test_seed_of_wrong_length_is_config_error(self, capsys, tmp_path, seed):
+        # a 2-entry seed for a 1 x 1 system used to end in an IndexError
+        fx = tmp_path / "mat.json"
+        fx.write_text(json.dumps({"entries": [[
+            {"var": "q", "floor": 0, "order": 4,
+             "coeffs": [{"num": c, "den": "1"} for c in "0100"]}]],
+            "seeds": {"0": [{"num": x, "den": "1"} for x in seed]}}))
+        code = main(["ode", "solve", "--matrix", str(fx), "--order", "3"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: each seed must have length 1\n"
 
     def test_continue_provenance(self, capsys, matrix_fixture, tmp_path):
         path = tmp_path / "path.json"

@@ -1,6 +1,7 @@
 """Regular singular point ODEs: exact recursion, resonance handling,
 radius certificates, and RK4 continuation."""
 
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -150,3 +151,55 @@ class TestNumeric:
         assert repr(val) == ("[(0.41131672924607826+0.7395457773074747j), "
                              "(0.8268214517707179+0.24077053329266432j)]")
         assert repr(err) == "5.423602670097013e-11"
+
+
+def dense_ode(K):
+    """A dense 3 x 3 system on the window [0, K]: Ahat_0 has rank 2 (its
+    third row is the sum of the first two) and no positive integer
+    eigenvalue, so n = 0 is the only resonance."""
+    r1 = [F(1, 2), F(-1, 3), F(2, 5)]
+    r2 = [F(1, 4), F(3, 7), F(-1, 6)]
+    A0 = [r1, r2, [x + y for x, y in zip(r1, r2)]]
+
+    def entry(i, k):
+        cm = {m: F((3 * i + 5 * k + 7 * m) % 11 - 5, 1 + (i + 2 * k + m) % 6)
+              for m in range(1, K + 1)}
+        cm[0] = A0[i][k]
+        return TruncSeries.from_coeff_map("q", cm, K + 1)
+
+    return PoleODE([[entry(i, k) for k in range(3)] for i in range(3)])
+
+
+class TestDenseGolden:
+    K = 25
+    SEED = [F(-146, 375), F(77, 125), F(1)]  # spans the kernel of Ahat_0
+
+    def test_modes_golden(self):
+        sol = formal_solve(dense_ode(self.K), {0: self.SEED}, self.K)
+        assert repr(sol.modes[:3]) == (
+            "[[Fraction(-146, 375), Fraction(77, 125), Fraction(1, 1)], "
+            "[Fraction(-10699423, 483750), Fraction(35539, 12900), "
+            "Fraction(-1499923, 64500)], "
+            "[Fraction(13126354637, 1742951250), Fraction(-22168163493, 258215000), "
+            "Fraction(1336138489, 38732250)]]")
+        # the exact repr of all 26 modes (13,653 characters)
+        digest = hashlib.sha256(repr(sol.modes).encode()).hexdigest()
+        assert digest == "3fc51800045f510c0127335a4c4ca8c6dde24591f24b3b1b89215378e1ade699"
+
+    @pytest.mark.parametrize("n, k", [(0, 2), (7, 0), (25, 1)])
+    def test_corrupted_mode_fails_the_residual(self, n, k):
+        ode = dense_ode(self.K)
+        modes = formal_solve(ode, {0: self.SEED}, self.K).modes
+        modes[n][k] += F(1, 10 ** 9)
+        with pytest.raises(AssertionError, match="recursion residual nonzero"):
+            FormalSolution(ode, modes)
+
+    def test_inexact_entries_rejected(self):
+        with pytest.raises(ValueError, match="rational coefficients"):
+            PoleODE([[TruncSeries("q", 0, [0.5, F(1)])]])
+
+    def test_mode_of_wrong_length_rejected(self):
+        ode = dense_ode(self.K)
+        modes = formal_solve(ode, {0: self.SEED}, 3).modes
+        with pytest.raises(ValueError, match="length 3"):
+            FormalSolution(ode, modes + [[F(0), F(0)]])

@@ -64,6 +64,91 @@ def test_reciprocal_inverts(a):
     assert all(prod.coeff(n) == 0 for n in range(1, prod.order))
 
 
+# coefficients as the kernels meet them: Fractions, plain ints and zeros
+scalars = st.one_of(rationals, st.integers(-9, 9), st.just(F(0)), st.just(0))
+
+
+@st.composite
+def windows(draw, max_size=9):
+    """A rational series on a drawn window [floor, floor + len)."""
+    floor = draw(st.integers(-4, 4))
+    return TruncSeries("z", floor, draw(st.lists(scalars, max_size=max_size)))
+
+
+def dict_mul(a, b):
+    """Oracle product: the certified window is every n whose splits
+    n = p + q (p >= a.floor, q >= b.floor) all lie inside both windows."""
+    def certified(n):
+        return all(p < a.order and n - p < b.order
+                   for p in range(a.floor, n - b.floor + 1))
+
+    floor = order = a.floor + b.floor
+    while certified(order):
+        order += 1
+    cmap = {}
+    for p in range(a.floor, a.order):
+        for q in range(b.floor, b.order):
+            if p + q < order:
+                cmap[p + q] = cmap.get(p + q, 0) + F(a.coeff(p)) * F(b.coeff(q))
+    return floor, order, [cmap.get(n, F(0)) for n in range(floor, order)]
+
+
+@settings(max_examples=300, derandomize=True)
+@given(windows(), windows())
+def test_mul_matches_dict_convolution(a, b):
+    got = series_mul(a, b)
+    floor, order, coeffs = dict_mul(a, b)
+    assert got.order == order
+    if order > floor:
+        assert got.floor == floor
+    assert got.coeffs == coeffs
+    assert all(type(c) is F for c in got.coeffs)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(st.integers(-4, 4), rationals.filter(bool) | st.sampled_from([1, -3]),
+       st.lists(scalars, max_size=9))
+def test_reciprocal_matches_recursion(v, lead, rest):
+    f = TruncSeries("z", v, [lead] + rest)
+    r = f.reciprocal()
+    rel = len(rest) + 1
+    assert (r.floor, r.order) == (-v, -v + rel)
+    # f * (1/f) == 1 on the whole certified window [0, rel)
+    prod = series_mul(f, r)
+    assert (prod.order, [prod.coeff(n) for n in range(rel)]) == (rel, [1] + [0] * (rel - 1))
+    # b_0 = 1/a_0, b_n = -(1/a_0) sum_{j=1..n} a_j b_{n-j}
+    a = [F(lead)] + [F(x) for x in rest]
+    b = [1 / a[0]]
+    for n in range(1, rel):
+        b.append(-sum(a[j] * b[n - j] for j in range(1, n + 1)) / a[0])
+    assert r.coeffs == b
+    assert all(type(c) is F for c in r.coeffs)
+
+
+@settings(max_examples=60, derandomize=True)
+@given(st.lists(st.lists(rationals, min_size=3, max_size=3), min_size=1, max_size=4),
+       st.lists(scalars, min_size=1, max_size=4), st.booleans())
+def test_mul_with_series_coefficients(rows, other, both):
+    # z-series whose coefficients are x-series on [0, 3): the generic path;
+    # the oracle is the bivariate convolution of the coefficient arrays
+    xs = [TruncSeries("x", 0, row) for row in rows]
+    a = TruncSeries("z", 0, xs)
+    if both:
+        b_rows = [[F(c), F(1, 2), 0] for c in other]
+        b = TruncSeries("z", 0, [TruncSeries("x", 0, row) for row in b_rows])
+    else:
+        b_rows = [[F(c), 0, 0] for c in other]
+        b = TruncSeries("z", 0, other)
+    got = series_mul(a, b)
+    assert (got.floor, got.order) == (0, min(len(rows), len(other)))
+    for n in range(got.order):
+        want = [sum((F(rows[i][p]) * F(b_rows[n - i][k - p])
+                     for i in range(n + 1) for p in range(k + 1)), F(0))
+                for k in range(3)]
+        c = got.coeff(n)
+        assert (c.coeffs if isinstance(c, TruncSeries) else [c] * 3) == want
+
+
 def test_deriv_product_rule():
     f = poly("z", {0: F(2), 1: F(1), 3: F(5)}, 6)
     g = poly("z", {1: F(3), 2: F(-1)}, 6)

@@ -163,6 +163,13 @@ class TestOdeWitness:
         with pytest.raises(ValueError, match="rank deficiency"):
             sewn_ode_witness([ch], 6)
 
+    @pytest.mark.parametrize("coeffs", [[1, 2], [0, 1]])
+    def test_negative_order_rejected(self, coeffs):
+        # fails closed naming K, not with a division by zero or a rank
+        # deficiency of a window that was never read
+        with pytest.raises(ValueError, match="order K = -1"):
+            sewn_ode_witness([QExpansion(0, coeffs)], -1)
+
     def test_mixed_offsets_rejected(self):
         ch1 = torus_character(H, (), 6)
         ch2 = torus_character(fock_module(H, F(1, 2)), (), 6)
