@@ -9,27 +9,27 @@ Subcommands
     ode          solve  |  continue
     report       seeded deterministic property-suite run
 
+Fixtures and ``--c``/``--mu`` are decoded by ``jsonio``, one decoder per value type.
 Output is JSON (schema "voa-blocks/1") or CSV where it makes sense; with
 a fixed configuration and seed, output bytes are identical across runs.
-Exit status: 0 on success, 1 on any failed check, 2 on a config error.
+Exit status: 0 on success, 1 on any failed check, 2 on bad input.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import re
 import sys
 from fractions import Fraction
 
-from . import jsonio
-from .blocks import (INFINITY, RationalFunction, UnderdeterminedCap,
-                     rational_glue, strong_residue_check, three_point_block)
-from .coordchange import CoordChange, extract_coeffs, huang_conjugation_check
-from .jsonio import (SCHEMA, decode_rational, decode_series, dumps,
-                     encode_float, encode_qexpansion, encode_rational,
-                     encode_series, parse_poly)
+from .blocks import (RationalFunction, UnderdeterminedCap, rational_glue,
+                     strong_residue_check, three_point_block)
+from .coordchange import CoordChange, extract_coeffs, huang_conjugation_check, poly_series
+from .jsonio import (SCHEMA, decode_complex, decode_field, decode_point, decode_rational,
+                     decode_series, decode_text, dumps, encode_float,
+                     encode_qexpansion, encode_rational, encode_series, list_of,
+                     load_fixture, map_of, parse_poly, vector_of)
 from .models import fock_module, heisenberg_model, virasoro_model
 from .odepole import (NumericPath, PoleODE, ResonanceError, formal_solve,
                       numeric_continue)
@@ -41,69 +41,43 @@ from .virasoro import vir_bracket
 __all__ = ["main", "build_parser", "run_report"]
 
 
-class ConfigError(Exception):
-    pass
-
-
-def _fraction_flag(args, name: str, default: str) -> Fraction:
-    text = getattr(args, name, None) or default
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ConfigError(f"--{name} has a zero denominator: {text!r}") from None
-
-
-def _build_model(args):
-    name = args.model
+def _build_model(name, c=None, mu=None):
     if name == "heisenberg":
         return heisenberg_model()
     if name == "virasoro":
-        return virasoro_model(_fraction_flag(args, "c", "1/2"))
+        return virasoro_model(Fraction(1, 2) if c is None else c)
     if name == "fock":
-        voa = heisenberg_model()
-        return fock_module(voa, _fraction_flag(args, "mu", "0"))
-    raise ConfigError(f"unknown model {name!r}")
+        return fock_module(heisenberg_model(), Fraction(0) if mu is None else mu)
+    raise ValueError(f"unknown model {name!r}")
+
+
+def _model_flags(args):
+    c, mu = (None if text is None else decode_field(f"--{flag}", text, decode_rational)
+             for flag, text in (("c", args.c), ("mu", args.mu)))
+    return _build_model(args.model, c, mu)
 
 
 def _emit(args, payload, csv_rows=None) -> None:
     payload = {"schema": SCHEMA, **payload}
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         payload["seed"] = args.seed
-    if getattr(args, "format", "json") == "csv":
+    if args.format == "csv":
         if csv_rows is None:
-            raise ConfigError("csv output not available for this command")
+            raise ValueError("csv output not available for this command")
         text = "\n".join(",".join(str(x) for x in row) for row in csv_rows) + "\n"
     else:
         text = dumps(payload) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _load_fixture(path, *keys) -> dict:
-    """Read a JSON fixture object and check that it has ``keys``."""
-    with open(path) as fh:
-        fx = json.load(fh)
-    if not isinstance(fx, dict):
-        raise ConfigError(f"fixture {path} must be a JSON object")
-    missing = [k for k in keys if k not in fx]
-    if missing:
-        raise ConfigError(f"fixture {path} lacks {', '.join(missing)}")
-    return fx
-
-
-def _series_arg(text, var, order):
-    if var is None:
-        import re
-        m = re.search(r"[A-Za-z]\w*", text)
-        var = m.group(0) if m else "z"
-    poly = parse_poly(text, var)
-    if any(k >= order for k in poly):
-        raise ConfigError(f"--order {order} too small for the polynomial")
-    return TruncSeries.from_coeff_map(var, poly, order)
+def _series_arg(text, order):
+    m = re.search(r"[A-Za-z]\w*", text)
+    var = m.group(0) if m else "z"
+    return poly_series(parse_poly(text, var), var, order)
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +86,8 @@ def _series_arg(text, var, order):
 
 def cmd_character(args):
     if args.cap <= 0:
-        raise ConfigError("--cap must be positive")
-    module = _build_model(args)
+        raise ValueError("--cap must be positive")
+    module = _model_flags(args)
     s = torus_character(module, (), args.cap)
     q = s.standard
     if args.normalize:
@@ -130,23 +104,21 @@ def _non_negative(args, *names):
     for name in names:
         value = getattr(args, name)
         if value is not None and value < 0:
-            raise ConfigError(f"--{name} must be non-negative")
+            raise ValueError(f"--{name} must be non-negative")
 
 
 def cmd_coord_extract(args):
     _non_negative(args, "count")
-    rho = _series_arg(args.series, None, args.order)
+    rho = _series_arg(args.series, args.order)
     count = args.count if args.count is not None else max(rho.order - 2, 0)
     cs = extract_coeffs(rho, count)
-    payload = {"command": "coord extract",
-               "coeffs": [encode_rational(c) for c in cs]}
-    _emit(args, payload)
+    _emit(args, {"command": "coord extract", "coeffs": [encode_rational(c) for c in cs]})
     return 0
 
 
 def cmd_coord_huang(args):
     _non_negative(args, "cap", "order")
-    module = _build_model(args)
+    module = _model_flags(args)
     alpha = CoordChange(parse_poly(args.alpha))
     gen = (module.voa.gen_weight,)
     failures = []
@@ -156,43 +128,28 @@ def cmd_coord_huang(args):
                                           module, args.order)
             if not rep:
                 failures.append({"w": str(label)})
-    payload = {"command": "coord huang", "model": module.name,
-               "cap": args.cap, "order": args.order,
-               "passed": not failures, "failures": failures}
-    _emit(args, payload)
+    _emit(args, {"command": "coord huang", "model": module.name, "cap": args.cap,
+                 "order": args.order, "passed": not failures, "failures": failures})
     return 0 if not failures else 1
 
 
-def cmd_schwarzian(args):
-    f = _series_arg(args.series, None, args.order)
-    payload = {"command": "schwarzian", "series": encode_series(schwarzian(f))}
-    _emit(args, payload)
+def cmd_series_map(args):
+    """``schwarzian`` and ``uniformize``: the map comes from the subparser."""
+    f = _series_arg(args.series, args.order)
+    _emit(args, {"command": args.command, "series": encode_series(args.series_map(f))})
     return 0
-
-
-def cmd_uniformize(args):
-    Q = _series_arg(args.series, None, args.order)
-    payload = {"command": "uniformize", "series": encode_series(uniformize(Q))}
-    _emit(args, payload)
-    return 0
-
-
-def _decode_vec(obj):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"not a vector encoding: {obj!r}")
-    return {tuple(int(p) for p in key.split(",") if p): decode_rational(val)
-            for key, val in obj.items()}
 
 
 def cmd_blocks_three_point(args):
-    fx = _load_fixture(args.fixture, "model", "v", "z0", "w", "wp")
-    module = _build_model(argparse.Namespace(
-        model=fx["model"], c=fx.get("c"), mu=fx.get("mu")))
-    val = three_point_block(module, _decode_vec(fx["v"]),
-                            decode_rational(fx["z0"]),
-                            _decode_vec(fx["w"]), _decode_vec(fx["wp"]))
-    _emit(args, {"command": "blocks three-point",
-                 "value": encode_rational(val)})
+    fx = load_fixture(args.fixture, {"model": decode_text},
+                      {"c": decode_rational, "mu": decode_rational})
+    module = _build_model(fx["model"], fx.get("c"), fx.get("mu"))
+    # vectors decode against the model: basis labels have parts >= the generator's weight
+    vector = vector_of(module.voa.gen_weight)
+    fx = load_fixture(args.fixture, {"v": vector, "z0": decode_rational,
+                                     "w": vector, "wp": vector})
+    val = three_point_block(module, fx["v"], fx["z0"], fx["w"], fx["wp"])
+    _emit(args, {"command": "blocks three-point", "value": encode_rational(val)})
     return 0
 
 
@@ -226,73 +183,44 @@ def _emit_residue(args, command, check, *check_args):
 
 
 def cmd_blocks_glue(args):
-    fx = _load_fixture(args.fixture, "at0", "atz0", "atinf", "z0")
+    fx = load_fixture(args.fixture, {"at0": decode_series, "atz0": decode_series,
+                                     "atinf": decode_series, "z0": decode_rational})
     return _emit_residue(args, "blocks glue", rational_glue,
-                         decode_series(fx["at0"]), decode_series(fx["atz0"]),
-                         decode_series(fx["atinf"]), decode_rational(fx["z0"]))
+                         fx["at0"], fx["atz0"], fx["atinf"], fx["z0"])
 
 
 def cmd_blocks_residue_check(args):
-    fx = _load_fixture(args.fixture, "tails")
-    if not isinstance(fx["tails"], dict):
-        raise ConfigError("tails must map marked points to series")
-    tails = {}
-    for key, sobj in fx["tails"].items():
-        p = INFINITY if key in ("inf", "infinity") else decode_rational(key)
-        if p in tails:
-            raise ConfigError(f"tails name the point {p} twice")
-        tails[p] = decode_series(sobj)
-    return _emit_residue(args, "blocks residue-check", strong_residue_check, tails)
-
-
-def _decode_ode(fx) -> PoleODE:
-    entries = fx["entries"]
-    if not (isinstance(entries, list) and all(isinstance(row, list) for row in entries)):
-        raise ConfigError("entries must be a list of rows of series")
-    return PoleODE([[decode_series(e) for e in row] for row in entries])
-
-
-def _decode_complex(obj, what) -> list:
-    if not (isinstance(obj, list) and all(
-            isinstance(z, list) and len(z) == 2 and
-            all(isinstance(x, (int, float)) for x in z) for z in obj)):
-        raise ConfigError(f"{what} must be a list of [re, im] pairs")
-    return [complex(z[0], z[1]) for z in obj]
+    fx = load_fixture(args.fixture, {"tails": map_of(decode_point, decode_series)})
+    return _emit_residue(args, "blocks residue-check", strong_residue_check, fx["tails"])
 
 
 def cmd_ode_solve(args):
     _non_negative(args, "order")
-    fx = _load_fixture(args.matrix, "entries")
-    ode = _decode_ode(fx)
-    seeds = fx.get("seeds", {})
-    if not (isinstance(seeds, dict) and all(isinstance(v, list) for v in seeds.values())):
-        raise ConfigError("seeds must map indices to lists of rationals")
-    seeds = {int(n): [decode_rational(x) for x in vec] for n, vec in seeds.items()}
+    fx = load_fixture(args.matrix, {"entries": list_of(list_of(decode_series))},
+                      {"seeds": map_of(int, list_of(decode_rational))})
     try:
-        sol = formal_solve(ode, seeds, args.order)
+        sol = formal_solve(PoleODE(fx["entries"]), fx.get("seeds", {}), args.order)
     except ResonanceError as e:
         _emit(args, {"command": "ode solve", "error": str(e), "resonance": e.n})
         return 1
-    payload = {"command": "ode solve", "order": args.order,
-               "modes": [[encode_rational(x) for x in v] for v in sol.modes]}
-    _emit(args, payload)
+    _emit(args, {"command": "ode solve", "order": args.order,
+                 "modes": [[encode_rational(x) for x in v] for v in sol.modes]})
     return 0
 
 
 def cmd_ode_continue(args):
-    ode = _decode_ode(_load_fixture(args.matrix, "entries"))
-    pfx = _load_fixture(args.path, "waypoints", "start")
-    waypoints = _decode_complex(pfx["waypoints"], "waypoints")
-    start = _decode_complex(pfx["start"], "start")
+    ode = PoleODE(load_fixture(args.matrix,
+                               {"entries": list_of(list_of(decode_series))})["entries"])
+    fx = load_fixture(args.path, {"waypoints": list_of(decode_complex),
+                                  "start": list_of(decode_complex)})
+    start = fx["start"]
     if len(start) != ode.dim:
-        raise ConfigError(f"start has {len(start)} entries; the system has {ode.dim}")
-    value, err = numeric_continue(ode, start, NumericPath(waypoints),
-                                  steps=args.steps)
-    payload = {"command": "ode continue", "steps": args.steps,
-               "value": [{"re": encode_float(z.real), "im": encode_float(z.imag)}
-                         for z in value],
-               "error_estimate": encode_float(err)}
-    _emit(args, payload)
+        raise ValueError(f"start has {len(start)} entries; the system has {ode.dim}")
+    value, err = numeric_continue(ode, start, NumericPath(fx["waypoints"]), steps=args.steps)
+    _emit(args, {"command": "ode continue", "steps": args.steps,
+                 "value": [{"re": encode_float(z.real), "im": encode_float(z.imag)}
+                           for z in value],
+                 "error_estimate": encode_float(err)})
     return 0
 
 
@@ -406,78 +334,62 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="voablocks")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, order_default=8):
+    def common(sp, func, **defaults):
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--out", default=None)
+        sp.set_defaults(func=func, **defaults)
         return sp
 
-    sp = common(sub.add_parser("character"))
+    sp = common(sub.add_parser("character"), cmd_character)
     sp.add_argument("--model", required=True)
     sp.add_argument("--cap", type=int, required=True)
     sp.add_argument("--c", default=None)
     sp.add_argument("--mu", default=None)
     sp.add_argument("--normalize", action="store_true")
-    sp.set_defaults(func=cmd_character)
 
-    coord = sub.add_parser("coord")
-    csub = coord.add_subparsers(dest="subcommand", required=True)
-    sp = common(csub.add_parser("extract"))
+    csub = sub.add_parser("coord").add_subparsers(dest="subcommand", required=True)
+    sp = common(csub.add_parser("extract"), cmd_coord_extract)
     sp.add_argument("--series", required=True)
     sp.add_argument("--order", type=int, default=8)
     sp.add_argument("--count", type=int, default=None)
-    sp.set_defaults(func=cmd_coord_extract)
-    sp = common(csub.add_parser("huang"))
+    sp = common(csub.add_parser("huang"), cmd_coord_huang)
     sp.add_argument("--alpha", required=True)
     sp.add_argument("--model", default="heisenberg")
     sp.add_argument("--c", default=None)
     sp.add_argument("--mu", default=None)
     sp.add_argument("--cap", type=int, default=3)
     sp.add_argument("--order", type=int, default=5)
-    sp.set_defaults(func=cmd_coord_huang)
 
-    sp = common(sub.add_parser("schwarzian"))
-    sp.add_argument("--series", required=True)
-    sp.add_argument("--order", type=int, default=8)
-    sp.set_defaults(func=cmd_schwarzian)
+    for name, series_map in (("schwarzian", schwarzian), ("uniformize", uniformize)):
+        sp = common(sub.add_parser(name), cmd_series_map, series_map=series_map)
+        sp.add_argument("--series", required=True)
+        sp.add_argument("--order", type=int, default=8)
 
-    sp = common(sub.add_parser("uniformize"))
-    sp.add_argument("--series", required=True)
-    sp.add_argument("--order", type=int, default=8)
-    sp.set_defaults(func=cmd_uniformize)
-
-    blocks = sub.add_parser("blocks")
-    bsub = blocks.add_subparsers(dest="subcommand", required=True)
+    bsub = sub.add_parser("blocks").add_subparsers(dest="subcommand", required=True)
     for name, fn in (("three-point", cmd_blocks_three_point),
                      ("glue", cmd_blocks_glue),
                      ("residue-check", cmd_blocks_residue_check)):
-        sp = common(bsub.add_parser(name))
-        sp.add_argument("--fixture", required=True)
-        sp.set_defaults(func=fn)
+        common(bsub.add_parser(name), fn).add_argument("--fixture", required=True)
 
-    ode = sub.add_parser("ode")
-    osub = ode.add_subparsers(dest="subcommand", required=True)
-    sp = common(osub.add_parser("solve"))
+    osub = sub.add_parser("ode").add_subparsers(dest="subcommand", required=True)
+    sp = common(osub.add_parser("solve"), cmd_ode_solve)
     sp.add_argument("--matrix", required=True)
     sp.add_argument("--order", type=int, required=True)
-    sp.set_defaults(func=cmd_ode_solve)
-    sp = common(osub.add_parser("continue"))
+    sp = common(osub.add_parser("continue"), cmd_ode_continue)
     sp.add_argument("--matrix", required=True)
     sp.add_argument("--path", required=True)
     sp.add_argument("--steps", type=int, default=1000)
-    sp.set_defaults(func=cmd_ode_continue)
 
-    sp = common(sub.add_parser("report"))
-    sp.set_defaults(func=cmd_report)
+    common(sub.add_parser("report"), cmd_report)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    args = build_parser().parse_args(argv)
     try:
-        args = parser.parse_args(argv)
         return args.func(args)
-    except (ConfigError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
 

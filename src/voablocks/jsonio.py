@@ -1,30 +1,28 @@
-"""JSON encoding for the CLI: exact rationals, series, q-expansions.
+"""JSON for the CLI: exact encodings out, one strict decoder of fixtures in.
 
 Every numeric value carries a provenance tag: rationals are
 {"num": "...", "den": "...", "provenance": "exact"}, floats are
 {"value": ..., "provenance": "float"}.  Dumps are deterministic
 (sorted keys, fixed separators) so golden files are byte-stable.
+
+The fixture format lives here alone: ``load_fixture`` decodes each key a
+command declares by a strict decoder below; an error names the key.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 
+from .blocks import INFINITY
 from .series import QExpansion, TruncSeries
 
-__all__ = [
-    "encode_rational",
-    "decode_rational",
-    "encode_float",
-    "encode_series",
-    "decode_series",
-    "encode_qexpansion",
-    "dumps",
-    "parse_poly",
-    "SCHEMA",
-]
+__all__ = ["SCHEMA", "encode_rational", "encode_float", "encode_series", "encode_qexpansion",
+           "dumps", "parse_poly", "decode_rational", "decode_int", "decode_text",
+           "decode_complex", "decode_point", "vector_of", "decode_series", "list_of",
+           "map_of", "decode_field", "decode_object", "load_fixture"]
 
 SCHEMA = "voa-blocks/1"
 
@@ -35,15 +33,105 @@ def encode_rational(x) -> dict:
             "provenance": "exact"}
 
 
+def decode_int(obj) -> int:
+    # JSON true and false load as bools, which Python counts as ints
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return obj
+    raise ValueError(f"not an integer: {obj!r}")
+
+
+def decode_text(obj) -> str:
+    if isinstance(obj, str):
+        return obj
+    raise ValueError(f"not a string: {obj!r}")
+
+
 def decode_rational(obj) -> Fraction:
+    """{"num", "den"} as ``encode_rational`` writes it (integers or integer
+    strings; other keys are ignored), a JSON integer, or a string "-22/5"."""
+    num, den = (obj.get("num"), obj.get("den")) if isinstance(obj, dict) else (obj, 1)
     try:
-        if isinstance(obj, dict):
-            return Fraction(int(obj["num"]), int(obj["den"]))
-        if isinstance(obj, (str, int)):
-            return Fraction(obj)
-    except (KeyError, TypeError, ZeroDivisionError) as e:
-        raise ValueError(f"not a rational encoding: {obj!r}") from e
+        if all(isinstance(x, (int, str)) and not isinstance(x, bool) for x in (num, den)):
+            return Fraction(int(num), int(den)) if isinstance(obj, dict) else Fraction(num)
+    except (ValueError, ZeroDivisionError):
+        pass
     raise ValueError(f"not a rational encoding: {obj!r}")
+
+
+def decode_complex(obj) -> complex:
+    """A complex number written as the pair [re, im] of finite JSON numbers."""
+    if not (isinstance(obj, list) and len(obj) == 2 and all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) and
+            abs(x) <= sys.float_info.max for x in obj)):
+        raise ValueError(f"not an [re, im] pair of floats: {obj!r}")
+    return complex(*obj)
+
+
+def decode_point(key: str):
+    """A marked point of P^1: "inf" or "infinity", else a rational."""
+    return INFINITY if key in ("inf", "infinity") else decode_rational(key)
+
+
+def vector_of(min_part: int = 1):
+    """The decoder of a vector {"3,1,1": rational, ...} keyed by basis
+    labels: partitions into parts >= ``min_part``, "" the highest weight."""
+    def label(key: str) -> tuple:
+        parts = tuple(int(p) for p in key.split(",")) if key else ()
+        if list(parts) != sorted(parts, reverse=True) or min(parts, default=min_part) < min_part:
+            raise ValueError(f"{key!r} is not a basis label: non-increasing parts >= {min_part}")
+        return parts
+    return map_of(label, decode_rational)
+
+
+def list_of(decode):
+    """The decoder of a JSON list whose items ``decode`` reads."""
+    def decode_list(obj) -> list:
+        if not isinstance(obj, list):
+            raise ValueError(f"not a list: {obj!r}")
+        return [decode(x) for x in obj]
+    return decode_list
+
+
+def map_of(decode_key, decode_value):
+    """The decoder of a JSON object in which no two keys decode alike."""
+    def decode_map(obj) -> dict:
+        if not isinstance(obj, dict):
+            raise ValueError(f"not an object: {obj!r}")
+        out = {}
+        for key, value in obj.items():
+            k = decode_key(key)
+            if k in out:
+                raise ValueError(f"two keys name {k}")
+            out[k] = decode_value(value)
+        return out
+    return decode_map
+
+
+def decode_field(name: str, obj, decode):
+    """``decode(obj)``, with ``name`` in front of any error."""
+    try:
+        return decode(obj)
+    except ValueError as e:
+        raise ValueError(f"{name}: {e}") from None
+
+
+def decode_object(obj, required: dict, optional: dict | None = None) -> dict:
+    """Decode a JSON object key by key: each key of ``required`` must be
+    present, each of ``optional`` may be, and other keys are ignored."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"not an object: {obj!r}")
+    missing = [k for k in required if k not in obj]
+    if missing:
+        raise ValueError(f"lacks {', '.join(missing)}")
+    decoders = {**required, **(optional or {})}
+    return {k: decode_field(k, obj[k], decode) for k, decode in decoders.items() if k in obj}
+
+
+def load_fixture(path, required: dict, optional: dict | None = None) -> dict:
+    """Read the JSON fixture at ``path`` and decode it by ``decode_object``."""
+    with open(path) as fh:
+        return decode_field(f"fixture {path}", fh,
+                            lambda f: decode_object(json.load(f), required, optional))
 
 
 def encode_float(x) -> dict:
@@ -56,10 +144,9 @@ def encode_series(s: TruncSeries) -> dict:
 
 
 def decode_series(obj) -> TruncSeries:
-    if not isinstance(obj, dict) or not {"var", "floor", "order", "coeffs"} <= obj.keys():
-        raise ValueError(f"not a series encoding: {obj!r}")
-    coeffs = [decode_rational(c) for c in obj["coeffs"]]
-    return TruncSeries(obj["var"], int(obj["floor"]), coeffs, int(obj["order"]))
+    s = decode_object(obj, {"var": decode_text, "floor": decode_int, "order": decode_int,
+                            "coeffs": list_of(decode_rational)})
+    return TruncSeries(s["var"], s["floor"], s["coeffs"], s["order"])
 
 
 def encode_qexpansion(s: QExpansion) -> dict:

@@ -94,21 +94,32 @@ def identity_matrix(n: int):
     return [[F1 if i == j else F0 for j in range(n)] for i in range(n)]
 
 
+def _shape(a) -> str:
+    widths = {len(row) for row in a} or {0}
+    return f"{len(a)} x {widths.pop()}" if len(widths) == 1 else f"ragged {len(a)}-row"
+
+
 def mat_mul(a, b):
     n, k, m = len(a), len(b), len(b[0]) if b else 0
+    if any(len(row) != k for row in a) or any(len(row) != m for row in b):
+        raise ValueError(f"cannot multiply a {_shape(a)} matrix by a {_shape(b)} matrix")
     return [[sum((a[i][t] * b[t][j] for t in range(k)), F0) for j in range(m)]
             for i in range(n)]
 
 
 def mat_vec(a, v):
+    if any(len(row) != len(v) for row in a):
+        raise ValueError(f"cannot multiply a {_shape(a)} matrix by a vector of length {len(v)}")
     return [sum((row[j] * v[j] for j in range(len(v))), F0) for row in a]
 
 
 def mat_inverse(a):
-    """Exact inverse; raises ValueError when singular."""
+    """Exact inverse; raises ValueError when singular or not square."""
     n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError(f"cannot invert a {_shape(a)} matrix: it is not square")
     aug, pivots = _reduce(a, [F0] * n)
-    if len(pivots) != n or any(len(row) != n for row in a):
+    if len(pivots) != n:
         raise ValueError("matrix is singular")
     return [row[n + 1:] for row in aug]
 

@@ -243,6 +243,23 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(dest.read_text())["cap"] == 3
 
 
+THREE_POINT = ["blocks", "three-point", "--fixture", "tp.json"]
+GLUE = ["blocks", "glue", "--fixture", "glue.json"]
+SERIES = {"var": "q", "floor": 0, "order": 2, "coeffs": [{"num": "0", "den": "1"}] * 2}
+
+
+def three_point(model, **keys):
+    """A three-point fixture, <Y(alpha_{-1}, 2)|mu>, |mu>'> unless overridden."""
+    return {"model": model, "v": {"1": 1}, "z0": 2, "w": {"": 1}, "wp": {"": 1}, **keys}
+
+
+def glue(**series_keys):
+    one = {"num": "1", "den": "1"}
+    tail = {"var": "t", "floor": 0, "order": 1, "coeffs": [one]}
+    return {"at0": tail, "atz0": {**tail, **series_keys},
+            "atinf": {**tail, "var": "w"}, "z0": one}
+
+
 class TestMalformedInput:
     """Bad input exits 2 with one error line and no output or traceback."""
 
@@ -252,6 +269,7 @@ class TestMalformedInput:
         assert code == 2
         assert cap.out == ""
         assert cap.err.startswith("error: ") and cap.err.count("\n") == 1
+        return cap.err
 
     def test_glue_fixture_missing_point(self, capsys, tmp_path):
         one = {"num": "1", "den": "1"}
@@ -352,3 +370,43 @@ class TestMalformedInput:
     def test_extract_negative_count(self, capsys):
         self.check(capsys, "coord", "extract", "--series", "z + z^2",
                    "--count", "-3")
+
+    @pytest.mark.parametrize("argv, files, key", [
+        (THREE_POINT, {"tp.json": three_point("virasoro", c=[1])}, "c"),
+        (GLUE, {"glue.json": glue(floor=[0])}, "floor"),
+        (GLUE, {"glue.json": glue(coeffs=5)}, "coeffs"),
+        (GLUE, {"glue.json": glue(coeffs="12", order=2)}, "coeffs"),
+        (THREE_POINT, {"tp.json": three_point("heisenberg", w={"1,2": 1})}, "w"),
+        (THREE_POINT, {"tp.json": three_point("heisenberg", w={"2,0": 1})}, "w"),
+        (THREE_POINT, {"tp.json": three_point("heisenberg", wp={"-1": 1})}, "wp"),
+        (THREE_POINT, {"tp.json": three_point("virasoro", v={"": 1}, wp={"2,1": 1})}, "wp"),
+        (["ode", "continue", "--matrix", "mat.json", "--path", "path.json", "--steps", "50"],
+         {"mat.json": {"entries": [[SERIES]]},
+          "path.json": {"waypoints": [[0.05, 0.0], [0.1, 0.0]], "start": [[True, 0]]}},
+         "start"),
+    ], ids=["c-list", "floor-list", "coeffs-int", "coeffs-string", "label-unsorted",
+            "label-zero-part", "label-negative-part", "virasoro-label-part-1", "start-bool"])
+    def test_fixture_value_not_in_format(self, capsys, tmp_path, monkeypatch, argv, files,
+                                         key):
+        # a value outside the format must stop at the decoder, naming its key
+        monkeypatch.chdir(tmp_path)
+        for name, obj in files.items():
+            (tmp_path / name).write_text(json.dumps(obj))
+        assert f" {key}: " in self.check(capsys, *argv)
+
+    @pytest.mark.parametrize("model, key, value, same_as, vectors, want", [
+        ("fock", "mu", {"num": "1", "den": "2"}, "1/2", {}, F(1, 4)),
+        ("virasoro", "c", 0, "0", {"v": {"2": 1}, "w": {"2": 1}, "z0": 1}, F(0)),
+    ], ids=["mu-as-encoded", "c-json-zero"])
+    def test_fixture_rational_encodings_agree(self, capsys, tmp_path, monkeypatch, model,
+                                              key, value, same_as, vectors, want):
+        monkeypatch.chdir(tmp_path)
+        outs = []
+        for v in (value, same_as):
+            (tmp_path / "tp.json").write_text(
+                json.dumps(three_point(model, **{key: v}, **vectors)))
+            outs.append(run(capsys, *THREE_POINT))
+        assert outs[0] == outs[1]
+        assert outs[0][0] == 0
+        got = json.loads(outs[0][1])["value"]
+        assert F(int(got["num"]), int(got["den"])) == want

@@ -9,10 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from voablocks.coordchange import (CoordChange, U_apply, U_inverse_apply,
                                    extract_coeffs, gamma_relation_check,
-                                   gamma_series, huang_conjugation_check,
-                                   poly_compose)
+                                   gamma_series, huang_conjugation_check)
 from voablocks.graded import vec_add_into, vec_is_zero, weight_of
-from voablocks.models import heisenberg_model, virasoro_model
+from voablocks.models import fock_module, heisenberg_model, virasoro_model
 from voablocks.series import TruncSeries
 
 H = heisenberg_model()
@@ -82,19 +81,41 @@ def test_extract_flow_closed_form(c0, a, m, count):
     assert cs == [c0] + [a if n == m else F(0) for n in range(1, count + 1)]
 
 
-@pytest.mark.parametrize("voa", [H, VIR], ids=["heisenberg", "virasoro"])
-def test_group_law(voa):
-    rng = random.Random(474747)
-    labels = [l for wt in range(7) for l in voa.basis_at(wt)]
-    for _ in range(15):
-        r1 = rand_coord(rng)
-        r2 = rand_coord(rng)
-        comp = CoordChange(poly_compose(r1.poly, r2.poly))
-        w = {rng.choice(labels): F(1)}
-        lhs = U_apply(comp, w, voa)
-        rhs = U_apply(r1, U_apply(r2, w, voa), voa)
-        diff = vec_add_into(dict(lhs), rhs, F(-1))
-        assert vec_is_zero(diff), (r1.poly, r2.poly, w)
+def compose(p1, p2):
+    """r1(r2(z)) for polynomial maps: sum_k a_k r2^k, each power of r2 by a
+    dict convolution with r2."""
+    out, power = {}, {0: F(1)}
+    for k in range(1, max(p1) + 1):
+        nxt = {}
+        for e1, c1 in power.items():
+            for e2, c2 in p2.items():
+                nxt[e1 + e2] = nxt.get(e1 + e2, F(0)) + c1 * c2
+        power = nxt
+        for e, c in power.items():
+            out[e] = out.get(e, F(0)) + p1.get(k, F(0)) * c
+    return out
+
+
+rationals = st.builds(F, st.integers(-5, 5), st.integers(1, 4))
+coords = st.builds(
+    lambda a1, a2, a3: {1: a1, 2: a2, 3: a3},
+    rationals.filter(bool), rationals, rationals)
+MODELS = {"heisenberg": lambda x: H, "fock": lambda mu: fock_module(H, mu),
+          "virasoro": virasoro_model}
+
+
+@pytest.mark.parametrize("kind", ["heisenberg", "fock", "virasoro"])
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(param=rationals, r1=coords, r2=coords, pick=st.integers(0, 10 ** 6))
+def test_group_law(kind, param, r1, r2, pick):
+    # U(r1 o r2) = U(r1) U(r2), on a Fock module at a drawn mu and on
+    # Virasoro at a drawn c; the composition is the test's own
+    module = MODELS[kind](param)
+    labels = [l for wt in range(6) for l in module.basis_at(wt)]
+    w = {labels[pick % len(labels)]: F(1)}
+    lhs = U_apply(CoordChange(compose(r1, r2)), w, module)
+    rhs = U_apply(CoordChange(r1), U_apply(CoordChange(r2), w, module), module)
+    assert vec_is_zero(vec_add_into(dict(lhs), rhs, F(-1))), (r1, r2, w)
 
 
 def test_U_inverse_roundtrip():

@@ -50,6 +50,21 @@ def test_singular_inverse_raises():
         mat_inverse([[F(1), F(2)], [F(2), F(4)]])
 
 
+@pytest.mark.parametrize("call, shapes", [
+    (lambda: mat_vec([[F(1), F(2)], [F(3), F(4)]], [F(1)]), ("2 x 2", "length 1")),
+    (lambda: mat_vec([[F(1), F(2)], [F(3), F(4)]], [F(1)] * 3), ("2 x 2", "length 3")),
+    (lambda: mat_vec([[F(1), F(2)], [F(3)]], [F(1)] * 2), ("ragged 2-row", "length 2")),
+    (lambda: mat_mul([[F(1), F(2)]], [[F(1)]]), ("1 x 2", "1 x 1")),
+    (lambda: mat_mul([[F(1)]], [[F(1), F(2)], [F(3)]]), ("1 x 1", "ragged 2-row")),
+    (lambda: mat_inverse([[F(1), F(2), F(3)], [F(4), F(5), F(6)]]), ("2 x 3", "not square")),
+], ids=["vec-short", "vec-long", "ragged-rows", "mul-inner", "mul-ragged", "inverse-2x3"])
+def test_shape_mismatch_names_both_shapes(call, shapes):
+    # a mismatch must not drop columns silently or fail on an index
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert all(s in str(exc.value) for s in shapes)
+
+
 def test_norms():
     assert vec_one_norm([F(-2), F(1, 2)]) == F(5, 2)
     assert mat_one_norm([[F(1), F(-3)], [F(-1), F(0)]]) == 3
