@@ -186,9 +186,17 @@ class RationalFunction:
                 continue
             d = p - p2
             for m, c in part.items():
-                # (t + d)^{-m} = sum_e C(-m, e) d^{-m-e} t^e
+                # (t + d)^{-m} = sum_e C(-m, e) d^{-m-e} t^e; the running term
+                # t_{e+1} = t_e (-m-e) / ((e+1) d) is kept as integer factors
+                # binom = C(-m, e), num / den = c d^{-m-e}
+                binom = 1
+                num = c.numerator * d.denominator ** m
+                den = c.denominator * d.numerator ** m
                 for e in range(0, order):
-                    cmap[e] = cmap.get(e, F0) + c * gbinom(-m, e) * d ** (-m - e)
+                    cmap[e] = cmap.get(e, F0) + Fraction(binom * num, den)
+                    binom = binom * (-m - e) // (e + 1)
+                    num *= d.denominator
+                    den *= d.numerator
         cmap = {e: c for e, c in cmap.items() if c and e < order}
         return TruncSeries.from_coeff_map(var, cmap, order)
 
@@ -198,9 +206,15 @@ class RationalFunction:
         for p, part in self.poles.items():
             for m, c in part.items():
                 # (1/w - p)^{-m} = w^m (1 - p w)^{-m}
-                #               = sum_e C(-m, e) (-p)^e w^{m+e}
+                #               = sum_e C(-m, e) (-p)^e w^{m+e}; the running
+                # term t_{e+1} = t_e (m+e) p / (e+1) is kept as integer factors
+                # binom = C(-m, e) (-1)^e, num / den = c p^e
+                binom, num, den = 1, c.numerator, c.denominator
                 for e in range(0, order - m):
-                    cmap[e + m] = cmap.get(e + m, F0) + c * gbinom(-m, e) * (-p) ** e
+                    cmap[e + m] = cmap.get(e + m, F0) + Fraction(binom * num, den)
+                    binom = binom * (m + e) // (e + 1)
+                    num *= p.numerator
+                    den *= p.denominator
         cmap = {e: c for e, c in cmap.items() if c and e < order}
         return TruncSeries.from_coeff_map(var, cmap, order)
 
@@ -367,7 +381,12 @@ def global_form_tails(g: RationalFunction, points: SpherePoints, order: int) -> 
 
 class BlockFunctional:
     """Linear functional on a tensor of capped module vectors attached to
-    marked points; ``caps[i]`` bounds the weights slot i can pair."""
+    marked points; ``caps[i]`` bounds the weights slot i can pair.
+
+    ``evaluate`` receives one label -> coefficient mapping per slot.  The
+    mappings may be read-only: propagation and the residue action pass a
+    module's memoized mode images uncopied, so an evaluator reads its
+    arguments and never mutates them (an attempt raises TypeError)."""
 
     def __init__(self, points: SpherePoints, modules, caps, evaluate, name=""):
         if len(modules) != len(points) or len(caps) != len(points):
@@ -405,7 +424,9 @@ def hom_block(T: dict, w1: Module, w2: Module, cap: int) -> BlockFunctional:
     given by its columns (label of W1 -> dual vector over W2 labels).
 
     T must commute with all modes; this is verified on the generating
-    field's modes within the cap, and failures raise IntertwinerError."""
+    field's modes within the cap, and failures raise IntertwinerError.
+    The evaluator pairs in one pass, sum c t v[l2] over the columns of T,
+    and only reads u and v, which may be read-only mappings."""
     voa = w1.voa
     w2d = contragredient(w2)
 
@@ -421,15 +442,26 @@ def hom_block(T: dict, w1: Module, w2: Module, cap: int) -> BlockFunctional:
         wt_v = weight_of(v)
         for wt in range(cap + 1):
             for label in w1.basis_at(wt):
+                col = [(l2, t, weight_of(l2)) for l2, t in T.get(label, {}).items()]
                 for n in range(wt_v + wt - 1 - cap, wt_v + wt):
-                    lhs = apply_T(w1.mode_apply(v, n, {label: F1}))
-                    rhs = w2d.mode_apply(v, n, apply_T({label: F1}))
-                    diff = vec_add_into(dict(lhs), rhs, Fraction(-1))
+                    # T Y(v)_n label - Y'(v)_n T label, both read off the blocks
+                    diff = apply_T(w1.mode_block(v, n, wt).get(label, {}))
+                    for l2, t, wt2 in col:
+                        img = w2d.mode_block(v, n, wt2).get(l2)
+                        if img:
+                            vec_add_into(diff, img, -t)
                     if not vec_is_zero(diff):
                         raise IntertwinerError(v, n, label, diff)
 
-    def evaluate(u: dict, v: dict) -> Fraction:
-        return _pair_dual(apply_T(u), v)
+    def evaluate(u, v) -> Fraction:
+        total = F0
+        for label, c in u.items():
+            col = T.get(label)
+            if col:
+                for l2, t in col.items():
+                    if l2 in v:
+                        total += c * t * v[l2]
+        return total
 
     points = SpherePoints([F0, INFINITY])
     return BlockFunctional(points, [w1, w2], [cap, cap], evaluate, name="hom")
@@ -457,10 +489,12 @@ def three_point_block(module: Module, v, z0, w: dict, wp: dict) -> Fraction:
     total = F0
     dual_weights = {weight_of(label) for label in wp}
     for vl, vc in v.items():
+        wt_v = weight_of(vl)
         for wl, wc in w.items():
+            wt_w = weight_of(wl)
             for d in dual_weights:
-                n = weight_of(vl) + weight_of(wl) - 1 - d
-                img = module.mode_apply({vl: F1}, n, {wl: F1})
+                n = wt_v + wt_w - 1 - d
+                img = module.mode_block(vl, n, wt_w).get(wl)
                 if img:
                     total += vc * wc * _pair_dual(img, wp) * z0 ** (-n - 1)
     return total
@@ -518,9 +552,10 @@ def _slot_tail(phi: BlockFunctional, i: int, terms, w_vecs, var: str) -> TruncSe
         for vl, vc in vec.items():
             wt_v = weight_of(vl)
             for wl, wc in w_i.items():
-                n_min, n_max = _mode_window(cap, wt_v, weight_of(wl))
+                wt_w = weight_of(wl)
+                n_min, n_max = _mode_window(cap, wt_v, wt_w)
                 for n in range(n_min, n_max + 1):
-                    img = module.mode_apply({vl: F1}, n, {wl: F1})
+                    img = module.mode_block(vl, n, wt_w).get(wl)
                     if img:
                         args = list(w_vecs)
                         args[i] = img
@@ -603,12 +638,13 @@ def _residue_action(module, v_terms, lam: TruncSeries, w_i: dict, cap: int) -> d
         for vl, vc in vec.items():
             wt_v = weight_of(vl)
             for wl, wc in w_i.items():
-                n_top = wt_v + weight_of(wl) - 1  # modes below weight 0 vanish
+                wt_w = weight_of(wl)
+                n_top = wt_v + wt_w - 1  # modes below weight 0 vanish
                 for k in range(lam.floor, min(n_top - shift, lam.order - 1) + 1):
                     c = lam.coeff(k)
                     if not c:
                         continue
-                    img = module.mode_apply({vl: F1}, k + shift, {wl: F1})
+                    img = module.mode_block(vl, k + shift, wt_w).get(wl)
                     if img:
                         vec_add_into(acted, img, c * vc * wc)
                 if n_top - shift >= lam.order:

@@ -6,13 +6,15 @@ Every numeric value carries a provenance tag: rationals are
 (sorted keys, fixed separators) so golden files are byte-stable.
 
 The fixture format lives here alone: ``load_fixture`` decodes each key a
-command declares by a strict decoder below; an error names the key.
+command declares by a strict decoder below; an error names the key and
+echoes at most a short cut of the bad value.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import reprlib
 import sys
 from fractions import Fraction
 
@@ -26,6 +28,16 @@ __all__ = ["SCHEMA", "encode_rational", "encode_float", "encode_series", "encode
 
 SCHEMA = "voa-blocks/1"
 
+# a decode error echoes at most this many characters of the offending value
+_SHOWN_CHARS = 60
+
+
+def _shown(obj) -> str:
+    """A short repr of a decoded value for an error message: ``reprlib``
+    bounds its depth and width, and the text is cut to _SHOWN_CHARS."""
+    text = reprlib.repr(obj)
+    return text if len(text) <= _SHOWN_CHARS else text[:_SHOWN_CHARS] + "..."
+
 
 def encode_rational(x) -> dict:
     x = Fraction(x)
@@ -37,13 +49,13 @@ def decode_int(obj) -> int:
     # JSON true and false load as bools, which Python counts as ints
     if isinstance(obj, int) and not isinstance(obj, bool):
         return obj
-    raise ValueError(f"not an integer: {obj!r}")
+    raise ValueError(f"not an integer: {_shown(obj)}")
 
 
 def decode_text(obj) -> str:
     if isinstance(obj, str):
         return obj
-    raise ValueError(f"not a string: {obj!r}")
+    raise ValueError(f"not a string: {_shown(obj)}")
 
 
 def decode_rational(obj) -> Fraction:
@@ -55,7 +67,7 @@ def decode_rational(obj) -> Fraction:
             return Fraction(int(num), int(den)) if isinstance(obj, dict) else Fraction(num)
     except (ValueError, ZeroDivisionError):
         pass
-    raise ValueError(f"not a rational encoding: {obj!r}")
+    raise ValueError(f"not a rational encoding: {_shown(obj)}")
 
 
 def decode_complex(obj) -> complex:
@@ -63,7 +75,7 @@ def decode_complex(obj) -> complex:
     if not (isinstance(obj, list) and len(obj) == 2 and all(
             isinstance(x, (int, float)) and not isinstance(x, bool) and
             abs(x) <= sys.float_info.max for x in obj)):
-        raise ValueError(f"not an [re, im] pair of floats: {obj!r}")
+        raise ValueError(f"not an [re, im] pair of floats: {_shown(obj)}")
     return complex(*obj)
 
 
@@ -78,7 +90,8 @@ def vector_of(min_part: int = 1):
     def label(key: str) -> tuple:
         parts = tuple(int(p) for p in key.split(",")) if key else ()
         if list(parts) != sorted(parts, reverse=True) or min(parts, default=min_part) < min_part:
-            raise ValueError(f"{key!r} is not a basis label: non-increasing parts >= {min_part}")
+            raise ValueError(f"{_shown(key)} is not a basis label: "
+                             f"non-increasing parts >= {min_part}")
         return parts
     return map_of(label, decode_rational)
 
@@ -87,7 +100,7 @@ def list_of(decode):
     """The decoder of a JSON list whose items ``decode`` reads."""
     def decode_list(obj) -> list:
         if not isinstance(obj, list):
-            raise ValueError(f"not a list: {obj!r}")
+            raise ValueError(f"not a list: {_shown(obj)}")
         return [decode(x) for x in obj]
     return decode_list
 
@@ -96,7 +109,7 @@ def map_of(decode_key, decode_value):
     """The decoder of a JSON object in which no two keys decode alike."""
     def decode_map(obj) -> dict:
         if not isinstance(obj, dict):
-            raise ValueError(f"not an object: {obj!r}")
+            raise ValueError(f"not an object: {_shown(obj)}")
         out = {}
         for key, value in obj.items():
             k = decode_key(key)
@@ -119,7 +132,7 @@ def decode_object(obj, required: dict, optional: dict | None = None) -> dict:
     """Decode a JSON object key by key: each key of ``required`` must be
     present, each of ``optional`` may be, and other keys are ignored."""
     if not isinstance(obj, dict):
-        raise ValueError(f"not an object: {obj!r}")
+        raise ValueError(f"not an object: {_shown(obj)}")
     missing = [k for k in required if k not in obj]
     if missing:
         raise ValueError(f"lacks {', '.join(missing)}")
@@ -128,10 +141,14 @@ def decode_object(obj, required: dict, optional: dict | None = None) -> dict:
 
 
 def load_fixture(path, required: dict, optional: dict | None = None) -> dict:
-    """Read the JSON fixture at ``path`` and decode it by ``decode_object``."""
+    """Read the JSON fixture at ``path`` and decode it by ``decode_object``;
+    JSON nested deeper than the parser's recursion limit is a ValueError."""
     with open(path) as fh:
-        return decode_field(f"fixture {path}", fh,
-                            lambda f: decode_object(json.load(f), required, optional))
+        try:
+            return decode_field(f"fixture {path}", fh,
+                                lambda f: decode_object(json.load(f), required, optional))
+        except RecursionError:
+            raise ValueError(f"fixture {path}: JSON nested too deeply to parse") from None
 
 
 def encode_float(x) -> dict:
@@ -183,12 +200,12 @@ def parse_poly(text: str, var: str | None = None) -> dict:
     while pos < len(text):
         m = _TERM.match(text[pos:])
         if not m or m.end() == 0:
-            raise ValueError(f"cannot parse polynomial near {text[pos:]!r}")
+            raise ValueError(f"cannot parse polynomial near {_shown(text[pos:])}")
         sign = -1 if m.group("sign") == "-" else 1
         coef = m.group("coef")
         vname = m.group("var")
         if coef is None and vname is None:
-            raise ValueError(f"cannot parse polynomial near {text[pos:]!r}")
+            raise ValueError(f"cannot parse polynomial near {_shown(text[pos:])}")
         c = Fraction(coef) if coef else Fraction(1)
         if vname is None:
             k = 0

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -192,6 +193,55 @@ def test_glue_by_principal_parts(data):
     assert rep.conditions == i + 1
 
 
+def closed_form_tail(f, p, order):
+    """f's nonzero Laurent coefficients below ``order`` at p, term by term
+    from the binomial closed forms
+    (t + p - q)^{-m} = sum_e (-1)^e C(m+e-1, e) (p - q)^{-m-e} t^e and
+    (1/w - q)^{-m} = sum_e C(m+e-1, e) q^e w^{m+e}."""
+    out = {}
+
+    def add(e, c):
+        if e < order:
+            out[e] = out.get(e, F(0)) + c
+
+    for k, c in f.poly.items():
+        if p is INFINITY:
+            add(-k, c)
+        else:
+            for j in range(k + 1):
+                add(j, c * comb(k, j) * p ** (k - j))
+    for q, part in f.poles.items():
+        for m, c in part.items():
+            if p is INFINITY:
+                for e in range(order):
+                    add(m + e, c * comb(m + e - 1, e) * q ** e)
+            elif q == p:
+                add(-m, c)
+            else:
+                for e in range(order):
+                    add(e, c * (-1) ** e * comb(m + e - 1, e) * (p - q) ** (-m - e))
+    return {e: c for e, c in out.items() if c}
+
+
+@settings(max_examples=80, derandomize=True)
+@given(st.data())
+def test_expansion_matches_closed_form(data):
+    """expand_at and expand_at_infinity carry a running term; each
+    coefficient must equal the closed form, at the poles, off them and at
+    infinity."""
+    poles = data.draw(st.lists(small, max_size=4, unique=True))
+    f = RationalFunction(
+        data.draw(st.dictionaries(st.integers(0, 3), small)),
+        {q: data.draw(st.dictionaries(st.integers(1, 5), small, min_size=1)) for q in poles})
+    order = data.draw(st.integers(0, 10))
+    p = data.draw(st.one_of(st.sampled_from(poles + [INFINITY]),
+                            small.filter(lambda x: x not in poles)))
+    s = f.expand_at_point(p, order)
+    assert s.order == order
+    assert {e: s.coeff(e) for e in range(s.floor, order) if s.coeff(e)} == \
+        closed_form_tail(f, p, order)
+
+
 class TestResiduePairing:
     def test_unit_residue(self):
         form = RationalFunction(poles={0: {1: F(1)}})
@@ -341,6 +391,97 @@ class TestPropagation:
         got = propagate_eval(py, (), F(2), [w1, {(2,): F(1)}, w2])
         want = propagate_eval(phi, (2,), F(3), [w1, w2])
         assert got == want
+
+
+# criterion-08 nested propagation A = <phi~y~x> with v inserted at x,
+# B = <phi~x~y> with u inserted at y, on identity_hom(module, 10) and
+# propagation caps 4; the exact values were captured before the slot tails
+# read the memoized mode blocks in place
+NESTED_GOLDEN = [
+    ("heisenberg", F(2), F(3), {(1,): F(1)}, {(1,): F(1)},
+     {(1,): F(2), (2,): F(1)}, {(1,): F(1), (1, 1): F(3)}, F(329, 108)),
+    ("heisenberg", F(1, 2), F(-1), {(2,): F(1), (1,): F(-3)}, {(1,): F(1)},
+     {(1,): F(2), (2,): F(1)}, {(1,): F(1), (1, 1): F(3)}, F(-2038, 27)),
+    ("heisenberg", F(-2), F(3, 4), {(1,): F(1)}, {(1, 1): F(1, 2)},
+     {(2, 1): F(3), (1,): F(2)}, {(2, 1): F(5), (3,): F(7)}, F(1873313, 92928)),
+    ("heisenberg", F(5), F(1, 3), {(1, 1): F(1, 2), (): F(2)}, {(2,): F(-1)},
+     {(): F(1), (1,): F(1)}, {(2,): F(1), (1, 1): F(1)}, F(-84282, 42875)),
+    ("heisenberg", F(7, 5), F(-5), {(1,): F(4)}, {(1,): F(1), (): F(1)},
+     {(3,): F(1)}, {(2, 1): F(1), (1,): F(1, 3)}, F(1572104, 1500625)),
+    ("virasoro", F(2), F(-1, 3), {(2,): F(1)}, {(2,): F(1)},
+     {(2,): F(1)}, {(2,): F(1), (): F(3)}, F(4424281, 153664)),
+    ("virasoro", F(3, 2), F(4), {(2,): F(2)}, {(): F(1), (2,): F(1)},
+     {(): F(1), (2,): F(1)}, {(3,): F(1)}, F(23975867, 2073600)),
+    ("fock", F(2), F(3), {(1,): F(1)}, {(1,): F(1)},
+     {(): F(1)}, {(1,): F(1)}, F(5, 12)),
+]
+
+
+def test_nested_propagation_golden():
+    modules = {"heisenberg": H, "virasoro": VIR, "fock": fock_module(H, F(1, 2))}
+    for name, x, y, u, v, w1, w2, want in NESTED_GOLDEN:
+        phi = identity_hom(modules[name], 10)
+        a = propagate_eval(propagate_block(phi, y, 4), v, x, [w1, u, w2])
+        b = propagate_eval(propagate_block(phi, x, 4), u, y, [w1, v, w2])
+        assert (a, b) == (want, want), (name, x, y)
+        assert type(a) is F and type(b) is F
+
+
+def memo_snapshot(*modules):
+    """Plain copies of the modules' mode-block memos."""
+    return [{key: {wl: dict(img) for wl, img in blk.items()}
+             for key, blk in m._blocks.items()} for m in modules]
+
+
+def assert_memo_matches_fresh(module, fresh):
+    """Every memoized block equals the block a fresh module computes."""
+    for (vl, h, wt), blk in module._blocks.items():
+        assert blk == fresh.mode_block(vl, h, wt), (vl, h, wt)
+
+
+class TestMemoIntegrity:
+    """Propagation, the block property check and identity_hom read the
+    memoized mode images in place; none of them may change the memo."""
+
+    def test_memo_unchanged(self):
+        hm = heisenberg_model()
+        w1 = {(1,): F(2), (2,): F(1)}
+        w2 = {(1,): F(1), (1, 1): F(3)}
+        g = RationalFunction(poly={1: F(2)}, poles={0: {1: F(-3)}})
+
+        def work():
+            phi = identity_hom(hm, 10)
+            py = propagate_block(phi, F(3), 4)
+            a = propagate_eval(py, (1,), F(2), [w1, {(1,): F(1)}, w2])
+            ok = block_property_check(phi, (2,), g, [w1, w2])
+            return phi.modules[1], (a, ok)
+
+        dual, first = work()
+        before = memo_snapshot(hm, dual)
+        dual_again, second = work()
+        # the second identity_hom builds its own contragredient; its memo
+        # must come out equal to the first one's
+        assert memo_snapshot(hm, dual) == before
+        assert memo_snapshot(dual_again) == before[1:]
+        assert first == second and first[1]
+        fresh = heisenberg_model()
+        assert_memo_matches_fresh(hm, fresh)
+        assert_memo_matches_fresh(dual, contragredient(fresh))
+
+    def test_mutating_evaluator_rejected(self):
+        hm = heisenberg_model()
+        dual = contragredient(hm)
+
+        def mutate(u, v):
+            u[(7,)] = F(1)
+            return F(0)
+
+        phi = BlockFunctional(SpherePoints([F(0), INFINITY]), [hm, dual], [6, 6], mutate)
+        with pytest.raises(TypeError):
+            propagate_eval(phi, (1,), F(2), [{(1,): F(1)}, {(1,): F(1)}])
+        assert hm._blocks
+        assert all((7,) not in img for blk in hm._blocks.values() for img in blk.values())
+        assert_memo_matches_fresh(hm, heisenberg_model())
 
 
 class TestBlockProperty:

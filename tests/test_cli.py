@@ -310,6 +310,24 @@ class TestMalformedInput:
             "seeds": 5}))
         self.check(capsys, "ode", "solve", "--matrix", str(fx), "--order", "1")
 
+    def test_fixture_nested_too_deeply(self, capsys, tmp_path):
+        # deeper than the JSON parser's recursion limit
+        fx = tmp_path / "deep.json"
+        fx.write_text('{"entries": ' + "[" * 100000 + "]" * 100000 + "}")
+        err = self.check(capsys, "ode", "solve", "--matrix", str(fx), "--order", "2")
+        assert f"fixture {fx}" in err
+
+    def test_error_echo_is_short(self, capsys, tmp_path):
+        # a wide and a deep bad value: the line names the fixture and the
+        # key and echoes only a short cut of the value
+        fx = tmp_path / "big.json"
+        for text in ('{"entries": {"x": ' + json.dumps(list(range(1000))) + "}}",
+                     '{"entries": ' + "[" * 500 + "]" * 500 + "}"):
+            fx.write_text(text)
+            err = self.check(capsys, "ode", "solve", "--matrix", str(fx), "--order", "2")
+            assert err.startswith(f"error: fixture {fx}: entries: not a")
+            assert len(err) < len(f"error: fixture {fx}: entries: not an object: ") + 70
+
     def continue_path(self, capsys, tmp_path, path_fixture):
         zero = {"num": "0", "den": "1"}
         fx = tmp_path / "mat.json"
