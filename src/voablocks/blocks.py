@@ -91,9 +91,6 @@ class SpherePoints:
     def __len__(self):
         return len(self.points)
 
-    def __getitem__(self, i):
-        return self.points[i]
-
     @property
     def finite(self):
         return [p for p in self.points if p is not INFINITY]
@@ -469,7 +466,8 @@ def hom_block(T: dict, w1: Module, w2: Module, cap: int) -> BlockFunctional:
 
 def identity_hom(module: Module, cap: int) -> BlockFunctional:
     """phi(u (x) v) = canonical pairing on W (x) W', from T = identity
-    (W2 is the contragredient, so T: W -> W2' = W'' is identity on labels)."""
+    (W2 = W', so T: W -> W2' = W is the identity on labels and the
+    intertwiner check reads W's own blocks)."""
     T = {label: {label: F1} for wt in range(cap + 1) for label in module.basis_at(wt)}
     return hom_block(T, module, contragredient(module), cap)
 

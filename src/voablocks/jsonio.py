@@ -206,7 +206,10 @@ def parse_poly(text: str, var: str | None = None) -> dict:
         vname = m.group("var")
         if coef is None and vname is None:
             raise ValueError(f"cannot parse polynomial near {_shown(text[pos:])}")
-        c = Fraction(coef) if coef else Fraction(1)
+        try:
+            c = Fraction(coef) if coef else Fraction(1)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in term {_shown(m.group(0).strip())}") from None
         if vname is None:
             k = 0
         else:

@@ -29,7 +29,11 @@ L_n of contragredients.
 A contragredient block is the transpose of base blocks under the twisted
 action Y_{W'}(v)_n = sum_m ((-1)^{wt v} / m!) Y_W(L_1^m v)^t at mode index
 -n - m - 2 + 2 wt(v).  The terms L_1^m v / m! come from ``exp_L1_terms``,
-which also serves the twist at infinity in the blocks module.
+which also serves the twist at infinity in the blocks module.  Each module
+has one contragredient, ``contragredient(W)``, built on first use and kept
+on W, so every caller shares one W' memo.  The contragredient is involutive,
+(W')' = W on the same labels (Frenkel-Huang-Lepowsky, sections 5.2-5.3), so
+``contragredient(W')`` is W itself and no double transpose is ever filled.
 
 Blocks and their images are stored as read-only mappings, so a caller that
 mutates a returned image cannot corrupt later results.
@@ -103,6 +107,7 @@ class Module:
 
     def __init__(self):
         self._blocks: dict = {}
+        self._dual: Module | None = None
 
     # -- subclass interface --------------------------------------------
 
@@ -316,6 +321,7 @@ class DualModule(Module):
     def __init__(self, base: Module):
         super().__init__()
         self.base = base
+        self._dual = base
         self.voa = base.voa
         self.delta = base.delta
         self.name = base.name + "'"
@@ -368,8 +374,12 @@ def virasoro_model(c) -> VirasoroVOA:
     return VirasoroVOA(c)
 
 
-def contragredient(module: Module) -> DualModule:
-    return DualModule(module)
+def contragredient(module: Module) -> Module:
+    """The contragredient W' of W: one per module, built on first use and
+    kept on W, so every caller reads the same W' memo.  (W')' is W itself."""
+    if module._dual is None:
+        module._dual = DualModule(module)
+    return module._dual
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,12 @@ Coefficients are ``fractions.Fraction`` in normal use, but any value
 supporting ring arithmetic (e.g. a TruncSeries in another variable) works;
 this is exercised when coordinate-change coefficients are themselves series.
 
-When every coefficient is rational, :func:`series_mul` and
-:meth:`TruncSeries.reciprocal` clear denominators once, work on Python
-integers and build one Fraction per output coefficient (the
-content/primitive-part technique of exact polynomial arithmetic); series
-coefficients take the generic loop.  Both paths give the same window and
-the same values.
+When every coefficient is rational, :func:`series_mul` clears
+denominators once, works on Python integers and builds one Fraction per
+output coefficient (the content/primitive-part technique of exact
+polynomial arithmetic); series coefficients take the generic loop, with
+the same window and the same values.  :meth:`TruncSeries.reciprocal` runs
+the same integer kernel and accepts rational coefficients only.
 """
 
 from __future__ import annotations
@@ -112,15 +112,6 @@ class TruncSeries:
         coeffs = [_ZERO] * order
         coeffs[0] = Fraction(value) if isinstance(value, int) else value
         return cls(var, 0, coeffs, order)
-
-    @classmethod
-    def identity(cls, var: str, order: int) -> "TruncSeries":
-        """The series x itself, truncated at ``order``."""
-        if order <= 1:
-            raise ValueError("identity needs order > 1")
-        coeffs = [_ZERO] * (order - 1)
-        coeffs[0] = Fraction(1)
-        return cls(var, 1, coeffs, order)
 
     @classmethod
     def from_coeff_map(cls, var: str, cmap: dict, order: int) -> "TruncSeries":
@@ -273,34 +264,26 @@ class TruncSeries:
         return TruncSeries.from_coeff_map(self.var, cmap, self.order - 1)
 
     def reciprocal(self) -> "TruncSeries":
-        """Multiplicative inverse 1/f for f with nonzero leading coefficient."""
+        """Multiplicative inverse 1/f for f with rational coefficients and a
+        nonzero leading coefficient; a coefficient that is not a rational
+        (a series in another variable) raises ValueError."""
         f = self.normalize()
         if not f.coeffs or not _nonzero(f.coeffs[0]):
             raise ZeroDivisionError("series has zero leading coefficient")
         v = f.floor
         rel = f.order - v  # number of known relative coefficients
-        a = f.coeffs
-        ints = _integer_form(a)
-        if ints is not None:
-            # f = x^v A(x) / d with A integral: C_n = A_0^{n+1} [x^n] 1/A
-            # satisfies C_0 = 1, C_n = -sum_{j=1..n} A_j C_{n-j} A_0^{j-1}
-            A, d = ints
-            p = [1, A[0]]  # powers of A_0
-            C = [1]
-            for n in range(1, rel):
-                C.append(-sum(A[j] * C[n - j] * p[j - 1] for j in range(1, n + 1) if A[j]))
-                p.append(p[-1] * A[0])
-            b = [Fraction(d * c, p[n + 1]) for n, c in enumerate(C)]
-            return TruncSeries(self.var, -v, b, -v + rel)
-        lead_inv = _inv(a[0])
-        b = [lead_inv]
+        ints = _integer_form(f.coeffs)
+        if ints is None:
+            raise ValueError("reciprocal needs rational coefficients")
+        # f = x^v A(x) / d with A integral: C_n = A_0^{n+1} [x^n] 1/A
+        # satisfies C_0 = 1, C_n = -sum_{j=1..n} A_j C_{n-j} A_0^{j-1}
+        A, d = ints
+        p = [1, A[0]]  # powers of A_0
+        C = [1]
         for n in range(1, rel):
-            s = _ZERO
-            for j in range(1, n + 1):
-                aj = a[j] if j < len(a) else _ZERO
-                if _nonzero(aj):
-                    s = s + aj * b[n - j]
-            b.append(-(s * lead_inv))
+            C.append(-sum(A[j] * C[n - j] * p[j - 1] for j in range(1, n + 1) if A[j]))
+            p.append(p[-1] * A[0])
+        b = [Fraction(d * c, p[n + 1]) for n, c in enumerate(C)]
         return TruncSeries(self.var, -v, b, -v + rel)
 
 
@@ -434,13 +417,6 @@ class BivarSeries:
             arr[r - floorA][s - floorB] = Fraction(c) if isinstance(c, int) else c
         return cls(variables, floorA, floorB, arr, orders)
 
-    def coeff(self, r: int, s: int):
-        if r >= self.orders[0] or s >= self.orders[1]:
-            raise IndexError("exponent beyond truncation orders")
-        if r < self.floorA or s < self.floorB:
-            return _ZERO
-        return self.coeffs[r - self.floorA][s - self.floorB]
-
     def monomials(self):
         """Yield (r, s, coeff) for the nonzero stored coefficients."""
         for i, row in enumerate(self.coeffs):
@@ -476,9 +452,6 @@ class QExpansion:
 
     def shift_offset(self, delta) -> "QExpansion":
         return QExpansion(self.offset + Fraction(delta), list(self.coeffs))
-
-    def scale(self, s) -> "QExpansion":
-        return QExpansion(self.offset, [c * s for c in self.coeffs])
 
     def __add__(self, other: "QExpansion") -> "QExpansion":
         if not isinstance(other, QExpansion):

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .blocks import BlockFunctional, gamma_twist, vertex_block
 from .graded import weight_of
-from .models import CapError, DualModule, Module
+from .models import CapError, DualModule, Module, contragredient
 from .series import BivarSeries, QExpansion, TruncSeries, series_mul
 
 __all__ = [
@@ -89,9 +89,12 @@ class SewnSeries:
 
 def sew(psi: SewableBlock, w_vecs, K: int | None = None) -> SewnSeries:
     """Evaluate the sewing series on the fixed outer insertions w_vecs:
-    coefficient n is psi(w (x) P(n)|> (x) <|), for n = 0..K."""
+    coefficient n is psi(w (x) P(n)|> (x) <|), for n = 0..K; K < 0 raises
+    ValueError."""
     if K is None:
         K = psi.K
+    if K < 0:
+        raise ValueError(f"order K = {K} must be >= 0")
     if K > psi.K:
         raise CapError(f"requested order {K} above the sewable cap {psi.K}")
     module = psi.module
@@ -119,7 +122,10 @@ def character_block(module: Module, K: int) -> SewableBlock:
 
 def torus_character(module: Module, v, K: int) -> SewnSeries:
     """Sigma_n tr_{M(n)} Y_M(v)_{wt v - 1} q^n (+ offset Delta_M in the
-    standard grading); for v = vacuum this is the graded character."""
+    standard grading); for v = vacuum this is the graded character.
+    K < 0 raises ValueError."""
+    if K < 0:
+        raise ValueError(f"order K = {K} must be >= 0")
     if isinstance(v, tuple):
         v = {v: F1}
     wts = {weight_of(l) for l in v}
@@ -167,7 +173,7 @@ def two_sided_identity_check(u, f: BivarSeries, module: Module, K: int) -> bool:
     """
     if isinstance(u, tuple):
         u = {u: F1}
-    mp = DualModule(module)
+    mp = contragredient(module)
     lhs = [dict() for _ in range(K + 1)]
     rhs = [dict() for _ in range(K + 1)]
 

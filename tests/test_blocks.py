@@ -459,14 +459,23 @@ class TestMemoIntegrity:
         dual, first = work()
         before = memo_snapshot(hm, dual)
         dual_again, second = work()
-        # the second identity_hom builds its own contragredient; its memo
-        # must come out equal to the first one's
+        # the second identity_hom reads the same contragredient, which is
+        # kept on hm; its memo must come out unchanged
         assert memo_snapshot(hm, dual) == before
         assert memo_snapshot(dual_again) == before[1:]
         assert first == second and first[1]
         fresh = heisenberg_model()
         assert_memo_matches_fresh(hm, fresh)
         assert_memo_matches_fresh(dual, contragredient(fresh))
+
+    def test_warm_identity_hom_fills_nothing(self):
+        hm = heisenberg_model()
+        first = identity_hom(hm, 10)
+        dual = contragredient(hm)
+        sizes = len(hm._blocks), len(dual._blocks)
+        second = identity_hom(hm, 10)
+        assert (len(hm._blocks), len(dual._blocks)) == sizes
+        assert second.modules[1] is first.modules[1] is dual
 
     def test_mutating_evaluator_rejected(self):
         hm = heisenberg_model()

@@ -293,6 +293,15 @@ class TestMalformedInput:
         self.check(capsys, "coord", "huang", "--model", "fock", "--mu", "1/0",
                    "--alpha", "2z")
 
+    @pytest.mark.parametrize("argv", [
+        ("uniformize", "--series", "1/0*z"),
+        ("schwarzian", "--series", "z+1/0*z^2"),
+        ("coord", "huang", "--alpha", "z+1/0*z^2"),
+    ], ids=["uniformize", "schwarzian", "huang"])
+    def test_poly_zero_denominator(self, capsys, argv):
+        err = self.check(capsys, *argv)
+        assert "1/0*z" in err
+
     def test_huang_negative_cap(self, capsys):
         self.check(capsys, "coord", "huang", "--alpha", "z + 1/2*z^2",
                    "--cap", "-1")

@@ -187,6 +187,13 @@ def test_laurent_reciprocal():
     assert [r.coeff(n) for n in (-2, -1, 0, 1)] == [1, -1, 1, -1]
 
 
+def test_reciprocal_rejects_series_coefficients():
+    # a z-series whose coefficients are x-series has no reciprocal here
+    xs = [TruncSeries("x", 0, [F(1), F(2)]), TruncSeries("x", 0, [F(3), F(0)])]
+    with pytest.raises(ValueError, match="rational coefficients"):
+        TruncSeries("z", 0, xs).reciprocal()
+
+
 def test_residue():
     s = TruncSeries.from_coeff_map("z", {-2: F(5), -1: F(7), 3: F(1)}, 4)
     assert series_residue(s) == 7

@@ -76,6 +76,11 @@ class TestCharacters:
         ch2 = normalize_character(torus_character(VIR, (), 6), VIR.c)
         assert ch2.offset == F(-1, 48)
 
+    def test_negative_order_rejected(self):
+        # fails closed naming K, not with an empty series
+        with pytest.raises(ValueError, match="order K = -1"):
+            torus_character(H, (), -1)
+
 
 class TestSew:
     def test_sew_equals_trace(self):
@@ -93,6 +98,11 @@ class TestSew:
         blk = character_block(H, 4)
         with pytest.raises(CapError):
             sew(blk, [{(): F(1)}], K=6)
+
+    def test_negative_order_rejected(self):
+        blk = character_block(H, 4)
+        with pytest.raises(ValueError, match="order K = -1"):
+            sew(blk, [{(): F(1)}], K=-1)
 
     def test_pairing_slots_validated(self):
         phi = identity_hom(H, 4)
