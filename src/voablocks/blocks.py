@@ -18,8 +18,10 @@ Propagation inserts one extra VOA vector varying over the sphere; its
 value at a rational point y is computed by assembling the Laurent tails of
 the propagated section at every marked point, gluing them into the unique
 global rational function, and evaluating at y.  At infinity the insertion
-is twisted by U(gamma_{1/w}) = e^{w^{-1} L_1} (-w^2)^{Ltilde0} and the
-1-form bookkeeping uses dzeta = -w^{-2} dw.
+is twisted by U(gamma_{1/w}) = e^{w^{-1} L_1} (-w^2)^{Ltilde0}, the
+``models.gamma_twist`` that also defines the contragredient action, and the
+1-form bookkeeping uses dzeta = -w^{-2} dw.  ``hom_block`` checks that its
+T: W1 -> W2' intertwines; ``identity_hom`` is the label pairing of W and W'.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .graded import vec_add_into, vec_is_zero, vec_max_weight, weight_of
-from .models import Module, contragredient, exp_L1_terms
+from .models import Module, contragredient, gamma_twist
 from .series import TruncSeries
 from .virasoro import gbinom
 
@@ -47,7 +49,6 @@ __all__ = [
     "identity_hom",
     "three_point_block",
     "vertex_block",
-    "gamma_twist",
     "propagate_eval",
     "propagate_block",
     "block_property_check",
@@ -411,11 +412,6 @@ class IntertwinerError(Exception):
         self.witness = {"v": v, "n": n, "label": label, "difference": diff}
 
 
-def _generator_checks(voa):
-    """Vectors whose modes generate all module modes."""
-    return [(1,)] if voa.gen_weight == 1 else [(2,)]
-
-
 def hom_block(T: dict, w1: Module, w2: Module, cap: int) -> BlockFunctional:
     """phi_T(u (x) v) = <T u, v> on (P^1; 0, infinity) for T: W1 -> W2'
     given by its columns (label of W1 -> dual vector over W2 labels).
@@ -424,7 +420,6 @@ def hom_block(T: dict, w1: Module, w2: Module, cap: int) -> BlockFunctional:
     field's modes within the cap, and failures raise IntertwinerError.
     The evaluator pairs in one pass, sum c t v[l2] over the columns of T,
     and only reads u and v, which may be read-only mappings."""
-    voa = w1.voa
     w2d = contragredient(w2)
 
     def apply_T(u: dict) -> dict:
@@ -435,20 +430,20 @@ def hom_block(T: dict, w1: Module, w2: Module, cap: int) -> BlockFunctional:
                 vec_add_into(out, col, c)
         return out
 
-    for v in _generator_checks(voa):
-        wt_v = weight_of(v)
-        for wt in range(cap + 1):
-            for label in w1.basis_at(wt):
-                col = [(l2, t, weight_of(l2)) for l2, t in T.get(label, {}).items()]
-                for n in range(wt_v + wt - 1 - cap, wt_v + wt):
-                    # T Y(v)_n label - Y'(v)_n T label, both read off the blocks
-                    diff = apply_T(w1.mode_block(v, n, wt).get(label, {}))
-                    for l2, t, wt2 in col:
-                        img = w2d.mode_block(v, n, wt2).get(l2)
-                        if img:
-                            vec_add_into(diff, img, -t)
-                    if not vec_is_zero(diff):
-                        raise IntertwinerError(v, n, label, diff)
+    wt_v = w1.voa.gen_weight
+    v = (wt_v,)
+    for wt in range(cap + 1):
+        for label in w1.basis_at(wt):
+            col = [(l2, t, weight_of(l2)) for l2, t in T.get(label, {}).items()]
+            for n in range(wt_v + wt - 1 - cap, wt_v + wt):
+                # T Y(v)_n label - Y'(v)_n T label, both read off the blocks
+                diff = apply_T(w1.mode_block(v, n, wt).get(label, {}))
+                for l2, t, wt2 in col:
+                    img = w2d.mode_block(v, n, wt2).get(l2)
+                    if img:
+                        vec_add_into(diff, img, -t)
+                if not vec_is_zero(diff):
+                    raise IntertwinerError(v, n, label, diff)
 
     def evaluate(u, v) -> Fraction:
         total = F0
@@ -465,11 +460,17 @@ def hom_block(T: dict, w1: Module, w2: Module, cap: int) -> BlockFunctional:
 
 
 def identity_hom(module: Module, cap: int) -> BlockFunctional:
-    """phi(u (x) v) = canonical pairing on W (x) W', from T = identity
-    (W2 = W', so T: W -> W2' = W is the identity on labels and the
-    intertwiner check reads W's own blocks)."""
-    T = {label: {label: F1} for wt in range(cap + 1) for label in module.basis_at(wt)}
-    return hom_block(T, module, contragredient(module), cap)
+    """phi(u (x) v) = <u, v>, the canonical pairing of W with W' on
+    (P^1; 0, infinity): dual-basis label matching over the labels of weight
+    <= cap.  This is ``hom_block`` for T = identity, which intertwines by the
+    definition of the contragredient action, so no check runs and no mode
+    block is filled."""
+
+    def evaluate(u, v) -> Fraction:
+        return sum((c * v[l] for l, c in u.items() if l in v and weight_of(l) <= cap), F0)
+
+    return BlockFunctional(SpherePoints([F0, INFINITY]), [module, contragredient(module)],
+                           [cap, cap], evaluate, name="hom")
 
 
 def _pair_dual(u: dict, up: dict) -> Fraction:
@@ -509,25 +510,6 @@ def vertex_block(module: Module, z0, cap: int) -> BlockFunctional:
         return three_point_block(module, v, z0, w, wp)
 
     return BlockFunctional(points, modules, [cap, cap, cap], evaluate, name="vertex")
-
-
-def gamma_twist(v, module) -> list:
-    """U(gamma_{1/w}) v = e^{w^{-1} L_1} (-w^2)^{Ltilde0} v on the VOA,
-    as a list of (w-exponent, vector) pairs: a Laurent polynomial in w
-    with VOA-vector coefficients."""
-    if isinstance(v, tuple):
-        v = {v: F1}
-    # (-w^2)^{Ltilde0}: the weight-k component picks up (-1)^k w^{2k}
-    by_exp: dict[int, dict] = {}
-    for label, c in v.items():
-        k = weight_of(label)
-        vec_add_into(by_exp.setdefault(2 * k, {}), {label: c * (-1) ** k})
-    # e^{w^{-1} L_1}: the term L_1^m / m! lowers the w-exponent by m
-    out: dict[int, dict] = {}
-    for e, vec in by_exp.items():
-        for m, term in exp_L1_terms(module.voa, vec):
-            vec_add_into(out.setdefault(e - m, {}), term)
-    return sorted((e, vec) for e, vec in out.items() if vec)
 
 
 def _mode_window(cap: int, wt_v: int, wt_w: int):

@@ -13,6 +13,9 @@ Fixtures and ``--c``/``--mu`` are decoded by ``jsonio``, one decoder per value t
 Output is JSON (schema "voa-blocks/1") or CSV where it makes sense; with
 a fixed configuration and seed, output bytes are identical across runs.
 Exit status: 0 on success, 1 on any failed check, 2 on bad input.
+
+``character --cap`` is at most ``CHARACTER_CAP_MAX`` (40): weight spaces
+grow like p(cap), so a larger cap exits 2 before any model is built.
 """
 
 from __future__ import annotations
@@ -39,6 +42,8 @@ from .sewing import normalize_character, torus_character
 from .virasoro import vir_bracket
 
 __all__ = ["main", "build_parser", "run_report"]
+
+CHARACTER_CAP_MAX = 40
 
 
 def _build_model(name, c=None, mu=None):
@@ -87,6 +92,8 @@ def _series_arg(text, order):
 def cmd_character(args):
     if args.cap <= 0:
         raise ValueError("--cap must be positive")
+    if args.cap > CHARACTER_CAP_MAX:
+        raise ValueError(f"--cap must be at most {CHARACTER_CAP_MAX}")
     module = _model_flags(args)
     s = torus_character(module, (), args.cap)
     q = s.standard

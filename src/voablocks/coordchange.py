@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .graded import vec_add_into, vec_is_zero, vec_max_weight, weight_of
+from .graded import vec_add_into, vec_is_zero, vec_max_weight, vec_scale_ltilde0, weight_of
 from .models import Module
 from .series import TruncSeries, _inv, _nonzero, series_comp_inverse
 from .virasoro import apply_exp_raising, gbinom
@@ -175,17 +175,13 @@ def U_inverse_apply(rho: CoordChange, w: dict, module: Module) -> dict:
     return U_apply_series(rho.inverse_series(W + 2), w, module)
 
 
-def _scale_ltilde0(s, w: dict) -> dict:
-    return {label: c * s ** weight_of(label) for label, c in w.items()}
-
-
 def gamma_relation_check(xi, w: dict, module: Module) -> bool:
     """U(gamma_xi) xi^{Ltilde0} w == xi^{-Ltilde0} U(gamma_1) w, exactly."""
     xi = Fraction(xi)
     W = vec_max_weight(w)
     order = W + 3
-    lhs = U_apply_series(gamma_series(xi, order), _scale_ltilde0(xi, w), module)
-    rhs = _scale_ltilde0(_inv(xi), U_apply_series(gamma_series(F1, order), w, module))
+    lhs = U_apply_series(gamma_series(xi, order), vec_scale_ltilde0(w, xi), module)
+    rhs = vec_scale_ltilde0(U_apply_series(gamma_series(F1, order), w, module), _inv(xi))
     diff = vec_add_into(dict(lhs), rhs, Fraction(-1))
     return vec_is_zero(diff)
 

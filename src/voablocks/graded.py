@@ -21,6 +21,7 @@ __all__ = [
     "weight_of",
     "vec_add_into",
     "vec_scale",
+    "vec_scale_ltilde0",
     "vec_weight_project",
     "vec_max_weight",
     "vec_is_zero",
@@ -47,6 +48,11 @@ def vec_add_into(dst: dict, src: dict, c=1) -> dict:
 
 def vec_scale(v: dict, c) -> dict:
     return {label: a * c for label, a in v.items()}
+
+
+def vec_scale_ltilde0(v: dict, s) -> dict:
+    """s^{Ltilde0} v: each label's coefficient times s to its weight."""
+    return {label: a * s ** weight_of(label) for label, a in v.items()}
 
 
 def vec_weight_project(v: dict, n: int) -> dict:

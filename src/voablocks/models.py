@@ -26,14 +26,16 @@ also give L_n per label, by PBW resp. the Sugawara form; ``Module.L_apply``,
 Y(conformal vector)_{n+1} through the blocks, stays the reference and the
 L_n of contragredients.
 
-A contragredient block is the transpose of base blocks under the twisted
-action Y_{W'}(v)_n = sum_m ((-1)^{wt v} / m!) Y_W(L_1^m v)^t at mode index
--n - m - 2 + 2 wt(v).  The terms L_1^m v / m! come from ``exp_L1_terms``,
-which also serves the twist at infinity in the blocks module.  Each module
-has one contragredient, ``contragredient(W)``, built on first use and kept
-on W, so every caller shares one W' memo.  The contragredient is involutive,
-(W')' = W on the same labels (Frenkel-Huang-Lepowsky, sections 5.2-5.3), so
-``contragredient(W')`` is W itself and no double transpose is ever filled.
+A contragredient block is the transpose of base blocks through the twist
+U(gamma_{1/w}) = e^{w^{-1} L_1} (-w^2)^{Ltilde0} (Frenkel-Huang-Lepowsky,
+sections 5.2-5.3): a term c u w^e of U(gamma_{1/w}) v adds c Y_W(u)_k^t
+with k = e - n - 2 to Y_{W'}(v)_n.  ``gamma_twist`` builds the twist as
+(w-exponent, vector) terms; it is the one place that applies L_1, and the
+blocks module reuses it at infinity.  Each module has one contragredient,
+``contragredient(W)``, built on first use and kept on W, so every caller
+shares one W' memo.  The contragredient is involutive, (W')' = W on the
+same labels, so ``contragredient(W')`` is W itself and no double transpose
+is ever filled.
 
 Blocks and their images are stored as read-only mappings, so a caller that
 mutates a returned image cannot corrupt later results.
@@ -45,8 +47,8 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .graded import vec_add_into, vec_is_zero, vec_max_weight, vec_scale, weight_of
-from .virasoro import gbinom, vir_bracket
+from .graded import vec_add_into, vec_is_zero, vec_max_weight, vec_scale_ltilde0, weight_of
+from .virasoro import exp_terms, gbinom, vir_bracket
 
 __all__ = [
     "partitions",
@@ -61,7 +63,7 @@ __all__ = [
     "fock_module",
     "virasoro_model",
     "contragredient",
-    "exp_L1_terms",
+    "gamma_twist",
     "ModeOperator",
     "mode_matrix",
     "JacobiReport",
@@ -151,8 +153,6 @@ class Module:
         # first sum: g_{j-l} u_{h+l}, dies once u_{h+l} hits weight < 0
         for l in range(0, weight_of(rest) + wt - h):
             b = gbinom(j, l)
-            if b == 0:
-                continue
             coef = Fraction(-b if l % 2 else b)
             for wl, t in self.mode_block(rest, h + l, wt).items():
                 for tl, tc in t.items():
@@ -160,8 +160,6 @@ class Module:
         # second sum: u_{j+h-l} g_l, dies once g_l hits weight < 0
         for l in range(0, self.voa.gen_weight + wt):
             b = gbinom(j, l)
-            if b == 0:
-                continue
             blk = self.mode_block(rest, j + h - l, wt + self.voa.gen_weight - 1 - l)
             if not blk:
                 continue
@@ -315,8 +313,8 @@ class VirasoroVOA(VOAModel):
 
 
 class DualModule(Module):
-    """Contragredient module on the same labels, modes via the finite
-    L_1-twisted transpose sum."""
+    """Contragredient module on the same labels, modes via the transpose
+    through the finite twist ``gamma_twist``."""
 
     def __init__(self, base: Module):
         super().__init__()
@@ -330,32 +328,38 @@ class DualModule(Module):
         return self.base.basis_at(n)
 
     def _block(self, vl: tuple, h: int, wt: int) -> dict:
-        """Transpose of base blocks over the L_1 twist; every term m reads
-        the base block of the same source weight wt + wt(v) - h - 1."""
-        wtv = weight_of(vl)
-        sign = Fraction(-1 if wtv % 2 else 1)
-        src = wt + wtv - h - 1
+        """Transpose of base blocks through U(gamma_{1/w}): the twist term at
+        w^e reads the base block at mode e - h - 2 and source weight
+        wt + wt(v) - h - 1; L_1^0 v first, which fixes the images' key order."""
+        src = wt + weight_of(vl) - h - 1
         res: dict = {wl: {} for wl in self.basis_at(wt)}
         if src >= 0:
-            for m, lv in exp_L1_terms(self.voa, {vl: F1}):
-                k = -h - m - 2 + 2 * wtv
+            for e, lv in reversed(gamma_twist(vl, self)):
                 for ul, uc in lv.items():
-                    for wl2, img in self.base.mode_block(ul, k, src).items():
+                    for wl2, img in self.base.mode_block(ul, e - h - 2, src).items():
                         for wl, c in img.items():
-                            vec_add_into(res[wl], {wl2: c}, sign * uc)
+                            vec_add_into(res[wl], {wl2: c}, uc)
         return res
 
 
-def exp_L1_terms(voa: VOAModel, v: dict) -> list:
-    """The terms (m, L_1^m v / m!) of e^{L_1} v for m = 0, 1, ... while
-    nonzero; the sum is finite because L_1 lowers the weight by one."""
-    terms = []
-    m = 0
-    while v:
-        terms.append((m, v))
-        m += 1
-        v = vec_scale(voa.L_apply(1, v), Fraction(1, m))
-    return terms
+def gamma_twist(v, module: Module) -> list:
+    """U(gamma_{1/w}) v = e^{w^{-1} L_1} (-w^2)^{Ltilde0} v on the VOA of
+    ``module``, as a sorted list of (w-exponent, vector) pairs: a Laurent
+    polynomial in w with VOA-vector coefficients.  The sum is finite because
+    L_1 lowers the weight by one."""
+    if isinstance(v, tuple):
+        v = {v: F1}
+    voa = module.voa
+    # (-w^2)^{Ltilde0}: the weight-k part picks up (-1)^k and sits at w^{2k}
+    parts: dict[int, dict] = {}
+    for label, c in vec_scale_ltilde0(v, -F1).items():
+        parts.setdefault(weight_of(label), {})[label] = c
+    # e^{w^{-1} L_1}: the term L_1^m / m! lowers the w-exponent by m
+    out: dict[int, dict] = {}
+    for k, part in parts.items():
+        for m, term in enumerate(exp_terms(lambda x: voa.L_apply(1, x), part)):
+            vec_add_into(out.setdefault(2 * k - m, {}), term)
+    return sorted((e, vec) for e, vec in out.items() if vec)
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .blocks import BlockFunctional, gamma_twist, vertex_block
-from .graded import weight_of
-from .models import CapError, DualModule, Module, contragredient
+from .blocks import BlockFunctional, vertex_block
+from .graded import vec_add_into, weight_of
+from .models import CapError, DualModule, Module, contragredient, gamma_twist
 from .series import BivarSeries, QExpansion, TruncSeries, series_mul
 
 __all__ = [
@@ -152,17 +152,6 @@ def normalize_character(s: SewnSeries, c) -> QExpansion:
 # the two-sided residue identity
 
 
-def _tensor_add(dst: dict, lm: tuple, rvec: dict, c, side: str):
-    for l2, a in rvec.items():
-        key = (lm, l2) if side == "right" else (l2, lm)
-        v = dst.get(key, F0) + c * a
-        if v:
-            dst[key] = v
-        elif key in dst:
-            del dst[key]
-    return dst
-
-
 def two_sided_identity_check(u, f: BivarSeries, module: Module, K: int) -> bool:
     """Both residues of the moved vertex insertion against the dual-basis
     sum, as elements of (M (x) M')[[q]] to order K; exact equality.
@@ -174,18 +163,18 @@ def two_sided_identity_check(u, f: BivarSeries, module: Module, K: int) -> bool:
     if isinstance(u, tuple):
         u = {u: F1}
     mp = contragredient(module)
+    # per q-power, vectors keyed by (M label, M' label) pairs
     lhs = [dict() for _ in range(K + 1)]
     rhs = [dict() for _ in range(K + 1)]
 
     for (r, s, frs) in f.monomials():
-        if not frs:
-            continue
         # left: mode k = wt(u') - 1 + r - s on M(n), q-power n + s
         for ul, uc in u.items():
             k = weight_of(ul) - 1 + r - s
             for n in range(0, K + 1 - s):
                 for label, img in module.mode_block(ul, k, n).items():
-                    _tensor_add(lhs[n + s], label, img, frs * uc, "left")
+                    vec_add_into(lhs[n + s], {(l2, label): a for l2, a in img.items()},
+                                 frs * uc)
         # right: u twisted by U(gamma_1), mode k = wt - 1 + s - r on M'(n),
         # q-power n + r
         for _, vec in gamma_twist(u, module):
@@ -193,7 +182,8 @@ def two_sided_identity_check(u, f: BivarSeries, module: Module, K: int) -> bool:
                 k = weight_of(ul) - 1 + s - r
                 for n in range(0, K + 1 - r):
                     for label, img in mp.mode_block(ul, k, n).items():
-                        _tensor_add(rhs[n + r], label, img, frs * uc, "right")
+                        vec_add_into(rhs[n + r], {(label, l2): a for l2, a in img.items()},
+                                     frs * uc)
     return lhs == rhs
 
 

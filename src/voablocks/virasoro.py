@@ -5,17 +5,18 @@
 with central charge c.  ``apply_exp_raising`` realizes the coordinate-change
 representation factor c0^{Ltilde0} exp(sum_{n>0} c_n L_n) on any module that
 provides an ``L_apply(n, vec)`` action; the exponential is a finite sum
-because L_n with n > 0 lowers the grading weight by n.
+because L_n with n > 0 lowers the grading weight by n.  ``exp_terms`` is the
+one X^k w / k! loop; it also builds the e^{L_1} of ``models.gamma_twist``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .graded import vec_add_into, vec_scale, weight_of
+from .graded import vec_add_into, vec_scale, vec_scale_ltilde0
 from .series import _is_scalar
 
-__all__ = ["vir_bracket", "apply_exp_raising", "gbinom"]
+__all__ = ["vir_bracket", "exp_terms", "apply_exp_raising", "gbinom"]
 
 
 def vir_bracket(m: int, n: int, c) -> tuple[int, Fraction]:
@@ -36,6 +37,19 @@ def gbinom(j: int, l: int) -> int:
     return num
 
 
+def exp_terms(step, w: dict) -> list:
+    """The terms X^k w / k! of e^X w for k = 0, 1, ... while nonzero, with X
+    given as ``step(vec) -> X vec``.  Exact zeros are dropped, so the list is
+    finite whenever X lowers the grading weight."""
+    terms = []
+    k = 0
+    while w:
+        terms.append(w)
+        k += 1
+        w = {label: c for label, c in vec_scale(step(w), Fraction(1, k)).items() if c}
+    return terms
+
+
 def apply_exp_raising(coeffs, c0, w: dict, module) -> dict:
     """c0^{Ltilde0} . exp(sum_{k>=1} coeffs[k-1] L_k) . w on a graded module.
 
@@ -45,19 +59,15 @@ def apply_exp_raising(coeffs, c0, w: dict, module) -> dict:
     """
     if _is_scalar(c0) and c0 == 0:
         raise ValueError("c0 = 0 is not a coordinate change")
-    out = dict(w)
-    term = dict(w)
-    k = 0
-    while term:
-        k += 1
-        nxt: dict = {}
+
+    def raising(vec: dict) -> dict:
+        out: dict = {}
         for i, ci in enumerate(coeffs, start=1):
-            if _is_scalar(ci) and ci == 0:
-                continue
-            vec_add_into(nxt, module.L_apply(i, term), ci)
-        term = vec_scale(nxt, Fraction(1, k))
-        # drop exact zeros so the weight-lowering loop terminates
-        term = {lab: c for lab, c in term.items() if c}
-        if term:
-            vec_add_into(out, term)
-    return {label: a * c0 ** weight_of(label) for label, a in out.items()}
+            if not (_is_scalar(ci) and ci == 0):
+                vec_add_into(out, module.L_apply(i, vec), ci)
+        return out
+
+    out = dict(w)
+    for term in exp_terms(raising, w)[1:]:
+        vec_add_into(out, term)
+    return vec_scale_ltilde0(out, c0)

@@ -10,13 +10,13 @@ from hypothesis import given, settings, strategies as st
 from voablocks.blocks import (INFINITY, BlockFunctional, IntertwinerError,
                               RationalFunction, SpherePoints,
                               UnderdeterminedCap, block_property_check,
-                              gamma_twist, global_form_tails, hom_block,
+                              global_form_tails, hom_block,
                               identity_hom, propagate_block, propagate_eval,
                               rational_glue, residue_pairing,
                               strong_residue_check, three_point_block,
                               vertex_block)
-from voablocks.models import (contragredient, fock_module, heisenberg_model,
-                              virasoro_model)
+from voablocks.models import (contragredient, fock_module, gamma_twist,
+                              heisenberg_model, virasoro_model)
 from voablocks.series import TruncSeries
 
 H = heisenberg_model()
@@ -476,6 +476,17 @@ class TestMemoIntegrity:
         second = identity_hom(hm, 10)
         assert (len(hm._blocks), len(dual._blocks)) == sizes
         assert second.modules[1] is first.modules[1] is dual
+
+    def test_identity_hom_fills_no_block(self):
+        # the canonical pairing needs no mode: a fresh module stays empty
+        hm = heisenberg_model()
+        phi = identity_hom(hm, 10)
+        assert (hm._blocks, contragredient(hm)._blocks) == ({}, {})
+        u = {(4, 3, 2, 1): F(2), (1,): F(-3), (11,): F(5)}
+        v = {(4, 3, 2, 1): F(7), (2,): F(1), (11,): F(4)}
+        # labels above the cap pair to 0
+        assert phi(u, v) == 14
+        assert phi({(6, 5): F(1)}, {(6, 5): F(1)}) == 0
 
     def test_mutating_evaluator_rejected(self):
         hm = heisenberg_model()

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from voablocks.cli import main, run_report
+from voablocks.cli import CHARACTER_CAP_MAX, main, run_report
 from voablocks.jsonio import dumps
 
 
@@ -38,6 +38,12 @@ class TestCharacter:
                         "--cap", "3", "--format", "csv")
         assert code == 0
         assert out.splitlines() == ["n,coeff", "0,1", "1,1", "2,2", "3,3"]
+
+    def test_cap_at_ceiling_runs(self, capsys):
+        code, out = run(capsys, "character", "--model", "virasoro",
+                        "--cap", str(CHARACTER_CAP_MAX))
+        assert code == 0
+        assert len(json.loads(out)["character"]["coeffs"]) == CHARACTER_CAP_MAX + 1
 
     def test_bad_cap_is_config_error(self, capsys):
         code, _ = run(capsys, "character", "--model", "heisenberg",
@@ -284,6 +290,13 @@ class TestMalformedInput:
         fx = tmp_path / "bad_ode.json"
         fx.write_text(json.dumps({"entries": [["x"]]}))
         self.check(capsys, "ode", "solve", "--matrix", str(fx), "--order", "3")
+
+    @pytest.mark.parametrize("cap", [CHARACTER_CAP_MAX + 1, 10 ** 11],
+                             ids=["ceiling+1", "1e11"])
+    def test_character_cap_above_ceiling(self, capsys, cap):
+        err = self.check(capsys, "character", "--model", "heisenberg",
+                         "--cap", str(cap))
+        assert str(CHARACTER_CAP_MAX) in err
 
     def test_character_zero_denominator_c(self, capsys):
         self.check(capsys, "character", "--model", "virasoro", "--c", "1/0",

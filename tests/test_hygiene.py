@@ -26,6 +26,7 @@ def test_all_names_resolve(name):
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+    # -W error: the pytest warning filter does not reach a child interpreter
+    proc = subprocess.run([sys.executable, "-W", "error", str(demo)], cwd=ROOT, env=env,
                           capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()

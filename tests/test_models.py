@@ -7,7 +7,7 @@ import pytest
 
 from voablocks.graded import vec_add_into, vec_is_zero, weight_of
 from voablocks.models import (CapError, DualModule, Module, contragredient,
-                              exp_L1_terms, fock_module, heisenberg_model, jacobi_check,
+                              fock_module, gamma_twist, heisenberg_model, jacobi_check,
                               mode_matrix, virasoro_model)
 
 H = heisenberg_model()
@@ -145,16 +145,45 @@ def test_fock_zero_mode():
 
 
 @pytest.mark.parametrize("voa", MODELS, ids=["heisenberg", "virasoro"])
-def test_exp_L1_terms_match_conformal_mode(voa):
-    # oracle: L_1 = Y(conformal vector)_2 through the generic Jacobi recursion
+def test_gamma_twist_matches_conformal_mode(voa):
+    # oracle: L_1 = Y(conformal vector)_2 through the generic Jacobi recursion;
+    # the term L_1^m v / m! of the twist sits at w^{2 wt(v) - m} with the
+    # sign (-1)^{wt v}
     for wt in range(7):
         for label in voa.basis_at(wt):
-            want = {label: F(1)}
-            for m, term in exp_L1_terms(voa, {label: F(1)}):
-                assert term == want, (label, m)
+            sign = (-1) ** wt
+            want = {label: F(sign)}
+            for m, (e, term) in enumerate(reversed(gamma_twist(label, voa))):
+                assert (e, term) == (2 * wt - m, want), (label, m)
                 want = {k: c / (m + 1) for k, c in
                         voa.mode_apply(voa.conformal_vector, 2, want).items()}
             assert want == {}, label
+
+
+def test_every_value_is_a_fraction():
+    # exactness: blocks, mode images, L_n and the twist hold Fractions only,
+    # never ints or floats, on the VOAs, a Fock module and the contragredients
+    H0 = heisenberg_model()
+    modules = [H0, fock_module(H0, F(1, 2)), virasoro_model(F(-22, 5))]
+    modules += [contragredient(M) for M in modules]
+    values = []
+    for M in modules:
+        for wt_v in range(4):
+            for vl in M.voa.basis_at(wt_v):
+                values += [c for _, vec in gamma_twist(vl, M) for c in vec.values()]
+                for wt in range(5):
+                    # the modes whose images land in weights 0..4
+                    for n in range(wt_v + wt - 5, wt_v + wt):
+                        for img in M.mode_block(vl, n, wt).values():
+                            values += img.values()
+                        for wl in M.basis_at(wt):
+                            values += M.mode_apply(vl, n, {wl: F(1)}).values()
+        for wt in range(5):
+            for wl in M.basis_at(wt):
+                for n in range(-2, 3):
+                    values += M.L_apply(n, {wl: F(1)}).values()
+    assert len(values) > 1000
+    assert [c for c in values if type(c) is not F] == []
 
 
 def test_memo_caches_are_read_only():

@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from voablocks.blocks import identity_hom, propagate_block
 from voablocks.models import (CapError, contragredient, fock_module,
@@ -185,3 +185,40 @@ class TestOdeWitness:
         ch2 = torus_character(fock_module(H, F(1, 2)), (), 6)
         with pytest.raises(ValueError, match="mixed offsets"):
             sewn_ode_witness([ch1.standard, ch2.standard], 6)
+
+
+def sigma1(n):
+    """Sum of the divisors of n, by a plain divisor loop."""
+    return sum(d for d in range(1, n + 1) if n % d == 0)
+
+
+class TestGenusOneOde:
+    """The sewn ODE of a character against Euler's identity
+    n p(n) = sum_k sigma_1(k) p(n-k): the normalized Fock character
+    prod_{n>=1} (1-q^n)^{-1} has log-derivative sum sigma_1(n) q^n, the
+    Virasoro one prod_{n>=2} (1-q^n)^{-1} loses the divisor 1 of every n,
+    and the standard grading adds Delta to the constant term.  The oracle
+    reads no character the library computes."""
+
+    K = 12
+
+    def diagonal(self, module):
+        A = sewn_ode_witness([torus_character(module, (), self.K)], self.K)
+        return [m[0][0] for m in A]
+
+    @settings(max_examples=10, derandomize=True, deadline=None)
+    @given(st.builds(F, st.integers(-9, 9), st.integers(1, 6)))
+    @example(F(0))
+    @example(F(2, 3))
+    @example(F(-5, 2))
+    def test_fock(self, mu):
+        want = [mu * mu / 2] + [F(sigma1(n)) for n in range(1, self.K + 1)]
+        assert self.diagonal(fock_module(H, mu)) == want
+
+    @settings(max_examples=10, derandomize=True, deadline=None)
+    @given(st.builds(F, st.integers(-30, 30), st.integers(1, 6)))
+    @example(F(1, 2))
+    @example(F(-22, 5))
+    def test_virasoro(self, c):
+        want = [F(0)] + [F(sigma1(n) - 1) for n in range(1, self.K + 1)]
+        assert self.diagonal(virasoro_model(c)) == want
