@@ -16,6 +16,10 @@ Exit status: 0 on success, 1 on any failed check, 2 on bad input.
 
 ``character --cap`` is at most ``CHARACTER_CAP_MAX`` (40): weight spaces
 grow like p(cap), so a larger cap exits 2 before any model is built.
+``--order`` of ``coord extract``, ``schwarzian`` and ``uniformize`` is at
+most ``SERIES_ORDER_MAX`` (100): ``coord extract`` takes seconds there and
+its cost grows about as order^3, so a larger order exits 2 before the
+series is built.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from .virasoro import vir_bracket
 __all__ = ["main", "build_parser", "run_report"]
 
 CHARACTER_CAP_MAX = 40
+SERIES_ORDER_MAX = 100
 
 
 def _build_model(name, c=None, mu=None):
@@ -80,6 +85,8 @@ def _emit(args, payload, csv_rows=None) -> None:
 
 
 def _series_arg(text, order):
+    if order > SERIES_ORDER_MAX:
+        raise ValueError(f"--order must be at most {SERIES_ORDER_MAX}")
     m = re.search(r"[A-Za-z]\w*", text)
     var = m.group(0) if m else "z"
     return poly_series(parse_poly(text, var), var, order)

@@ -19,7 +19,11 @@ rewrites a block of v through generator modes and blocks of the shorter u:
     Y_W(Y(g)_j u)_h = sum_l (-1)^l C(j,l) g_{j-l} u_{h+l}
                     - sum_l (-1)^{l+j} C(j,l) u_{j+h-l} g_l
 
-Both sums terminate because modes kill everything below weight 0.
+Both sums terminate because modes kill everything below weight 0.  A block
+is summed as integer numerators over one common denominator, which grows to
+an lcm only when a term needs it, and its entries become Fractions once, at
+the end of the fill (the common-denominator representation of exact
+polynomial arithmetic, as in ``series.series_mul``).
 Generator modes act directly: alpha_k by exact bracket algebra on partition
 labels, L_k by PBW straightening through the Virasoro bracket.  The models
 also give L_n per label, by PBW resp. the Sugawara form; ``Module.L_apply``,
@@ -45,6 +49,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from types import MappingProxyType
 
 from .graded import vec_add_into, vec_is_zero, vec_max_weight, vec_scale_ltilde0, weight_of
@@ -93,6 +98,17 @@ def partitions(n: int, min_part: int = 1, max_part: int | None = None) -> tuple:
 
 class CapError(Exception):
     """A computed vector needs weights above the requested cap."""
+
+
+def _rescale(nums: dict, den: int, d: int) -> int:
+    """Bring the integer images ``nums`` (over ``den``) onto lcm(den, d);
+    returns the new common denominator."""
+    new = lcm(den, d)
+    s = new // den
+    for img in nums.values():
+        for k in img:
+            img[k] *= s
+    return new
 
 
 class Module:
@@ -145,31 +161,62 @@ class Module:
         return blk
 
     def _block(self, vl: tuple, h: int, wt: int) -> dict:
-        """The block as {label: image}, by the Jacobi recursion."""
+        """The block as {label: image}, by the Jacobi recursion.
+
+        The images are summed as integer numerators over one running common
+        denominator ``den`` of the block: a term b a g (b the integer binomial
+        with its sign, a and g rationals) adds b a.numerator g.numerator
+        scaled to ``den``, and ``den`` grows to an lcm, rescaling the stored
+        numerators, only when a term's denominator does not divide it.  An
+        entry whose sum reaches 0 is removed, as ``vec_add_into`` does, so
+        the images keep its key order.  One Fraction is built per entry."""
         res: dict = {wl: {} for wl in self.basis_at(wt)}
         if not vl:
             return {wl: {wl: F1} for wl in res} if h == -1 else res
         j, rest = self.voa.peel(vl)
+        gen_apply = self.gen_apply
+        den = 1
         # first sum: g_{j-l} u_{h+l}, dies once u_{h+l} hits weight < 0
         for l in range(0, weight_of(rest) + wt - h):
             b = gbinom(j, l)
-            coef = Fraction(-b if l % 2 else b)
+            coef = -b if l % 2 else b
             for wl, t in self.mode_block(rest, h + l, wt).items():
+                img = res[wl]
                 for tl, tc in t.items():
-                    vec_add_into(res[wl], self.gen_apply(j - l, tl), coef * tc)
+                    tn, td = coef * tc.numerator, tc.denominator
+                    for gl, gc in gen_apply(j - l, tl).items():
+                        d = td * gc.denominator
+                        if den % d:
+                            den = _rescale(res, den, d)
+                        s = img.get(gl, 0) + tn * gc.numerator * (den // d)
+                        if s:
+                            img[gl] = s
+                        else:
+                            img.pop(gl, None)
         # second sum: u_{j+h-l} g_l, dies once g_l hits weight < 0
         for l in range(0, self.voa.gen_weight + wt):
             b = gbinom(j, l)
             blk = self.mode_block(rest, j + h - l, wt + self.voa.gen_weight - 1 - l)
             if not blk:
                 continue
-            coef = Fraction(b if (l + j) % 2 else -b)
+            coef = b if (l + j) % 2 else -b
             for wl, img in res.items():
-                for gl, gc in self.gen_apply(l, wl).items():
+                for gl, gc in gen_apply(l, wl).items():
                     t = blk.get(gl)
                     if t:
-                        vec_add_into(img, t, coef * gc)
-        return res
+                        gn, gd = coef * gc.numerator, gc.denominator
+                        for tl, tc in t.items():
+                            d = gd * tc.denominator
+                            if den % d:
+                                den = _rescale(res, den, d)
+                            s = img.get(tl, 0) + gn * tc.numerator * (den // d)
+                            if s:
+                                img[tl] = s
+                            else:
+                                img.pop(tl, None)
+        if den == 1:  # integer blocks (the Heisenberg VOA): Fraction(n) skips the gcd
+            return {wl: {k: Fraction(n) for k, n in img.items()} for wl, img in res.items()}
+        return {wl: {k: Fraction(n, den) for k, n in img.items()} for wl, img in res.items()}
 
     def L_apply(self, n: int, w: dict) -> dict:
         """L_n = Y_W(conformal vector)_{n+1}."""
@@ -421,9 +468,9 @@ def mode_matrix(module: Module, v, n: int, cap: int) -> ModeOperator:
     columns = {}
     for wt in range(cap + 1):
         for wl in module.basis_at(wt):
-            img = module.mode_apply(v, n, {wl: F1})
+            img = module.mode_apply(v, n, {wl: F1})  # exact zeros already dropped
             over = vec_max_weight(img)
-            if over > cap and not vec_is_zero({l: c for l, c in img.items() if weight_of(l) > cap}):
+            if over > cap:
                 raise CapError(
                     f"mode image needs weight {over} > cap {cap} (source {wl}, mode {n})")
             columns[wl] = img

@@ -28,7 +28,7 @@ from fractions import Fraction
 from .blocks import BlockFunctional, vertex_block
 from .graded import vec_add_into, weight_of
 from .models import CapError, DualModule, Module, contragredient, gamma_twist
-from .series import BivarSeries, QExpansion, TruncSeries, series_mul
+from .series import BivarSeries, QExpansion, TruncSeries, _integer_form, series_mul
 
 __all__ = [
     "SewableBlock",
@@ -123,7 +123,8 @@ def character_block(module: Module, K: int) -> SewableBlock:
 def torus_character(module: Module, v, K: int) -> SewnSeries:
     """Sigma_n tr_{M(n)} Y_M(v)_{wt v - 1} q^n (+ offset Delta_M in the
     standard grading); for v = vacuum this is the graded character.
-    K < 0 raises ValueError."""
+    Each trace sums the diagonal of a memoized weight block on integer
+    numerators over one common denominator.  K < 0 raises ValueError."""
     if K < 0:
         raise ValueError(f"order K = {K} must be >= 0")
     if isinstance(v, tuple):
@@ -136,8 +137,10 @@ def torus_character(module: Module, v, K: int) -> SewnSeries:
     for n in range(K + 1):
         tr = F0
         for vl, vc in v.items():
-            for label, img in module.mode_block(vl, h, n).items():
-                tr += vc * img.get(label, F0)
+            # the block's diagonal, summed on integer numerators
+            nums, den = _integer_form([img[label] for label, img in
+                                       module.mode_block(vl, h, n).items() if label in img])
+            tr += vc * Fraction(sum(nums), den)
         coeffs.append(tr)
     return SewnSeries(coeffs, module.delta)
 

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from voablocks.cli import CHARACTER_CAP_MAX, main, run_report
+from voablocks.cli import CHARACTER_CAP_MAX, SERIES_ORDER_MAX, main, run_report
 from voablocks.jsonio import dumps
 
 
@@ -115,6 +115,13 @@ def test_schwarzian_golden(capsys):
     s = json.loads(out)["series"]
     assert int(s["coeffs"][0]["num"]) == 6
     assert int(s["coeffs"][2]["num"]) == -72
+
+
+def test_series_order_at_ceiling_runs(capsys):
+    code, out = run(capsys, "schwarzian", "--series", "z + z^2",
+                    "--order", str(SERIES_ORDER_MAX))
+    assert code == 0
+    assert json.loads(out)["series"]["order"] == SERIES_ORDER_MAX - 3
 
 
 def test_uniformize_roundtrip(capsys):
@@ -297,6 +304,14 @@ class TestMalformedInput:
         err = self.check(capsys, "character", "--model", "heisenberg",
                          "--cap", str(cap))
         assert str(CHARACTER_CAP_MAX) in err
+
+    @pytest.mark.parametrize("order", [SERIES_ORDER_MAX + 1, 10 ** 11],
+                             ids=["ceiling+1", "1e11"])
+    @pytest.mark.parametrize("command", [("coord", "extract"), ("schwarzian",),
+                                         ("uniformize",)], ids=" ".join)
+    def test_series_order_above_ceiling(self, capsys, command, order):
+        err = self.check(capsys, *command, "--series", "z+z^2", "--order", str(order))
+        assert str(SERIES_ORDER_MAX) in err
 
     def test_character_zero_denominator_c(self, capsys):
         self.check(capsys, "character", "--model", "virasoro", "--c", "1/0",

@@ -1,9 +1,11 @@
 """VOA models: axioms, Virasoro bracket on mode matrices, duals."""
 
+import hashlib
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from voablocks.graded import vec_add_into, vec_is_zero, weight_of
 from voablocks.models import (CapError, DualModule, Module, contragredient,
@@ -250,3 +252,62 @@ def test_dual_block_is_twisted_transpose(M, labels):
             for h in range(wtv - 3, wtv + d + 1):
                 got = {wl: dict(img) for wl, img in Md.mode_block(vl, h, d).items()}
                 assert got == twisted_transpose(M, vl, h, d), (vl, h, d)
+
+
+# sha256 of ``block_golden_text()``, captured before the weight blocks were
+# summed on integer numerators: same entries, key order and value types
+BLOCK_GOLDEN = "32703ffcd8a23b1d6b5d4fa2e7991017f1cbd97d1199a35e05e4fd2b16020e1a"
+
+
+def block_golden_text():
+    """One line per mode_block: module, VOA label of weight <= 4, mode -3..5,
+    source weight 0..5, then every image as (target label, value type,
+    value) in key order."""
+    H0 = heisenberg_model()
+    modules = [H0, fock_module(H0, F(2, 3)), virasoro_model(F(-22, 5)),
+               virasoro_model(F(1, 2))]
+    modules += [contragredient(M) for M in modules]
+    lines = []
+    for M in modules:
+        for wt_v in range(5):
+            for vl in M.voa.basis_at(wt_v):
+                for wt in range(6):
+                    for n in range(-3, 6):
+                        blk = M.mode_block(vl, n, wt)
+                        lines.append(repr((M.name, vl, n, wt, [
+                            (wl, [(k, type(c).__name__, c) for k, c in img.items()])
+                            for wl, img in blk.items()])))
+    return "\n".join(lines)
+
+
+def test_block_golden():
+    assert hashlib.sha256(block_golden_text().encode()).hexdigest() == BLOCK_GOLDEN
+
+
+# composite VOA labels: Virasoro has none below weight 4
+COMPOSITE = {"fock": [(1, 1), (2, 1), (1, 1, 1)], "virasoro": [(2, 2)]}
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(kind=st.sampled_from(["fock", "virasoro"]),
+       param=st.builds(F, st.integers(-30, 30), st.integers(1, 30)), data=st.data())
+def test_integer_blocks_match_independent_oracles(kind, param, data):
+    """Fresh F_mu or Vir_c whose parameter has a denominator up to 30, so a
+    block's common denominator grows while it is summed.  Oracles outside
+    the recursion: Y(g)_k is the generator action, Y(omega)_{n+1} the
+    Sugawara resp. PBW L_n, and the Jacobi identity on composite labels."""
+    M = fock_module(heisenberg_model(), param) if kind == "fock" else virasoro_model(param)
+    gen = (M.voa.gen_weight,)
+    for wt in range(6):
+        for wl in M.basis_at(wt):
+            for k in range(-3, wt + 3):
+                assert dict(M.mode_block(gen, k, wt).get(wl, {})) == M.gen_apply(k, wl)
+            for n in range(-3, wt + 2):
+                assert Module.L_apply(M, n, {wl: F(1)}) == M._L(n, wl), (wl, n)
+    labels = [l for wt in range(1, 4) for l in M.voa.basis_at(wt)]
+    for _ in range(3):
+        u = data.draw(st.sampled_from(COMPOSITE[kind]))
+        v = data.draw(st.sampled_from(labels))
+        w = {data.draw(st.sampled_from(all_labels(M, 3))): F(data.draw(st.integers(1, 5)))}
+        m, n, h = (data.draw(st.integers(-2, 2)) for _ in range(3))
+        assert jacobi_check(M, u, v, w, m, n, h), (u, v, w, m, n, h)
