@@ -17,7 +17,11 @@ Block functionals are linear maps on tensors of capped module vectors.
 Propagation inserts one extra VOA vector varying over the sphere; its
 value at a rational point y is computed by assembling the Laurent tails of
 the propagated section at every marked point, gluing them into the unique
-global rational function, and evaluating at y.  At infinity the insertion
+global rational function, and evaluating at y.  That function does not
+depend on y and is linear in every insertion, so ``propagate_block`` glues
+one section per basis-label tuple, keeps it on the block it propagates and
+evaluates the memoized sections at y; ``propagate_eval`` is the one-shot,
+vector-level call.  At infinity the insertion
 is twisted by U(gamma_{1/w}) = e^{w^{-1} L_1} (-w^2)^{Ltilde0}, the
 ``models.gamma_twist`` that also defines the contragredient action, and the
 1-form bookkeeping uses dzeta = -w^{-2} dw.  ``hom_block`` checks that its
@@ -27,6 +31,7 @@ T: W1 -> W2' intertwines; ``identity_hom`` is the label pairing of W and W'.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from .graded import vec_add_into, vec_is_zero, vec_max_weight, weight_of
 from .models import Module, contragredient, gamma_twist
@@ -299,7 +304,8 @@ def strong_residue_check(tails, points=None) -> ResidueReport:
     exponent m - 1 at p, or k + 1 at infinity (with the sign of
     dzeta = -w^{-2} dw).  The first nonzero one is the witness.  Finite
     windows need order >= 0 and the window at infinity order >= 1, else
-    UnderdeterminedCap names the short window.
+    UnderdeterminedCap names the short window.  Tails that are all zero
+    glue to the zero section without re-expansion.
     """
     if points is None:
         points = SpherePoints([p for p in tails if p is not INFINITY] +
@@ -321,14 +327,19 @@ def strong_residue_check(tails, points=None) -> ResidueReport:
     poly = {k: at_inf.coeff(-k) for k in range(0, 1 - at_inf.floor)}
     section = RationalFunction(poly, poles)
 
+    if all(tails[p].is_zero() for p in points):
+        # the zero section re-expands to zero on every window
+        conditions = sum(tails[p].order - (1 if p is INFINITY else 0) for p in points)
+        return ResidueReport(True, section, None, conditions)
     conditions = 0
     for p in points:
         tail = tails[p]
         s = section.expand_at_point(p, tail.order)
         for e in range(1 if p is INFINITY else 0, tail.order):
             conditions += 1
-            d = tail.coeff(e) - s.coeff(e)
-            if d:
+            a, b = tail.coeff(e), s.coeff(e)
+            if a != b:
+                d = a - b
                 witness = (_Witness("infinity", INFINITY, e - 1, -d)
                            if p is INFINITY else _Witness("pole", p, e + 1, d))
                 return ResidueReport(False, None, witness, conditions)
@@ -394,6 +405,7 @@ class BlockFunctional:
         self.caps = list(caps)
         self.evaluate = evaluate
         self.name = name
+        self._sections: dict = {}  # label tuple -> glued section, see propagate_block
 
     def __call__(self, *w_vecs) -> Fraction:
         if len(w_vecs) != len(self.modules):
@@ -586,19 +598,44 @@ def propagate_eval(phi: BlockFunctional, v, y, w_vecs) -> Fraction:
 
 def propagate_block(phi: BlockFunctional, y, cap: int) -> BlockFunctional:
     """The propagated block as a functional with one extra V-slot at y
-    (inserted after the finite marked points, before INFINITY)."""
+    (inserted after the finite marked points, before INFINITY).
+
+    The evaluator is multilinear: it splits (v, w_1, ..., w_k) into basis
+    label tuples and sums c_v c_w1 ... c_wk times the tuple's propagated
+    section at y; the vacuum part of v contributes phi itself.  A section
+    depends on phi and the labels, never on y, so each one is glued once and
+    kept in ``phi._sections``, which serves every point phi is propagated
+    to.  The memo stays private: the evaluator returns only values."""
     y = Fraction(y)
     voa = phi.modules[0].voa
     finite_count = len(phi.points.finite)
     pts = SpherePoints(phi.points.finite + [y] +
                        ([INFINITY] if phi.points.has_infinity else []))
     n_args = len(phi.points) + 1
+    sections = phi._sections
 
     def evaluate(*args):
         if len(args) != n_args:
             raise ValueError("wrong arity")
-        w_vecs = list(args[:finite_count]) + list(args[finite_count + 1:])
-        return propagate_eval(phi, args[finite_count], y, w_vecs)
+        v = args[finite_count]
+        w_vecs = args[:finite_count] + args[finite_count + 1:]
+        vac = v.get((), F0)
+        total = vac * phi(*w_vecs) if vac else F0
+        for vl, vc in v.items():
+            if not vl or not vc:
+                continue
+            for combo in product(*(w.items() for w in w_vecs)):
+                key = (vl,) + tuple(wl for wl, _ in combo)
+                section = sections.get(key)
+                if section is None:
+                    section = sections[key] = _propagated_section(
+                        phi, {vl: F1}, [{wl: F1} for wl in key[1:]])
+                val = section.eval(y)
+                if val:
+                    for _, wc in combo:
+                        val *= wc
+                    total += vc * val
+        return total
 
     modules = phi.modules[:finite_count] + [voa] + phi.modules[finite_count:]
     # the inherited slots lose cap headroom: evaluating them goes through a

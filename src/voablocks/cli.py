@@ -19,7 +19,12 @@ grow like p(cap), so a larger cap exits 2 before any model is built.
 ``--order`` of ``coord extract``, ``schwarzian`` and ``uniformize`` is at
 most ``SERIES_ORDER_MAX`` (100): ``coord extract`` takes seconds there and
 its cost grows about as order^3, so a larger order exits 2 before the
-series is built.
+series is built.  ``ode continue --steps`` is at most ``CONTINUE_STEPS_MAX``
+(10^4): a 1 x 1 order-30 system takes about a second per path segment there
+and ten times as long at 10^5 steps, while the error estimate is already at
+float round-off, so a larger count exits 2 before any fixture is read.
+``coord extract --count`` needs no bound of its own: it cannot exceed the
+series order, which ``SERIES_ORDER_MAX`` bounds.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ __all__ = ["main", "build_parser", "run_report"]
 
 CHARACTER_CAP_MAX = 40
 SERIES_ORDER_MAX = 100
+CONTINUE_STEPS_MAX = 10_000
 
 
 def _build_model(name, c=None, mu=None):
@@ -223,6 +229,8 @@ def cmd_ode_solve(args):
 
 
 def cmd_ode_continue(args):
+    if args.steps > CONTINUE_STEPS_MAX:
+        raise ValueError(f"--steps must be at most {CONTINUE_STEPS_MAX}")
     ode = PoleODE(load_fixture(args.matrix,
                                {"entries": list_of(list_of(decode_series))})["entries"])
     fx = load_fixture(args.path, {"waypoints": list_of(decode_complex),

@@ -35,14 +35,16 @@ U(gamma_{1/w}) = e^{w^{-1} L_1} (-w^2)^{Ltilde0} (Frenkel-Huang-Lepowsky,
 sections 5.2-5.3): a term c u w^e of U(gamma_{1/w}) v adds c Y_W(u)_k^t
 with k = e - n - 2 to Y_{W'}(v)_n.  ``gamma_twist`` builds the twist as
 (w-exponent, vector) terms; it is the one place that applies L_1, and the
-blocks module reuses it at infinity.  Each module has one contragredient,
-``contragredient(W)``, built on first use and kept on W, so every caller
-shares one W' memo.  The contragredient is involutive, (W')' = W on the
-same labels, so ``contragredient(W')`` is W itself and no double transpose
-is ever filled.
+blocks module reuses it at infinity.  Each VOA label's twist is built once
+and kept on the VOA; a vector's twist is the combination of its labels'.
+Each module has one contragredient, ``contragredient(W)``, built on first
+use and kept on W, so every caller shares one W' memo.  The contragredient
+is involutive, (W')' = W on the same labels, so ``contragredient(W')`` is W
+itself and no double transpose is ever filled.
 
-Blocks and their images are stored as read-only mappings, so a caller that
-mutates a returned image cannot corrupt later results.
+Blocks, their images and the twist vectors are stored as read-only
+mappings, so a caller that mutates a returned image cannot corrupt later
+results.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from functools import lru_cache
 from math import lcm
 from types import MappingProxyType
 
-from .graded import vec_add_into, vec_is_zero, vec_max_weight, vec_scale_ltilde0, weight_of
+from .graded import vec_add_into, vec_is_zero, vec_max_weight, weight_of
 from .virasoro import exp_terms, gbinom, vir_bracket
 
 __all__ = [
@@ -231,6 +233,10 @@ class VOAModel(Module):
     conformal_vector: dict
     vacuum: tuple = ()
 
+    def __init__(self):
+        super().__init__()
+        self._twists: dict = {}  # label -> memoized gamma_twist terms
+
     def peel(self, label: tuple) -> tuple[int, tuple]:
         """Split a basis label as v = Y(g)_j u; returns (j, label of u)."""
         raise NotImplementedError
@@ -393,20 +399,31 @@ def gamma_twist(v, module: Module) -> list:
     """U(gamma_{1/w}) v = e^{w^{-1} L_1} (-w^2)^{Ltilde0} v on the VOA of
     ``module``, as a sorted list of (w-exponent, vector) pairs: a Laurent
     polynomial in w with VOA-vector coefficients.  The sum is finite because
-    L_1 lowers the weight by one."""
-    if isinstance(v, tuple):
-        v = {v: F1}
+    L_1 lowers the weight by one.
+
+    The twist of each VOA label is built once and kept on the VOA, with
+    read-only vectors; a label returns its memoized terms, and a vector the
+    linear combination of its label twists in fresh dicts."""
     voa = module.voa
-    # (-w^2)^{Ltilde0}: the weight-k part picks up (-1)^k and sits at w^{2k}
-    parts: dict[int, dict] = {}
-    for label, c in vec_scale_ltilde0(v, -F1).items():
-        parts.setdefault(weight_of(label), {})[label] = c
-    # e^{w^{-1} L_1}: the term L_1^m / m! lowers the w-exponent by m
+    if isinstance(v, tuple):
+        return list(_label_twist(voa, v))
     out: dict[int, dict] = {}
-    for k, part in parts.items():
-        for m, term in enumerate(exp_terms(lambda x: voa.L_apply(1, x), part)):
-            vec_add_into(out.setdefault(2 * k - m, {}), term)
+    for label, c in v.items():
+        for e, vec in _label_twist(voa, label):
+            vec_add_into(out.setdefault(e, {}), vec, c)
     return sorted((e, vec) for e, vec in out.items() if vec)
+
+
+def _label_twist(voa: "VOAModel", label: tuple) -> tuple:
+    """The memoized twist of one VOA label: (-1)^k label at w^{2k}, k its
+    weight, then the term L_1^m / m! of e^{w^{-1} L_1} at w^{2k-m}."""
+    tw = voa._twists.get(label)
+    if tw is None:
+        k = weight_of(label)
+        terms = exp_terms(lambda x: voa.L_apply(1, x), {label: -F1 if k % 2 else F1})
+        tw = voa._twists[label] = tuple(
+            (2 * k - m, MappingProxyType(term)) for m, term in enumerate(terms))[::-1]
+    return tw
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,25 @@ class TestStrongResidue:
                                     INFINITY: TruncSeries.zero("w", 3)})
         assert rep.passed and rep.section.is_zero()
 
+    @pytest.mark.parametrize("windows, conditions", [
+        ({F(0): (0, 3), INFINITY: (0, 3)}, 5),
+        ({F(0): (-2, 2), F(1): (3, 3), F(-1, 2): (-1, 4), INFINITY: (-3, 4)}, 2 + 3 + 4 + 3),
+        ({F(2): (0, 0), INFINITY: (1, 1)}, 0),
+    ], ids=["two-points", "stored-zeros", "empty-windows"])
+    def test_all_zero_tails(self, windows, conditions):
+        # one condition per exponent 0 <= e < order at a finite point and
+        # 1 <= e < order at infinity, as the pairing loop counts them
+        tails = {p: TruncSeries("w" if p is INFINITY else "t", floor, [F(0)] * (order - floor),
+                                order) for p, (floor, order) in windows.items()}
+        rep = strong_residue_check(tails)
+        assert (rep.passed, rep.conditions, rep.witness) == (True, conditions, None)
+        assert rep.section.is_zero()
+
+    def test_all_zero_short_window_still_fails_closed(self):
+        with pytest.raises(UnderdeterminedCap):
+            strong_residue_check({F(0): TruncSeries.zero("t", 2),
+                                  INFINITY: TruncSeries.zero("w", 0)})
+
     def test_bare_residue_violation(self):
         t = TruncSeries.from_coeff_map("t", {-1: F(1)}, 2)
         rep = strong_residue_check({F(0): t, INFINITY: TruncSeries.zero("w", 3)})
@@ -502,6 +521,93 @@ class TestMemoIntegrity:
         assert hm._blocks
         assert all((7,) not in img for blk in hm._blocks.values() for img in blk.values())
         assert_memo_matches_fresh(hm, heisenberg_model())
+
+
+def rand_vector(rng, labels, size):
+    return {label: rand_frac(rng, nonzero=True) for label in rng.sample(labels, size)}
+
+
+class TestSectionMemo:
+    """The propagated block's evaluator sums per-label sections glued once
+    and kept on phi; its values must match the one-shot propagation and the
+    vertex-operator oracle in any call order."""
+
+    @pytest.mark.parametrize("module, cap, v_labels, w_labels", [
+        (heisenberg_model(), 6, [(), (1,), (2,), (1, 1)],
+         [(), (1,), (2,), (1, 1), (2, 1), (3,)]),
+        (virasoro_model(F(-22, 5)), 8, [(), (2,), (3,), (2, 2)],
+         [(), (2,), (3,), (4,), (2, 2)]),
+    ], ids=["heisenberg", "virasoro"])
+    def test_evaluator_matches_one_shot_and_oracle(self, module, cap, v_labels, w_labels):
+        rng = random.Random(131)
+        phi = identity_hom(module, cap)
+        ys = [F(2), F(-1, 2), F(3), F(2), F(-1, 2)]  # repeated points share sections
+        cases = [(y, rand_vector(rng, v_labels, rng.randint(1, 3)),
+                  rand_vector(rng, w_labels, rng.randint(1, 3)),
+                  rand_vector(rng, w_labels, rng.randint(1, 3)))
+                 for y in ys for _ in range(3)]
+        blocks = {y: propagate_block(phi, y, 4) for y in set(ys)}
+        for order in range(2):
+            rng.shuffle(cases)
+            for y, v, w1, w2 in cases:
+                got = blocks[y](w1, v, w2)
+                assert type(got) is F
+                assert got == propagate_eval(phi, v, y, [w1, w2]), (y, v, w1, w2)
+                assert got == three_point_block(module, v, y, w1, w2), (y, v, w1, w2)
+            if order == 0:
+                entries = len(phi._sections)
+                # one entry per (v label, w1 label, w2 label) off the vacuum
+                assert 0 < entries <= len(v_labels) * len(w_labels) ** 2
+        # the second pass, over the same vectors, glued nothing new
+        assert len(phi._sections) == entries
+
+    def test_evaluator_hands_out_values_only(self):
+        phi = identity_hom(heisenberg_model(), 10)
+        py = propagate_block(phi, F(3), 4)
+        w1 = {(1,): F(2), (2,): F(1)}
+        w2 = {(1,): F(1), (1, 1): F(3)}
+        values = [py(w1, {(1,): F(1)}, w2), py(w1, {(): F(2)}, w2), py({}, {(2,): F(1)}, w2),
+                  propagate_eval(py, (1,), F(2), [w1, {(1,): F(1)}, w2])]
+        assert all(type(x) is F for x in values)
+        assert values[1] == 2 * phi(w1, w2) and values[2] == 0
+
+    def test_bad_point_and_short_cap_fail_closed(self):
+        phi = identity_hom(VIR, 5)
+        with pytest.raises(ValueError):
+            propagate_block(phi, F(0), 4)
+        py = propagate_block(phi, F(2), 4)
+        with pytest.raises(ValueError):
+            propagate_eval(py, (2,), F(2), [{(2,): F(1)}, {(2,): F(1)}, {(2,): F(1)}])
+        w = {(2, 2): F(1)}
+        with pytest.raises(UnderdeterminedCap):
+            py(w, {(2, 2): F(1)}, w)
+        # a section that failed to certify is not kept
+        assert phi._sections == {}
+        with pytest.raises(UnderdeterminedCap):
+            py(w, {(2, 2): F(1)}, w)
+
+    def test_twists_read_only_and_fresh(self):
+        warm = heisenberg_model()
+        phi = identity_hom(warm, 10)
+        py = propagate_block(phi, F(3), 4)
+        py({(1,): F(2)}, {(1, 1): F(1), (2,): F(-1)}, {(2,): F(1)})
+        assert warm._twists
+        for label, terms in list(warm._twists.items()):
+            for _, vec in terms:
+                with pytest.raises(TypeError):
+                    vec[(9,)] = F(1)
+            got = gamma_twist(label, warm)
+            got.append((99, {}))  # the caller's list, not the memo
+            assert gamma_twist(label, warm) == gamma_twist(label, heisenberg_model())
+        v = {(1, 1): F(1, 2), (2,): F(3), (): F(-1)}
+        want: dict = {}
+        for label, c in v.items():
+            for e, vec in gamma_twist(label, heisenberg_model()):
+                part = want.setdefault(e, {})
+                for k, a in vec.items():
+                    part[k] = part.get(k, F(0)) + c * a
+        assert gamma_twist(v, warm) == sorted((e, {k: a for k, a in vec.items() if a})
+                                              for e, vec in want.items())
 
 
 class TestBlockProperty:

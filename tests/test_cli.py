@@ -5,7 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from voablocks.cli import CHARACTER_CAP_MAX, SERIES_ORDER_MAX, main, run_report
+from voablocks.cli import (CHARACTER_CAP_MAX, CONTINUE_STEPS_MAX, SERIES_ORDER_MAX, main,
+                           run_report)
 from voablocks.jsonio import dumps
 
 
@@ -312,6 +313,32 @@ class TestMalformedInput:
     def test_series_order_above_ceiling(self, capsys, command, order):
         err = self.check(capsys, *command, "--series", "z+z^2", "--order", str(order))
         assert str(SERIES_ORDER_MAX) in err
+
+    def continue_fixtures(self, tmp_path):
+        mat, path = tmp_path / "mat.json", tmp_path / "path.json"
+        mat.write_text(json.dumps({"entries": [[SERIES]]}))
+        path.write_text(json.dumps({"waypoints": [[0.05, 0.0], [0.1, 0.0]],
+                                    "start": [[1.0, 0.0]]}))
+        return ["ode", "continue", "--matrix", str(mat), "--path", str(path)]
+
+    @pytest.mark.parametrize("steps", [CONTINUE_STEPS_MAX + 1, 10 ** 12],
+                             ids=["ceiling+1", "1e12"])
+    def test_continue_steps_above_ceiling(self, capsys, tmp_path, steps):
+        err = self.check(capsys, *self.continue_fixtures(tmp_path), "--steps", str(steps))
+        assert str(CONTINUE_STEPS_MAX) in err
+
+    def test_continue_steps_at_ceiling_runs(self, capsys, tmp_path):
+        code, out = run(capsys, *self.continue_fixtures(tmp_path),
+                        "--steps", str(CONTINUE_STEPS_MAX))
+        assert code == 0
+        assert json.loads(out)["steps"] == CONTINUE_STEPS_MAX
+
+    def test_extract_count_needs_the_order(self, capsys):
+        # --count is bounded through --order: order - 2 coefficients at most
+        err = self.check(capsys, "coord", "extract", "--series", "z+z^2",
+                         "--order", str(SERIES_ORDER_MAX),
+                         "--count", str(SERIES_ORDER_MAX - 1))
+        assert "series order too small" in err
 
     def test_character_zero_denominator_c(self, capsys):
         self.check(capsys, "character", "--model", "virasoro", "--c", "1/0",
