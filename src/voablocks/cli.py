@@ -23,6 +23,9 @@ series is built.  ``ode continue --steps`` is at most ``CONTINUE_STEPS_MAX``
 (10^4): a 1 x 1 order-30 system takes about a second per path segment there
 and ten times as long at 10^5 steps, while the error estimate is already at
 float round-off, so a larger count exits 2 before any fixture is read.
+Its cost is steps x path segments, so the path has at most
+``CONTINUE_SEGMENTS_MAX`` (3) segments, 4 waypoints: about 2 s at 10^4 steps
+on that system; a longer path exits 2 before any transport runs.
 ``coord extract --count`` needs no bound of its own: it cannot exceed the
 series order, which ``SERIES_ORDER_MAX`` bounds.
 """
@@ -55,6 +58,7 @@ __all__ = ["main", "build_parser", "run_report"]
 CHARACTER_CAP_MAX = 40
 SERIES_ORDER_MAX = 100
 CONTINUE_STEPS_MAX = 10_000
+CONTINUE_SEGMENTS_MAX = 3
 
 
 def _build_model(name, c=None, mu=None):
@@ -235,6 +239,9 @@ def cmd_ode_continue(args):
                                {"entries": list_of(list_of(decode_series))})["entries"])
     fx = load_fixture(args.path, {"waypoints": list_of(decode_complex),
                                   "start": list_of(decode_complex)})
+    if len(fx["waypoints"]) - 1 > CONTINUE_SEGMENTS_MAX:
+        raise ValueError(f"the path must have at most {CONTINUE_SEGMENTS_MAX} segments "
+                         f"({CONTINUE_SEGMENTS_MAX + 1} waypoints)")
     start = fx["start"]
     if len(start) != ode.dim:
         raise ValueError(f"start has {len(start)} entries; the system has {ode.dim}")

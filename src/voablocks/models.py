@@ -19,11 +19,16 @@ rewrites a block of v through generator modes and blocks of the shorter u:
     Y_W(Y(g)_j u)_h = sum_l (-1)^l C(j,l) g_{j-l} u_{h+l}
                     - sum_l (-1)^{l+j} C(j,l) u_{j+h-l} g_l
 
-Both sums terminate because modes kill everything below weight 0.  A block
-is summed as integer numerators over one common denominator, which grows to
-an lcm only when a term needs it, and its entries become Fractions once, at
-the end of the fill (the common-denominator representation of exact
-polynomial arithmetic, as in ``series.series_mul``).
+Both sums terminate because modes kill everything below weight 0.  The
+recursion starts at the length-1 labels v = g_{-1-k} 1, not at the vacuum:
+the L_{-1}-derivative property Y(L_{-1} v, z) = d/dz Y(v, z) gives
+Y(v, z) = d^k/dz^k Y(g, z) / k!, so Y_W(v)_h = (-1)^k C(h, k) g_{h-k} is
+one scaled generator action (for Virasoro, L_{-n} 1 has k = n - 2 and
+g_m = L_{m-1}).  Vacuum blocks are filled only when the vacuum label is asked
+for.  A block of a longer label is summed as integer numerators over one
+common denominator, which grows to an lcm only when a term needs it, and its
+entries become Fractions once, at the end of the fill (the common-denominator
+representation of exact polynomial arithmetic, as in ``series.series_mul``).
 Generator modes act directly: alpha_k by exact bracket algebra on partition
 labels, L_k by PBW straightening through the Virasoro bracket.  The models
 also give L_n per label, by PBW resp. the Sugawara form; ``Module.L_apply``,
@@ -165,18 +170,31 @@ class Module:
     def _block(self, vl: tuple, h: int, wt: int) -> dict:
         """The block as {label: image}, by the Jacobi recursion.
 
-        The images are summed as integer numerators over one running common
-        denominator ``den`` of the block: a term b a g (b the integer binomial
-        with its sign, a and g rationals) adds b a.numerator g.numerator
-        scaled to ``den``, and ``den`` grows to an lcm, rescaling the stored
-        numerators, only when a term's denominator does not divide it.  An
-        entry whose sum reaches 0 is removed, as ``vec_add_into`` does, so
-        the images keep its key order.  One Fraction is built per entry."""
+        A length-1 label g_{-1-k} 1 is the base case, read from the
+        generator as (-1)^k C(h, k) g_{h-k}; only the vacuum label itself
+        fills a vacuum block.  A longer label's images are summed as integer
+        numerators over one running common denominator ``den`` of the block:
+        a term b a g (b the integer binomial with its sign, a and g
+        rationals) adds b a.numerator g.numerator scaled to ``den``, and
+        ``den`` grows to an lcm, rescaling the stored numerators, only when a
+        term's denominator does not divide it.  An entry whose sum reaches 0
+        is removed, as ``vec_add_into`` does, so the images keep its key
+        order.  One Fraction is built per entry."""
         res: dict = {wl: {} for wl in self.basis_at(wt)}
         if not vl:
             return {wl: {wl: F1} for wl in res} if h == -1 else res
         j, rest = self.voa.peel(vl)
         gen_apply = self.gen_apply
+        if not rest:
+            # v = g_{-1-k} 1 and Y(v, z) = d^k/dz^k Y(g, z) / k!
+            k = -1 - j
+            b = gbinom(h, k)
+            if b:
+                b = -b if k % 2 else b
+                for wl, img in res.items():
+                    for gl, gc in gen_apply(h - k, wl).items():
+                        img[gl] = b * gc
+            return res
         den = 1
         # first sum: g_{j-l} u_{h+l}, dies once u_{h+l} hits weight < 0
         for l in range(0, weight_of(rest) + wt - h):

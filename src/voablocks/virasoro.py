@@ -12,6 +12,7 @@ one X^k w / k! loop; it also builds the e^{L_1} of ``models.gamma_twist``.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .graded import vec_add_into, vec_scale, vec_scale_ltilde0
 from .series import _is_scalar
@@ -26,15 +27,14 @@ def vir_bracket(m: int, n: int, c) -> tuple[int, Fraction]:
 
 
 def gbinom(j: int, l: int) -> int:
-    """Generalized binomial C(j, l) for j in Z, l in N (always an integer)."""
+    """Generalized binomial C(j, l) for j in Z, l in N (always an integer),
+    0 for l < 0; for j < 0 by upper negation C(j, l) = (-1)^l C(l-j-1, l)."""
     if l < 0:
         return 0
-    num = 1
-    for i in range(l):
-        num *= j - i
-    for i in range(2, l + 1):
-        num //= i
-    return num
+    if j >= 0:
+        return comb(j, l)
+    b = comb(l - j - 1, l)
+    return -b if l % 2 else b
 
 
 def exp_terms(step, w: dict) -> list:

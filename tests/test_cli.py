@@ -5,8 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from voablocks.cli import (CHARACTER_CAP_MAX, CONTINUE_STEPS_MAX, SERIES_ORDER_MAX, main,
-                           run_report)
+from voablocks.cli import (CHARACTER_CAP_MAX, CONTINUE_SEGMENTS_MAX, CONTINUE_STEPS_MAX,
+                           SERIES_ORDER_MAX, main, run_report)
 from voablocks.jsonio import dumps
 
 
@@ -314,11 +314,11 @@ class TestMalformedInput:
         err = self.check(capsys, *command, "--series", "z+z^2", "--order", str(order))
         assert str(SERIES_ORDER_MAX) in err
 
-    def continue_fixtures(self, tmp_path):
+    def continue_fixtures(self, tmp_path, segments=1):
         mat, path = tmp_path / "mat.json", tmp_path / "path.json"
         mat.write_text(json.dumps({"entries": [[SERIES]]}))
-        path.write_text(json.dumps({"waypoints": [[0.05, 0.0], [0.1, 0.0]],
-                                    "start": [[1.0, 0.0]]}))
+        waypoints = [[0.05 + 0.05 * i / segments, 0.0] for i in range(segments + 1)]
+        path.write_text(json.dumps({"waypoints": waypoints, "start": [[1.0, 0.0]]}))
         return ["ode", "continue", "--matrix", str(mat), "--path", str(path)]
 
     @pytest.mark.parametrize("steps", [CONTINUE_STEPS_MAX + 1, 10 ** 12],
@@ -332,6 +332,20 @@ class TestMalformedInput:
                         "--steps", str(CONTINUE_STEPS_MAX))
         assert code == 0
         assert json.loads(out)["steps"] == CONTINUE_STEPS_MAX
+
+    def test_continue_path_above_ceiling(self, capsys, tmp_path, monkeypatch):
+        def no_transport(*args, **kwargs):
+            raise AssertionError("transport ran")
+        monkeypatch.setattr("voablocks.cli.numeric_continue", no_transport)
+        err = self.check(capsys, *self.continue_fixtures(tmp_path, CONTINUE_SEGMENTS_MAX + 1),
+                         "--steps", "50")
+        assert str(CONTINUE_SEGMENTS_MAX) in err
+
+    def test_continue_path_at_ceiling_runs(self, capsys, tmp_path):
+        code, out = run(capsys, *self.continue_fixtures(tmp_path, CONTINUE_SEGMENTS_MAX),
+                        "--steps", "50")
+        assert code == 0
+        assert json.loads(out)["steps"] == 50
 
     def test_extract_count_needs_the_order(self, capsys):
         # --count is bounded through --order: order - 2 coefficients at most

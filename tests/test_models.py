@@ -3,6 +3,7 @@
 import hashlib
 import random
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,8 @@ from voablocks.graded import vec_add_into, vec_is_zero, weight_of
 from voablocks.models import (CapError, DualModule, Module, contragredient,
                               fock_module, gamma_twist, heisenberg_model, jacobi_check,
                               mode_matrix, virasoro_model)
+from voablocks.sewing import torus_character
+from voablocks.virasoro import gbinom
 
 H = heisenberg_model()
 VIR = virasoro_model(F(1, 2))
@@ -311,3 +314,51 @@ def test_integer_blocks_match_independent_oracles(kind, param, data):
         w = {data.draw(st.sampled_from(all_labels(M, 3))): F(data.draw(st.integers(1, 5)))}
         m, n, h = (data.draw(st.integers(-2, 2)) for _ in range(3))
         assert jacobi_check(M, u, v, w, m, n, h), (u, v, w, m, n, h)
+
+
+def test_gbinom_oracles():
+    """Every C(j, l) with j in [-40, 40] and l in [-3, 40] against Pascal's
+    rule, and against j!/(l!(j-l)!) (0 outside 0 <= l <= j) for j >= 0."""
+    for j in range(-40, 41):
+        for l in range(-3, 41):
+            b = gbinom(j, l)
+            assert type(b) is int
+            assert b == gbinom(j - 1, l) + gbinom(j - 1, l - 1), (j, l)
+            if j >= 0:
+                want = factorial(j) // (factorial(l) * factorial(j - l)) if 0 <= l <= j else 0
+                assert b == want, (j, l)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(kind=st.sampled_from(["heisenberg", "fock", "virasoro"]),
+       param=st.builds(F, st.integers(-30, 30), st.integers(1, 30)),
+       k=st.integers(0, 5), h=st.integers(-4, 8), wt=st.integers(0, 5))
+def test_length_one_blocks_obey_the_derivative_property(kind, param, k, h, wt):
+    """Length-1 labels g_{-1-k} 1 against the L_{-1}-derivative property
+    Y(L_{-1} v)_h = -h Y(v)_{h-1}: Y(g_{-1} 1)_h is the generator action, and
+    (k+1) Y(g_{-2-k} 1)_h = -h Y(g_{-1-k} 1)_{h-1}, with (k+1) g_{-2-k} 1
+    taken as L_{-1} g_{-1-k} 1 from the VOA's own Sugawara resp. PBW L_n."""
+    if kind == "virasoro":
+        M = virasoro_model(param)
+    else:
+        M = heisenberg_model() if kind == "heisenberg" else fock_module(heisenberg_model(), param)
+    V = M.voa
+    v = (V.gen_weight + k,)  # g_{-1-k} 1: alpha_{-1-k} 1 resp. L_{-2-k} 1
+    lv = V.L_apply(-1, {v: F(1)})
+    assert list(lv) == [(V.gen_weight + k + 1,)]
+    for wl in M.basis_at(wt):
+        w = {wl: F(1)}
+        assert M.mode_apply((V.gen_weight,), h, w) == M.gen_apply(h, wl), wl
+        diff = vec_add_into(M.mode_apply(lv, h, w), M.mode_apply(v, h - 1, w), F(h))
+        assert vec_is_zero(diff), (v, wl)
+
+
+def test_traces_fill_no_vacuum_block():
+    """Cold conformal-vector traces start the recursion at length-1 labels:
+    no weight block of the vacuum label is filled."""
+    H0, V = heisenberg_model(), virasoro_model(F(-22, 5))
+    torus_character(H0, {(1, 1): F(1, 2)}, 12)
+    torus_character(V, (2,), 12)
+    for M in (H0, V):
+        assert M._blocks
+        assert [key for key in M._blocks if key[0] == ()] == []
