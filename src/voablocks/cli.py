@@ -27,7 +27,12 @@ Its cost is steps x path segments, so the path has at most
 ``CONTINUE_SEGMENTS_MAX`` (3) segments, 4 waypoints: about 2 s at 10^4 steps
 on that system; a longer path exits 2 before any transport runs.
 ``coord extract --count`` needs no bound of its own: it cannot exceed the
-series order, which ``SERIES_ORDER_MAX`` bounds.
+series order, which ``SERIES_ORDER_MAX`` bounds.  ``coord huang`` runs one
+conjugation check per basis label up to ``--cap``, each on a z-window that
+grows with ``--order``, so ``--cap`` is at most ``HUANG_CAP_MAX`` (6) and
+``--order`` at most ``HUANG_ORDER_MAX`` (12): both at the bound take about
+3 s on F_{2/3} and about 2 s on the Heisenberg VOA, and a larger value exits
+2 before any model is built.
 """
 
 from __future__ import annotations
@@ -57,6 +62,8 @@ __all__ = ["main", "build_parser", "run_report"]
 
 CHARACTER_CAP_MAX = 40
 SERIES_ORDER_MAX = 100
+HUANG_CAP_MAX = 6
+HUANG_ORDER_MAX = 12
 CONTINUE_STEPS_MAX = 10_000
 CONTINUE_SEGMENTS_MAX = 3
 
@@ -142,6 +149,10 @@ def cmd_coord_extract(args):
 
 def cmd_coord_huang(args):
     _non_negative(args, "cap", "order")
+    if args.cap > HUANG_CAP_MAX:
+        raise ValueError(f"--cap must be at most {HUANG_CAP_MAX}")
+    if args.order > HUANG_ORDER_MAX:
+        raise ValueError(f"--order must be at most {HUANG_ORDER_MAX}")
     module = _model_flags(args)
     alpha = CoordChange(parse_poly(args.alpha))
     gen = (module.voa.gen_weight,)

@@ -10,10 +10,17 @@ The c_n are extracted in one pass over the exponents of z: the terms
 V^k z / k! of the Lie series, V = sum c_m z^{m+1} d/dz, obey a recurrence
 in k, and c_n enters the z^{n+1} coefficient only through the k = 1 term.
 
+A ``CoordChange`` keeps one prefix [c0, ..., c_m] of these coefficients
+and extends it only when a longer one is asked for: rho is an exact
+polynomial, so c_n does not depend on how many coefficients were requested.
+
 The scalar ring is generic: coefficients may be rationals or truncated
 series in another variable.  The latter is what powers the conjugation
 check U(a) Y(v,z) U(a)^{-1} = Y(U(rho_z) v, a(z)) where
-rho_z(t) = a(t+z) - a(z) has z-series coefficients.
+rho_z(t) = a(t+z) - a(z) has z-series coefficients.  U(rho) with rational
+coefficients and a rational vector runs on integer numerators (see
+``virasoro.apply_exp_raising``); the right-hand side of that check, whose
+coefficients are z-series, takes the generic loop.
 """
 
 from __future__ import annotations
@@ -84,7 +91,7 @@ class CoordChange:
             raise ValueError("rho'(0) must be nonzero (not in the group)")
         self.poly = poly
         self.degree = max(poly)
-        self._coeff_cache: dict[int, list] = {}
+        self._coeffs: list = []  # [c0, ..., c_m], the longest prefix asked for
 
     def series(self, order: int, var: str = "z") -> TruncSeries:
         return poly_series(self.poly, var, max(order, self.degree + 1))
@@ -93,10 +100,13 @@ class CoordChange:
         return series_comp_inverse(self.series(order, var))
 
     def coeffs(self, count: int) -> list:
-        """[c0, c1, ..., c_count] of the exponential factorization."""
-        if count not in self._coeff_cache:
-            self._coeff_cache[count] = extract_coeffs(self.series(count + 2), count)
-        return list(self._coeff_cache[count])
+        """[c0, c1, ..., c_count] of the exponential factorization, as a
+        fresh list.  c_n depends only on the coefficients of rho up to
+        z^{n+1}, and rho is exact, so one prefix serves every count: it is
+        re-extracted only when a longer one is asked for."""
+        if not 0 <= count < len(self._coeffs):
+            self._coeffs = extract_coeffs(self.series(count + 2), count)
+        return self._coeffs[:count + 1]
 
     def __repr__(self):
         return f"CoordChange({self.poly})"

@@ -23,8 +23,10 @@ When every coefficient is rational, :func:`series_mul` clears
 denominators once, works on Python integers and builds one Fraction per
 output coefficient (the content/primitive-part technique of exact
 polynomial arithmetic); series coefficients take the generic loop, with
-the same window and the same values.  :meth:`TruncSeries.reciprocal` runs
-the same integer kernel and accepts rational coefficients only.
+the same window and the same values.  :meth:`TruncSeries.reciprocal` and
+:func:`series_compose` run on integer numerators too and accept rational
+coefficients only: any other coefficient raises ValueError.
+:func:`series_comp_inverse` is built from ``reciprocal`` and ``series_mul``.
 """
 
 from __future__ import annotations
@@ -78,6 +80,17 @@ def _integer_form(cs):
         return None
     den = lcm(*(c.denominator for c in cs))
     return [c.numerator * (den // c.denominator) for c in cs], den
+
+
+def _convolve(a: list, b: list, size: int) -> list:
+    """The first ``size`` coefficients of the product of two integer
+    coefficient lists."""
+    acc = [0] * size
+    for i, x in enumerate(a[:size]):
+        if x:
+            for j, y in enumerate(b[:size - i], i):
+                acc[j] += x * y
+    return acc
 
 
 class TruncSeries:
@@ -300,13 +313,9 @@ def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
     if ia is not None and ib is not None:
         # rational operands: convolve the numerators, divide once
         (na, da), (nb, db) = ia, ib
-        acc = [0] * size
-        for i, x in enumerate(na[:size]):
-            if x:
-                for j, y in enumerate(nb[:size - i], i):
-                    acc[j] += x * y
         den = da * db
-        return TruncSeries(a.var, floor, [Fraction(c, den) for c in acc], order)
+        return TruncSeries(a.var, floor, [Fraction(c, den) for c in _convolve(na, nb, size)],
+                           order)
     coeffs = [_ZERO] * size
     for i, ca in enumerate(a.coeffs):
         if not _nonzero(ca):
@@ -326,6 +335,11 @@ def series_compose(f: TruncSeries, g: TruncSeries) -> TruncSeries:
 
     The certified order is min(f.order, g.order + k0 - 1) where k0 is the
     smallest positive exponent of f with a (potentially) nonzero coefficient.
+    Coefficients must be rationals; any other coefficient raises
+    ValueError.  With g = x^a G(x) / dg and f's coefficients f_k / df
+    (G and f_k integral), the powers G^k and the sum of f_k x^{ka} G^k
+    dg^{K-k} run on integers, and the result is that sum over df dg^K, one
+    Fraction per coefficient.
     """
     fn = f.normalize()
     if fn.floor < 0:
@@ -333,23 +347,35 @@ def series_compose(f: TruncSeries, g: TruncSeries) -> TruncSeries:
     gn = g.normalize()
     if gn.coeffs and gn.floor < 1:
         raise ValueError("composition needs g(0) = 0")
-    if gn.is_zero():
+    fi, gi = _integer_form(fn.coeffs), _integer_form(gn.coeffs)
+    if fi is None or gi is None:
+        raise ValueError("composition needs rational coefficients")
+    if not gn.coeffs:
         return TruncSeries.const(g.var, fn.coeff(0) if fn.order > 0 else _ZERO, max(f.order, 1))
     k0 = max(fn.floor, 1)
     order = min(f.order, g.order + k0 - 1)
-    out = TruncSeries.zero(g.var, order)
-    c0 = fn.coeff(0) if fn.floor == 0 and fn.order > 0 else _ZERO
-    if _nonzero(c0):
-        out = out + TruncSeries.const(g.var, c0, order)
-    gp = TruncSeries.const(g.var, Fraction(1), order)  # g^k, truncated as we go
-    for k in range(1, fn.order):
-        gp = series_mul(gp, gn)
-        if gp.floor >= order:
-            break
-        ck = fn.coeff(k)
-        if _nonzero(ck):
-            out = out + gp.map_coeffs(lambda c, ck=ck: ck * c)
-    return out.truncate(order)
+    if order <= 0:
+        raise ValueError("composition needs f with order > 0")
+    (fk, df), (G, dg) = fi, gi
+    a = gn.floor
+    # f_k g^k vanishes below x^{ka}, so the powers stop at K
+    K = min(fn.order - 1, (order - 1) // a)
+    acc = [0] * order
+    floor = order
+    if fn.floor == 0:
+        acc[0] = fk[0] * dg ** K
+        floor = 0
+    p = [1]  # numerators of G^k, x^{ka + i} at index i
+    for k in range(1, K + 1):
+        p = _convolve(p, G, order - k * a)
+        c = fk[k - fn.floor] if k >= fn.floor else 0
+        if c:
+            c *= dg ** (K - k)
+            floor = min(floor, k * a)
+            for j, x in enumerate(p, k * a):
+                acc[j] += c * x
+    den = df * dg ** K
+    return TruncSeries(g.var, floor, [Fraction(c, den) for c in acc[floor:]], order)
 
 
 def series_comp_inverse(f: TruncSeries) -> TruncSeries:

@@ -6,18 +6,24 @@ with central charge c.  ``apply_exp_raising`` realizes the coordinate-change
 representation factor c0^{Ltilde0} exp(sum_{n>0} c_n L_n) on any module that
 provides an ``L_apply(n, vec)`` action; the exponential is a finite sum
 because L_n with n > 0 lowers the grading weight by n.  ``exp_terms`` is the
-one X^k w / k! loop; it also builds the e^{L_1} of ``models.gamma_twist``.
+one X^k w / k! loop over generic scalars; it also builds the e^{L_1} of
+``models.gamma_twist``.  With rational c0, c_n and vector, ``apply_exp_raising``
+sums the same terms on integer numerators over one common denominator and
+builds one Fraction per output entry, with the same values and key order;
+series-valued scalars take ``exp_terms``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
-from .graded import vec_add_into, vec_scale, vec_scale_ltilde0
-from .series import _is_scalar
+from .graded import vec_add_into, vec_scale, vec_scale_ltilde0, weight_of
+from .series import _integer_form, _is_scalar
 
 __all__ = ["vir_bracket", "exp_terms", "apply_exp_raising", "gbinom"]
+
+_ONE = Fraction(1)
 
 
 def vir_bracket(m: int, n: int, c) -> tuple[int, Fraction]:
@@ -55,10 +61,20 @@ def apply_exp_raising(coeffs, c0, w: dict, module) -> dict:
 
     ``coeffs`` lists c_1, c_2, ...; ``w`` is a label->coefficient dict.
     Scalars may be Fractions or series-valued (the grading power c0^n is an
-    integer power either way).
+    integer power either way).  When c0 is a Fraction and every c_n and
+    every value of w is a rational, the terms X^k w / k! are summed as
+    integer numerators over one running common denominator: L_n images
+    are read per label, once per call, and the denominator grows to an lcm
+    only when an image needs it.  One Fraction is built per output entry,
+    with c0^{wt} folded in.  Modes are the outer loop and labels the inner
+    one, as in ``exp_terms`` over the generic step, so the result has the
+    same key order.  Series-valued scalars take the generic loop.
     """
     if _is_scalar(c0) and c0 == 0:
         raise ValueError("c0 = 0 is not a coordinate change")
+    cf, wf = _integer_form(coeffs), _integer_form(list(w.values()))
+    if isinstance(c0, Fraction) and cf is not None and wf is not None:
+        return _exp_raising_integer(cf, wf, c0, w, module)
 
     def raising(vec: dict) -> dict:
         out: dict = {}
@@ -71,3 +87,70 @@ def apply_exp_raising(coeffs, c0, w: dict, module) -> dict:
     for term in exp_terms(raising, w)[1:]:
         vec_add_into(out, term)
     return vec_scale_ltilde0(out, c0)
+
+
+def _exp_raising_integer(cf, wf, c0: Fraction, w: dict, module) -> dict:
+    """``apply_exp_raising`` on integer numerators: ``cf`` and ``wf`` are
+    the integer forms of c_1, c_2, ... and of w's values.  Each mode's
+    image of a term is summed label by label, as ``L_apply`` does, and then
+    added to the term's image, as the generic ``raising`` does, so entries
+    appear, cancel and reappear in the same order."""
+    (cn, dc), (wn, den) = cf, wf
+    modes = [(i, c) for i, c in enumerate(cn, start=1) if c]
+    images: dict = {}  # (n, label) -> L_n of the label
+    term = {label: n for label, n in zip(w, wn) if n}
+    tden = den
+    terms = []  # (numerators of X^k w / k!, their denominator), k >= 1
+    k = 0
+    while term:
+        k += 1
+        nxt: dict = {}  # X term, numerators over lden
+        lden = 1
+        for i, c in modes:
+            part: dict = {}  # L_i term, numerators over lden
+            for label, n in term.items():
+                img = images.get((i, label))
+                if img is None:
+                    img = images[i, label] = module.L_apply(i, {label: _ONE})
+                for gl, gc in img.items():
+                    d = gc.denominator
+                    if lden % d:
+                        s = lcm(lden, d) // lden
+                        lden *= s
+                        for vec in (part, nxt):
+                            for key in vec:
+                                vec[key] *= s
+                    v = part.get(gl, 0) + n * gc.numerator * (lden // d)
+                    if v:
+                        part[gl] = v
+                    else:
+                        part.pop(gl, None)
+            for gl, v in part.items():
+                v = nxt.get(gl, 0) + c * v
+                if v:
+                    nxt[gl] = v
+                else:
+                    nxt.pop(gl, None)
+        if nxt:
+            tden *= lden * dc * k
+            terms.append((nxt, tden))
+        term = nxt
+    out = {label: n * (tden // den) for label, n in zip(w, wn)}
+    for term, d in terms:
+        s = tden // d
+        for label, n in term.items():
+            v = out.get(label, 0) + n * s
+            if v:
+                out[label] = v
+            else:
+                out.pop(label, None)
+    p, q = c0.numerator, c0.denominator
+    powers: dict = {}
+    res = {}
+    for label, n in out.items():
+        wt = weight_of(label)
+        pq = powers.get(wt)
+        if pq is None:
+            pq = powers[wt] = (p ** wt, tden * q ** wt)
+        res[label] = Fraction(n * pq[0], pq[1])
+    return res

@@ -6,7 +6,8 @@ from fractions import Fraction as F
 import pytest
 
 from voablocks.cli import (CHARACTER_CAP_MAX, CONTINUE_SEGMENTS_MAX, CONTINUE_STEPS_MAX,
-                           SERIES_ORDER_MAX, main, run_report)
+                           HUANG_CAP_MAX, HUANG_ORDER_MAX, SERIES_ORDER_MAX, main,
+                           run_report)
 from voablocks.jsonio import dumps
 
 
@@ -346,6 +347,28 @@ class TestMalformedInput:
                         "--steps", "50")
         assert code == 0
         assert json.loads(out)["steps"] == 50
+
+    @pytest.mark.parametrize("flag, value", [("--cap", HUANG_CAP_MAX + 1),
+                                             ("--order", HUANG_ORDER_MAX + 1),
+                                             ("--cap", 10 ** 11), ("--order", 10 ** 11)],
+                             ids=["cap+1", "order+1", "cap1e11", "order1e11"])
+    def test_huang_size_above_ceiling(self, capsys, monkeypatch, flag, value):
+        def no_model(*args, **kwargs):
+            raise AssertionError("model built")
+        monkeypatch.setattr("voablocks.cli._build_model", no_model)
+        err = self.check(capsys, "coord", "huang", "--alpha", "z + 1/2*z^2",
+                         flag, str(value))
+        bound = HUANG_CAP_MAX if flag == "--cap" else HUANG_ORDER_MAX
+        assert flag in err and str(bound) in err
+
+    @pytest.mark.parametrize("cap, order", [(HUANG_CAP_MAX, 0), (0, HUANG_ORDER_MAX)],
+                             ids=["cap", "order"])
+    def test_huang_size_at_ceiling_runs(self, capsys, cap, order):
+        code, out = run(capsys, "coord", "huang", "--alpha", "z + 1/2*z^2",
+                        "--cap", str(cap), "--order", str(order))
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["cap"], doc["order"], doc["passed"]) == (cap, order, True)
 
     def test_extract_count_needs_the_order(self, capsys):
         # --count is bounded through --order: order - 2 coefficients at most

@@ -1,6 +1,7 @@
 """Coordinate changes: extraction closed forms, the group law, Huang
 conjugation, and the gamma relation."""
 
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -11,7 +12,7 @@ from voablocks.coordchange import (CoordChange, U_apply, U_inverse_apply,
                                    extract_coeffs, gamma_relation_check,
                                    gamma_series, huang_conjugation_check)
 from voablocks.graded import vec_add_into, vec_is_zero, weight_of
-from voablocks.models import fock_module, heisenberg_model, virasoro_model
+from voablocks.models import contragredient, fock_module, heisenberg_model, virasoro_model
 from voablocks.series import TruncSeries
 
 H = heisenberg_model()
@@ -55,6 +56,21 @@ class TestExtract:
         rho = CoordChange({1: F(1), 2: F(1)}).series(6)
         with pytest.raises(ValueError, match="-3"):
             extract_coeffs(rho, -3)
+
+
+@settings(max_examples=30, derandomize=True)
+@given(st.lists(st.builds(F, st.integers(-5, 5), st.integers(1, 4)), min_size=3, max_size=3),
+       st.builds(F, st.integers(1, 5), st.integers(1, 4)), st.permutations(range(9)))
+def test_coeffs_prefix_any_request_order(rest, a1, counts):
+    # one prefix serves every count, asked for in any order; each answer is a
+    # fresh list, so mutating it leaves later answers alone
+    rho = CoordChange({1: a1, 2: rest[0], 3: rest[1], 4: rest[2]})
+    for n in counts:
+        got = rho.coeffs(n)
+        assert got == extract_coeffs(rho.series(n + 2), n), n
+        got[:] = [F(99)] * len(got)
+    for n in counts:
+        assert rho.coeffs(n) == extract_coeffs(rho.series(n + 2), n), n
 
 
 def flow_series(c0, a, m, order):
@@ -116,6 +132,37 @@ def test_group_law(kind, param, r1, r2, pick):
     lhs = U_apply(CoordChange(compose(r1, r2)), w, module)
     rhs = U_apply(CoordChange(r1), U_apply(CoordChange(r2), w, module), module)
     assert vec_is_zero(vec_add_into(dict(lhs), rhs, F(-1))), (r1, r2, w)
+
+
+# sha256 of ``U_golden_text()``, captured before U(rho) was summed on
+# integer numerators: same entries, key order and value types
+U_GOLDEN = "697aa906d2680e0c4e1a530b0924a391d40ef3671c376152598d96f39ef4837f"
+
+
+def U_golden_text():
+    """One line per U_apply call: module, rho, the input vector, then the
+    output as (label, value type, value) in key order.  The rho have degree
+    <= 4 and the vectors mix labels of weight 2-6; entries after the first
+    may be zero."""
+    rng = random.Random(1729)
+    H0 = heisenberg_model()
+    modules = [H0, fock_module(H0, F(1, 2)), virasoro_model(F(-22, 5)), contragredient(H0)]
+    lines = []
+    for M in modules:
+        labels = [l for wt in range(2, 7) for l in M.basis_at(wt)]
+        for _ in range(16):
+            rho = rand_coord(rng, degree=rng.randint(1, 4))
+            w = {rng.choice(labels): rand_frac(rng, nonzero=True)}
+            for _ in range(rng.randint(0, 3)):
+                w[rng.choice(labels)] = rand_frac(rng)
+            out = U_apply(rho, w, M)
+            lines.append(repr((M.name, rho.poly, w,
+                               [(k, type(c).__name__, c) for k, c in out.items()])))
+    return "\n".join(lines)
+
+
+def test_U_apply_golden():
+    assert hashlib.sha256(U_golden_text().encode()).hexdigest() == U_GOLDEN
 
 
 def test_U_inverse_roundtrip():

@@ -169,7 +169,7 @@ def test_compose_inverse_roundtrip():
 @settings(max_examples=60, derandomize=True)
 @given(rationals.filter(bool), st.lists(rationals, max_size=8), st.integers(2, 10))
 def test_comp_inverse_inverts_on_both_sides(a1, rest, order):
-    # checked through series_compose, which shares no code with the inversion
+    # checked through series_compose, which shares only _integer_form with the inversion
     cmap = {1: a1, **{k: c for k, c in enumerate(rest, start=2) if k < order}}
     f = poly("z", cmap, order)
     g = series_comp_inverse(f)
@@ -177,6 +177,63 @@ def test_comp_inverse_inverts_on_both_sides(a1, rest, order):
     for comp in (series_compose(f, g), series_compose(g, f)):
         assert comp.order == order
         assert [comp.coeff(n) for n in range(order)] == [0, 1] + [0] * (order - 2)
+
+
+def compose_oracle(f, g):
+    """(floor, order, coeffs) of f(g) from the definition, in plain
+    Fractions: sum_k f_k g^k with g^k by dict convolution of g's known
+    coefficients, on the window series_compose documents (order
+    min(f.order, g.order + k0 - 1), floor the lowest exponent of a summed
+    term); None where series_compose raises (f with order 0 and g != 0)."""
+    fc = {n: F(f.coeff(n)) for n in range(f.floor, f.order) if f.coeff(n)}
+    gc = {n: F(g.coeff(n)) for n in range(g.floor, g.order) if g.coeff(n)}
+    if not gc:  # g = 0: the constant term of f
+        order = max(f.order, 1)
+        return 0, order, [fc.get(0, F(0))] + [F(0)] * (order - 1)
+    if f.order == 0:
+        return None
+    a = min(gc)
+    order = min(f.order, g.order + max(min(fc, default=f.order), 1) - 1)
+    out, floor = {}, order
+    power = {0: F(1)}
+    for k in range(max(fc, default=-1) + 1):
+        if k * a >= order:
+            break
+        if k in fc:
+            floor = min(floor, k * a)
+            for e, c in power.items():
+                out[e] = out.get(e, F(0)) + fc[k] * c
+        nxt = {}
+        for e1, c1 in power.items():
+            for e2, c2 in gc.items():
+                nxt[e1 + e2] = nxt.get(e1 + e2, F(0)) + c1 * c2
+        power = nxt
+    return floor, order, [out.get(n, F(0)) for n in range(floor, order)]
+
+
+@settings(max_examples=150, derandomize=True)
+@given(st.integers(0, 3), st.lists(scalars, max_size=7),
+       st.integers(1, 3), st.lists(scalars, max_size=7))
+def test_compose_matches_definition(ffloor, fcs, gfloor, gcs):
+    # f may be an order-0 window or all zeros; g has g(0) = 0 by its floor
+    f, g = TruncSeries("z", ffloor, fcs), TruncSeries("z", gfloor, gcs)
+    want = compose_oracle(f, g)
+    if want is None:
+        with pytest.raises(ValueError):
+            series_compose(f, g)
+        return
+    got = series_compose(f, g)
+    assert (got.floor, got.order, got.coeffs) == want
+    assert all(type(c) is F for c in got.coeffs)
+
+
+def test_compose_rejects_series_coefficients():
+    # composition runs on integer numerators: x-series coefficients are refused
+    xs = [TruncSeries("x", 0, [F(1), F(2)]), TruncSeries("x", 0, [F(3), F(0)])]
+    rational = poly("z", {1: F(1), 2: F(1, 2)}, 4)
+    for f, g in ((TruncSeries("z", 0, xs), rational), (rational, TruncSeries("z", 1, xs))):
+        with pytest.raises(ValueError, match="rational coefficients"):
+            series_compose(f, g)
 
 
 def test_laurent_reciprocal():
