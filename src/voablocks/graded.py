@@ -9,11 +9,18 @@ label equality.
 Vectors are plain ``{label: coefficient}`` dicts.  Coefficients are
 Fractions, or any ring value when series-valued scalars flow through (see
 series module notes).
+
+Exact rational sums that build many entries, the weight blocks and the
+contragredient transpose of ``models`` and U(rho) in ``virasoro``, run on
+the one private accumulator ``_IntVectors``: integer numerators over one
+running common denominator, one Fraction per entry at the end (the
+common-denominator representation of ``series.series_mul``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .series import _nonzero
 
@@ -44,6 +51,47 @@ def vec_add_into(dst: dict, src: dict, c=1) -> dict:
         elif label in dst:
             del dst[label]
     return dst
+
+
+class _IntVectors:
+    """Rational vectors summed as integer numerators over one running common
+    denominator: ``vecs`` maps each target to {label: int}, and every entry
+    is that int over ``den``."""
+
+    __slots__ = ("vecs", "den")
+
+    def __init__(self, vecs: dict, den: int = 1):
+        self.vecs = vecs
+        self.den = den
+
+    def add(self, img: dict, items, n: int, d: int):
+        """img += (n/d) * items, for ``img`` one of the ``vecs`` and ``items``
+        (label, rational) pairs; ints count as rationals.  ``den`` grows to
+        an lcm, rescaling every stored numerator, only when a term's
+        denominator does not divide it.  An entry whose sum reaches 0 is
+        popped, as ``vec_add_into`` does, so the keys keep its order."""
+        den = self.den
+        for k, c in items:
+            cd = d * c.denominator
+            if den % cd:
+                s = lcm(den, cd) // den
+                den *= s
+                for vec in self.vecs.values():
+                    for key in vec:
+                        vec[key] *= s
+            v = img.get(k, 0) + n * c.numerator * (den // cd)
+            if v:
+                img[k] = v
+            else:
+                img.pop(k, None)
+        self.den = den
+
+    def fractions(self) -> dict:
+        """{target: {label: Fraction}}: one Fraction per entry."""
+        den = self.den
+        if den == 1:  # integer sums: Fraction(n) skips the gcd
+            return {t: {k: Fraction(n) for k, n in vec.items()} for t, vec in self.vecs.items()}
+        return {t: {k: Fraction(n, den) for k, n in vec.items()} for t, vec in self.vecs.items()}
 
 
 def vec_scale(v: dict, c) -> dict:

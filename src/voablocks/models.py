@@ -25,15 +25,18 @@ the L_{-1}-derivative property Y(L_{-1} v, z) = d/dz Y(v, z) gives
 Y(v, z) = d^k/dz^k Y(g, z) / k!, so Y_W(v)_h = (-1)^k C(h, k) g_{h-k} is
 one scaled generator action (for Virasoro, L_{-n} 1 has k = n - 2 and
 g_m = L_{m-1}).  Vacuum blocks are filled only when the vacuum label is asked
-for.  A block of a longer label is summed as integer numerators over one
-common denominator, which grows to an lcm only when a term needs it, and its
-entries become Fractions once, at the end of the fill (the common-denominator
-representation of exact polynomial arithmetic, as in ``series.series_mul``).
+for.  A block of a longer label, and a contragredient block, are summed on the
+one integer accumulator ``graded._IntVectors``: integer numerators over one
+common denominator, which grows to an lcm only when a term needs it, and
+entries that become Fractions once, at the end of the fill (the
+common-denominator representation of exact polynomial arithmetic, as in
+``series.series_mul``).
 Generator modes act directly: alpha_k by exact bracket algebra on partition
 labels, L_k by PBW straightening through the Virasoro bracket.  The models
-also give L_n per label, by PBW resp. the Sugawara form; ``Module.L_apply``,
-Y(conformal vector)_{n+1} through the blocks, stays the reference and the
-L_n of contragredients.
+also give L_n per label, ``_L(n, label)``, by PBW resp. the Sugawara form;
+``Module.L_apply``, Y(conformal vector)_{n+1} through the blocks, stays the
+reference and the L_n of contragredients.  Every module memoizes ``_L`` as
+read-only images (a contragredient's read once from ``L_apply``).
 
 A contragredient block is the transpose of base blocks through the twist
 U(gamma_{1/w}) = e^{w^{-1} L_1} (-w^2)^{Ltilde0} (Frenkel-Huang-Lepowsky,
@@ -56,10 +59,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from types import MappingProxyType
 
-from .graded import vec_add_into, vec_is_zero, vec_max_weight, weight_of
+from .graded import _IntVectors, vec_add_into, vec_is_zero, vec_max_weight, weight_of
 from .virasoro import exp_terms, gbinom, vir_bracket
 
 __all__ = [
@@ -107,17 +109,6 @@ class CapError(Exception):
     """A computed vector needs weights above the requested cap."""
 
 
-def _rescale(nums: dict, den: int, d: int) -> int:
-    """Bring the integer images ``nums`` (over ``den``) onto lcm(den, d);
-    returns the new common denominator."""
-    new = lcm(den, d)
-    s = new // den
-    for img in nums.values():
-        for k in img:
-            img[k] *= s
-    return new
-
-
 class Module:
     """Common machinery for graded modules with a single generating field.
 
@@ -132,6 +123,7 @@ class Module:
 
     def __init__(self):
         self._blocks: dict = {}
+        self._L_cache: dict = {}  # (n, label) -> read-only L_n image
         self._dual: Module | None = None
 
     # -- subclass interface --------------------------------------------
@@ -172,14 +164,13 @@ class Module:
 
         A length-1 label g_{-1-k} 1 is the base case, read from the
         generator as (-1)^k C(h, k) g_{h-k}; only the vacuum label itself
-        fills a vacuum block.  A longer label's images are summed as integer
-        numerators over one running common denominator ``den`` of the block:
-        a term b a g (b the integer binomial with its sign, a and g
-        rationals) adds b a.numerator g.numerator scaled to ``den``, and
-        ``den`` grows to an lcm, rescaling the stored numerators, only when a
-        term's denominator does not divide it.  An entry whose sum reaches 0
-        is removed, as ``vec_add_into`` does, so the images keep its key
-        order.  One Fraction is built per entry."""
+        fills a vacuum block.  A longer label's images are summed on the
+        accumulator ``graded._IntVectors``, as integer numerators over one
+        running common denominator of the block: a term b a g (b the integer
+        binomial with its sign, a and g rationals) adds (b a.numerator /
+        a.denominator) times the image g.  An entry whose sum reaches 0 is
+        removed, as ``vec_add_into`` does, so the images keep its key order.
+        One Fraction is built per entry."""
         res: dict = {wl: {} for wl in self.basis_at(wt)}
         if not vl:
             return {wl: {wl: F1} for wl in res} if h == -1 else res
@@ -195,7 +186,7 @@ class Module:
                     for gl, gc in gen_apply(h - k, wl).items():
                         img[gl] = b * gc
             return res
-        den = 1
+        acc = _IntVectors(res)
         # first sum: g_{j-l} u_{h+l}, dies once u_{h+l} hits weight < 0
         for l in range(0, weight_of(rest) + wt - h):
             b = gbinom(j, l)
@@ -203,16 +194,7 @@ class Module:
             for wl, t in self.mode_block(rest, h + l, wt).items():
                 img = res[wl]
                 for tl, tc in t.items():
-                    tn, td = coef * tc.numerator, tc.denominator
-                    for gl, gc in gen_apply(j - l, tl).items():
-                        d = td * gc.denominator
-                        if den % d:
-                            den = _rescale(res, den, d)
-                        s = img.get(gl, 0) + tn * gc.numerator * (den // d)
-                        if s:
-                            img[gl] = s
-                        else:
-                            img.pop(gl, None)
+                    acc.add(img, gen_apply(j - l, tl).items(), coef * tc.numerator, tc.denominator)
         # second sum: u_{j+h-l} g_l, dies once g_l hits weight < 0
         for l in range(0, self.voa.gen_weight + wt):
             b = gbinom(j, l)
@@ -224,19 +206,17 @@ class Module:
                 for gl, gc in gen_apply(l, wl).items():
                     t = blk.get(gl)
                     if t:
-                        gn, gd = coef * gc.numerator, gc.denominator
-                        for tl, tc in t.items():
-                            d = gd * tc.denominator
-                            if den % d:
-                                den = _rescale(res, den, d)
-                            s = img.get(tl, 0) + gn * tc.numerator * (den // d)
-                            if s:
-                                img[tl] = s
-                            else:
-                                img.pop(tl, None)
-        if den == 1:  # integer blocks (the Heisenberg VOA): Fraction(n) skips the gcd
-            return {wl: {k: Fraction(n) for k, n in img.items()} for wl, img in res.items()}
-        return {wl: {k: Fraction(n, den) for k, n in img.items()} for wl, img in res.items()}
+                        acc.add(img, t.items(), coef * gc.numerator, gc.denominator)
+        return acc.fractions()
+
+    def _L(self, n: int, label: tuple) -> MappingProxyType:
+        """L_n of one basis label, memoized as a read-only image; the VOAs
+        override it with their PBW resp. Sugawara images, memoized alike."""
+        key = (n, label)
+        hit = self._L_cache.get(key)
+        if hit is None:
+            hit = self._L_cache[key] = MappingProxyType(self.L_apply(n, {label: F1}))
+        return hit
 
     def L_apply(self, n: int, w: dict) -> dict:
         """L_n = Y_W(conformal vector)_{n+1}."""
@@ -279,7 +259,6 @@ class HeisenbergVOA(VOAModel):
         self.mu = F0
         self.gen_weight = 1
         self.conformal_vector = {(1, 1): Fraction(1, 2)}
-        self._L_cache: dict = {}
 
     def basis_at(self, n: int) -> tuple:
         return partitions(n)
@@ -343,7 +322,6 @@ class VirasoroVOA(VOAModel):
         self.name = f"virasoro(c={self.c})"
         self.gen_weight = 2
         self.conformal_vector = {(2,): F1}
-        self._L_cache: dict = {}
 
     def basis_at(self, n: int) -> tuple:
         return partitions(n, min_part=2)
@@ -401,16 +379,19 @@ class DualModule(Module):
     def _block(self, vl: tuple, h: int, wt: int) -> dict:
         """Transpose of base blocks through U(gamma_{1/w}): the twist term at
         w^e reads the base block at mode e - h - 2 and source weight
-        wt + wt(v) - h - 1; L_1^0 v first, which fixes the images' key order."""
+        wt + wt(v) - h - 1; L_1^0 v first, which fixes the images' key order.
+        Each transposed entry is added on the block's integer accumulator."""
         src = wt + weight_of(vl) - h - 1
         res: dict = {wl: {} for wl in self.basis_at(wt)}
+        acc = _IntVectors(res)
         if src >= 0:
             for e, lv in reversed(gamma_twist(vl, self)):
                 for ul, uc in lv.items():
+                    un, ud = uc.numerator, uc.denominator
                     for wl2, img in self.base.mode_block(ul, e - h - 2, src).items():
                         for wl, c in img.items():
-                            vec_add_into(res[wl], {wl2: c}, uc)
-        return res
+                            acc.add(res[wl], ((wl2, c),), un, ud)
+        return acc.fractions()
 
 
 def gamma_twist(v, module: Module) -> list:

@@ -334,7 +334,9 @@ def series_compose(f: TruncSeries, g: TruncSeries) -> TruncSeries:
     """f(g(x)) for f with floor >= 0 and g with g(0) = 0, g'(0) free.
 
     The certified order is min(f.order, g.order + k0 - 1) where k0 is the
-    smallest positive exponent of f with a (potentially) nonzero coefficient.
+    smallest positive exponent of f with a (potentially) nonzero coefficient;
+    a zero window g = O(x^m) takes the same rule, and an order 0 result is
+    O(x^0).  g(0) = 0 must be certified, so g = O(x^0) is refused.
     Coefficients must be rationals; any other coefficient raises
     ValueError.  With g = x^a G(x) / dg and f's coefficients f_k / df
     (G and f_k integral), the powers G^k and the sum of f_k x^{ka} G^k
@@ -345,17 +347,15 @@ def series_compose(f: TruncSeries, g: TruncSeries) -> TruncSeries:
     if fn.floor < 0:
         raise ValueError("composition needs f with floor >= 0")
     gn = g.normalize()
-    if gn.coeffs and gn.floor < 1:
+    if gn.floor < 1:
         raise ValueError("composition needs g(0) = 0")
     fi, gi = _integer_form(fn.coeffs), _integer_form(gn.coeffs)
     if fi is None or gi is None:
         raise ValueError("composition needs rational coefficients")
-    if not gn.coeffs:
-        return TruncSeries.const(g.var, fn.coeff(0) if fn.order > 0 else _ZERO, max(f.order, 1))
     k0 = max(fn.floor, 1)
     order = min(f.order, g.order + k0 - 1)
     if order <= 0:
-        raise ValueError("composition needs f with order > 0")
+        return TruncSeries.zero(g.var, 0)
     (fk, df), (G, dg) = fi, gi
     a = gn.floor
     # f_k g^k vanishes below x^{ka}, so the powers stop at K

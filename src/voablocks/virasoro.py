@@ -8,22 +8,20 @@ provides an ``L_apply(n, vec)`` action; the exponential is a finite sum
 because L_n with n > 0 lowers the grading weight by n.  ``exp_terms`` is the
 one X^k w / k! loop over generic scalars; it also builds the e^{L_1} of
 ``models.gamma_twist``.  With rational c0, c_n and vector, ``apply_exp_raising``
-sums the same terms on integer numerators over one common denominator and
-builds one Fraction per output entry, with the same values and key order;
-series-valued scalars take ``exp_terms``.
+sums the same terms on the integer accumulator ``graded._IntVectors``, the one
+the weight blocks use, and builds one Fraction per output entry, with the
+same values and key order; series-valued scalars take ``exp_terms``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
-from .graded import vec_add_into, vec_scale, vec_scale_ltilde0, weight_of
+from .graded import _IntVectors, vec_add_into, vec_scale, vec_scale_ltilde0, weight_of
 from .series import _integer_form, _is_scalar
 
 __all__ = ["vir_bracket", "exp_terms", "apply_exp_raising", "gbinom"]
-
-_ONE = Fraction(1)
 
 
 def vir_bracket(m: int, n: int, c) -> tuple[int, Fraction]:
@@ -64,11 +62,12 @@ def apply_exp_raising(coeffs, c0, w: dict, module) -> dict:
     integer power either way).  When c0 is a Fraction and every c_n and
     every value of w is a rational, the terms X^k w / k! are summed as
     integer numerators over one running common denominator: L_n images
-    are read per label, once per call, and the denominator grows to an lcm
-    only when an image needs it.  One Fraction is built per output entry,
-    with c0^{wt} folded in.  Modes are the outer loop and labels the inner
-    one, as in ``exp_terms`` over the generic step, so the result has the
-    same key order.  Series-valued scalars take the generic loop.
+    are the module's memoized read-only ``_L`` images per label, and the
+    denominator grows to an lcm only when an image needs it.  One
+    Fraction is built per output entry, with c0^{wt} folded in.  Modes are
+    the outer loop and labels the inner one, as in ``exp_terms`` over the
+    generic step, so the result has the same key order.  Series-valued
+    scalars take the generic loop.
     """
     if _is_scalar(c0) and c0 == 0:
         raise ValueError("c0 = 0 is not a coordinate change")
@@ -91,66 +90,34 @@ def apply_exp_raising(coeffs, c0, w: dict, module) -> dict:
 
 def _exp_raising_integer(cf, wf, c0: Fraction, w: dict, module) -> dict:
     """``apply_exp_raising`` on integer numerators: ``cf`` and ``wf`` are
-    the integer forms of c_1, c_2, ... and of w's values.  Each mode's
-    image of a term is summed label by label, as ``L_apply`` does, and then
-    added to the term's image, as the generic ``raising`` does, so entries
-    appear, cancel and reappear in the same order."""
+    the integer forms of c_1, c_2, ... and of w's values.  The output, and
+    per term the images L_i and dc X of its numerators, are accumulators
+    ``graded._IntVectors``.  L_i of a term is summed label by label from
+    the module's per-label ``_L``, as ``L_apply`` does, and then added to the
+    term's image, as the generic ``raising`` does, so entries appear, cancel
+    and reappear in the same order."""
     (cn, dc), (wn, den) = cf, wf
     modes = [(i, c) for i, c in enumerate(cn, start=1) if c]
-    images: dict = {}  # (n, label) -> L_n of the label
-    term = {label: n for label, n in zip(w, wn) if n}
-    tden = den
-    terms = []  # (numerators of X^k w / k!, their denominator), k >= 1
+    out = _IntVectors({0: dict(zip(w, wn))}, den)
+    term, tden = {label: n for label, n in zip(w, wn) if n}, den  # X^k w / k! over tden
     k = 0
     while term:
         k += 1
-        nxt: dict = {}  # X term, numerators over lden
-        lden = 1
+        nxt = _IntVectors({0: {}})  # dc X of the term's numerators
         for i, c in modes:
-            part: dict = {}  # L_i term, numerators over lden
+            part = _IntVectors({0: {}})  # L_i of the term's numerators
             for label, n in term.items():
-                img = images.get((i, label))
-                if img is None:
-                    img = images[i, label] = module.L_apply(i, {label: _ONE})
-                for gl, gc in img.items():
-                    d = gc.denominator
-                    if lden % d:
-                        s = lcm(lden, d) // lden
-                        lden *= s
-                        for vec in (part, nxt):
-                            for key in vec:
-                                vec[key] *= s
-                    v = part.get(gl, 0) + n * gc.numerator * (lden // d)
-                    if v:
-                        part[gl] = v
-                    else:
-                        part.pop(gl, None)
-            for gl, v in part.items():
-                v = nxt.get(gl, 0) + c * v
-                if v:
-                    nxt[gl] = v
-                else:
-                    nxt.pop(gl, None)
-        if nxt:
-            tden *= lden * dc * k
-            terms.append((nxt, tden))
-        term = nxt
-    out = {label: n * (tden // den) for label, n in zip(w, wn)}
-    for term, d in terms:
-        s = tden // d
-        for label, n in term.items():
-            v = out.get(label, 0) + n * s
-            if v:
-                out[label] = v
-            else:
-                out.pop(label, None)
+                part.add(part.vecs[0], module._L(i, label).items(), n, 1)
+            nxt.add(nxt.vecs[0], part.vecs[0].items(), c, part.den)
+        term, tden = nxt.vecs[0], tden * nxt.den * dc * k
+        out.add(out.vecs[0], term.items(), 1, tden)
     p, q = c0.numerator, c0.denominator
     powers: dict = {}
     res = {}
-    for label, n in out.items():
+    for label, n in out.vecs[0].items():
         wt = weight_of(label)
         pq = powers.get(wt)
         if pq is None:
-            pq = powers[wt] = (p ** wt, tden * q ** wt)
+            pq = powers[wt] = (p ** wt, out.den * q ** wt)
         res[label] = Fraction(n * pq[0], pq[1])
     return res

@@ -206,6 +206,12 @@ def test_memo_caches_are_read_only():
         with pytest.raises(TypeError):
             blk[(1,)][(9,)] = 7
         assert {wl: dict(img) for wl, img in M.mode_block((1,), -1, 1).items()} == before
+        img = M._L(1, (2,))  # the per-label L_n that U(rho) reads
+        before = dict(img)
+        assert before
+        with pytest.raises(TypeError):
+            img[(9,)] = 7
+        assert dict(M._L(1, (2,))) == before
 
 
 @pytest.mark.parametrize("M", [H, fock_module(H, F(3, 2))], ids=["heisenberg", "fock"])
@@ -298,7 +304,8 @@ def test_integer_blocks_match_independent_oracles(kind, param, data):
     """Fresh F_mu or Vir_c whose parameter has a denominator up to 30, so a
     block's common denominator grows while it is summed.  Oracles outside
     the recursion: Y(g)_k is the generator action, Y(omega)_{n+1} the
-    Sugawara resp. PBW L_n, and the Jacobi identity on composite labels."""
+    Sugawara resp. PBW L_n, the Jacobi identity on composite labels, and
+    the test-local ``twisted_transpose`` for the contragredient's blocks."""
     M = fock_module(heisenberg_model(), param) if kind == "fock" else virasoro_model(param)
     gen = (M.voa.gen_weight,)
     for wt in range(6):
@@ -314,6 +321,12 @@ def test_integer_blocks_match_independent_oracles(kind, param, data):
         w = {data.draw(st.sampled_from(all_labels(M, 3))): F(data.draw(st.integers(1, 5)))}
         m, n, h = (data.draw(st.integers(-2, 2)) for _ in range(3))
         assert jacobi_check(M, u, v, w, m, n, h), (u, v, w, m, n, h)
+    Md = contragredient(M)
+    for vl in labels:
+        for d in range(6):
+            for h in range(weight_of(vl) - 3, weight_of(vl) + d + 1):
+                got = {wl: dict(img) for wl, img in Md.mode_block(vl, h, d).items()}
+                assert got == twisted_transpose(M, vl, h, d), (vl, h, d)
 
 
 def test_gbinom_oracles():

@@ -184,16 +184,13 @@ def compose_oracle(f, g):
     Fractions: sum_k f_k g^k with g^k by dict convolution of g's known
     coefficients, on the window series_compose documents (order
     min(f.order, g.order + k0 - 1), floor the lowest exponent of a summed
-    term); None where series_compose raises (f with order 0 and g != 0)."""
+    term), for a zero window g as well; an order 0 window is O(z^0)."""
     fc = {n: F(f.coeff(n)) for n in range(f.floor, f.order) if f.coeff(n)}
     gc = {n: F(g.coeff(n)) for n in range(g.floor, g.order) if g.coeff(n)}
-    if not gc:  # g = 0: the constant term of f
-        order = max(f.order, 1)
-        return 0, order, [fc.get(0, F(0))] + [F(0)] * (order - 1)
-    if f.order == 0:
-        return None
-    a = min(gc)
+    a = min(gc, default=g.order)
     order = min(f.order, g.order + max(min(fc, default=f.order), 1) - 1)
+    if order <= 0:
+        return 0, 0, []
     out, floor = {}, order
     power = {0: F(1)}
     for k in range(max(fc, default=-1) + 1):
@@ -218,13 +215,23 @@ def test_compose_matches_definition(ffloor, fcs, gfloor, gcs):
     # f may be an order-0 window or all zeros; g has g(0) = 0 by its floor
     f, g = TruncSeries("z", ffloor, fcs), TruncSeries("z", gfloor, gcs)
     want = compose_oracle(f, g)
-    if want is None:
-        with pytest.raises(ValueError):
-            series_compose(f, g)
-        return
     got = series_compose(f, g)
     assert (got.floor, got.order, got.coeffs) == want
     assert all(type(c) is F for c in got.coeffs)
+
+
+def test_compose_on_zero_windows():
+    # a zero window g = O(z^m) certifies f(g) only up to the documented
+    # order, and an order 0 window is O(z^0), not a claim that f(g)(0) = 0
+    f = poly("z", {0: F(5), 1: F(3)}, 10)
+    cases = [(f, TruncSeries.zero("z", 2), (0, 2, [F(5), F(0)])),
+             (TruncSeries.zero("z", 0), TruncSeries.zero("z", 3), (0, 0, [])),
+             (TruncSeries.zero("z", 0), poly("z", {1: F(1)}, 2), (0, 0, []))]
+    for f, g, want in cases:
+        got = series_compose(f, g)
+        assert (got.floor, got.order, got.coeffs) == want, (f, g)
+    with pytest.raises(ValueError, match="g\\(0\\) = 0"):
+        series_compose(f, TruncSeries.zero("z", 0))
 
 
 def test_compose_rejects_series_coefficients():
