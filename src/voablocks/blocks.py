@@ -26,6 +26,10 @@ is twisted by U(gamma_{1/w}) = e^{w^{-1} L_1} (-w^2)^{Ltilde0}, the
 ``models.gamma_twist`` that also defines the contragredient action, and the
 1-form bookkeeping uses dzeta = -w^{-2} dw.  ``hom_block`` checks that its
 T: W1 -> W2' intertwines; ``identity_hom`` is the label pairing of W and W'.
+The residue action of v on slot i is one series, the slot tail
+sum_n phi(..., Y(v)_n w_i, ...) var^{-n-1} over the modes the slot cap can
+see, so the slot caps set every window.  Propagation glues these tails and
+``block_property_check`` sums their residues against a global form g dzeta.
 """
 
 from __future__ import annotations
@@ -33,9 +37,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .graded import vec_add_into, vec_is_zero, vec_max_weight, weight_of
+from .graded import vec_add_into, vec_is_zero, weight_of
 from .models import Module, contragredient, gamma_twist
-from .series import TruncSeries
+from .series import TruncSeries, series_mul
 from .virasoro import gbinom
 
 __all__ = [
@@ -362,19 +366,29 @@ def rational_glue(exp0: TruncSeries, exp_z0: TruncSeries, exp_inf: TruncSeries,
 def residue_pairing(sigma: dict, t: RationalFunction) -> Fraction:
     """Sum over marked points of Res <sigma_p, t>: each sigma_p is the tail
     of 1-form-valued data in the local coordinate at p (already including
-    the coordinate Jacobian at infinity); t is a global RationalFunction."""
+    the coordinate Jacobian at infinity); t is a global RationalFunction.
+    sigma_p needs order >= -f, f the floor of t at p (its pole order, or
+    its order of vanishing); else UnderdeterminedCap names that order."""
+    return _residue_sum((p, s, t.expand_at_point(p, max(1, 1 - s.floor), s.var), None)
+                        for p, s in sigma.items())
+
+
+def _residue_sum(terms) -> Fraction:
+    """Sum of Res (a * b) = [x^{-1}] series_mul(a, b) over (point, a, b, cap)
+    terms.  x^{-1} needs a.order >= -b.floor and b.order >= -a.floor; else
+    UnderdeterminedCap names the point, both windows, those orders and, for a
+    slot tail a of cap ``cap``, the cap that gives a its order."""
     total = F0
-    for p, s in sigma.items():
-        tpole = t.pole_order_at(p)
-        if s.order < tpole:
-            raise UnderdeterminedCap("sigma window too short for t's pole at "
-                                     f"{p}")
-        texp = t.expand_at_point(p, max(1, 1 - s.floor))
-        for k in range(s.floor, tpole):
-            c = s.coeff(k)
-            if c:
-                e = -1 - k
-                total += c * (texp.coeff(e) if e < texp.order else F0)
+    for p, a, b, cap in terms:
+        prod = series_mul(a, b)
+        if prod.order <= -1:
+            need = f"order >= {-b.floor} on the first and >= {-a.floor} on the second"
+            if cap is not None:
+                need += f" (slot cap >= {cap - b.floor - a.order})"
+            raise UnderdeterminedCap(
+                f"residue at {p}: windows [{a.floor}, {a.order}) and [{b.floor}, {b.order}) "
+                f"know the product below x^{prod.order} only; it needs {need}")
+        total += prod.coeff(-1)
     return total
 
 
@@ -393,9 +407,9 @@ class BlockFunctional:
     marked points; ``caps[i]`` bounds the weights slot i can pair.
 
     ``evaluate`` receives one label -> coefficient mapping per slot.  The
-    mappings may be read-only: propagation and the residue action pass a
-    module's memoized mode images uncopied, so an evaluator reads its
-    arguments and never mutates them (an attempt raises TypeError)."""
+    mappings may be read-only: the slot tails pass a module's memoized mode
+    images uncopied, so an evaluator reads its arguments and never mutates
+    them (an attempt raises TypeError)."""
 
     def __init__(self, points: SpherePoints, modules, caps, evaluate, name=""):
         if len(modules) != len(points) or len(caps) != len(points):
@@ -485,11 +499,6 @@ def identity_hom(module: Module, cap: int) -> BlockFunctional:
                            [cap, cap], evaluate, name="hom")
 
 
-def _pair_dual(u: dict, up: dict) -> Fraction:
-    """Dual-basis pairing by label matching."""
-    return sum((c * up[label] for label, c in u.items() if label in up), F0)
-
-
 def three_point_block(module: Module, v, z0, w: dict, wp: dict) -> Fraction:
     """<Y_W(v, z0) w, w'> as an exact finite sum; w' lives in W'."""
     z0 = Fraction(z0)
@@ -506,8 +515,9 @@ def three_point_block(module: Module, v, z0, w: dict, wp: dict) -> Fraction:
             for d in dual_weights:
                 n = wt_v + wt_w - 1 - d
                 img = module.mode_block(vl, n, wt_w).get(wl)
-                if img:
-                    total += vc * wc * _pair_dual(img, wp) * z0 ** (-n - 1)
+                if img:  # paired with w' by dual-basis label matching
+                    pair = sum((c * wp[label] for label, c in img.items() if label in wp), F0)
+                    total += vc * wc * pair * z0 ** (-n - 1)
     return total
 
 
@@ -524,13 +534,8 @@ def vertex_block(module: Module, z0, cap: int) -> BlockFunctional:
     return BlockFunctional(points, modules, [cap, cap, cap], evaluate, name="vertex")
 
 
-def _mode_window(cap: int, wt_v: int, wt_w: int):
-    """Modes n with Y(v)_n w of weight in [0, cap]: an inclusive range."""
-    return (wt_v + wt_w - 1 - cap, wt_v + wt_w - 1)
-
-
 def _slot_tail(phi: BlockFunctional, i: int, terms, w_vecs, var: str) -> TruncSeries:
-    """Tail of the propagated section at marked point i, for the insertion
+    """The residue action on slot i as a Laurent tail, for the insertion
     given as (shift, vector) terms: [(0, v)] at a finite point, and
     gamma_twist(v, ...) at infinity.  The coefficient of var^{shift-n-1}
     collects phi(..., Y(vector)_n w_i, ...), certified for the modes the
@@ -545,8 +550,8 @@ def _slot_tail(phi: BlockFunctional, i: int, terms, w_vecs, var: str) -> TruncSe
             wt_v = weight_of(vl)
             for wl, wc in w_i.items():
                 wt_w = weight_of(wl)
-                n_min, n_max = _mode_window(cap, wt_v, wt_w)
-                for n in range(n_min, n_max + 1):
+                n_min = wt_v + wt_w - 1 - cap  # Y(vector)_n w_i of weight in [0, cap]
+                for n in range(n_min, n_min + cap + 1):
                     img = module.mode_block(vl, n, wt_w).get(wl)
                     if img:
                         args = list(w_vecs)
@@ -563,16 +568,17 @@ def _slot_tail(phi: BlockFunctional, i: int, terms, w_vecs, var: str) -> TruncSe
     return TruncSeries.from_coeff_map(var, cmap, order)
 
 
+def _tails(phi: BlockFunctional, v: dict, w_vecs) -> dict:
+    """The slot tail of v at every marked point, v twisted at infinity."""
+    return {p: _slot_tail(phi, i, gamma_twist(v, phi.modules[0]), w_vecs, "w")
+            if p is INFINITY else _slot_tail(phi, i, [(0, v)], w_vecs, "t")
+            for i, p in enumerate(phi.points)}
+
+
 def _propagated_section(phi: BlockFunctional, v: dict, w_vecs) -> RationalFunction:
     if not phi.points.has_infinity:
         raise ValueError("block configurations must include infinity")
-    tails = {}
-    for i, p in enumerate(phi.points):
-        if p is INFINITY:
-            tails[p] = _slot_tail(phi, i, gamma_twist(v, phi.modules[0]), w_vecs, "w")
-        else:
-            tails[p] = _slot_tail(phi, i, [(0, v)], w_vecs, "t")
-    report = strong_residue_check(tails, phi.points)
+    report = strong_residue_check(_tails(phi, v, w_vecs), phi.points)
     if not report.passed:
         raise AssertionError(
             f"propagated tails failed to glue; witness {report.witness}")
@@ -646,57 +652,16 @@ def propagate_block(phi: BlockFunctional, y, cap: int) -> BlockFunctional:
                            name=f"{phi.name or 'block'}~propagated@{y}")
 
 
-def _residue_action(module, v_terms, lam: TruncSeries, w_i: dict, cap: int) -> dict:
-    """Res of Y(., t) w_i against the form tail lam, for v given as
-    (t-exponent shift, vector) terms.  Raises when a nonzero component
-    escapes the cap (the action is then not computable at this window)."""
-    acted: dict = {}
-    for shift, vec in v_terms:
-        for vl, vc in vec.items():
-            wt_v = weight_of(vl)
-            for wl, wc in w_i.items():
-                wt_w = weight_of(wl)
-                n_top = wt_v + wt_w - 1  # modes below weight 0 vanish
-                for k in range(lam.floor, min(n_top - shift, lam.order - 1) + 1):
-                    c = lam.coeff(k)
-                    if not c:
-                        continue
-                    img = module.mode_block(vl, k + shift, wt_w).get(wl)
-                    if img:
-                        vec_add_into(acted, img, c * vc * wc)
-                if n_top - shift >= lam.order:
-                    raise UnderdeterminedCap("form window too short for the "
-                                             "residue action")
-    over = {l: c for l, c in acted.items() if c and weight_of(l) > cap}
-    if over:
-        raise UnderdeterminedCap("residue action left the capped window")
-    return {l: c for l, c in acted.items() if c}
-
-
 def block_property_check(phi: BlockFunctional, v, g: RationalFunction, w_vecs) -> bool:
     """The defining invariance of conformal blocks: the residue action of
     the global V-valued 1-form (v g dzeta) on the insertions sums to a
-    vector that phi kills.  Exact; raises when the caps cannot certify."""
+    vector that phi kills; by linearity of phi, the sum over the marked
+    points of Res_p(tail_p * g dzeta) for the slot tails of v.  Exact; a pole
+    of g deeper than a tail's window raises UnderdeterminedCap."""
     if {repr(p) for p in g.poles} - {repr(p) for p in phi.points.finite}:
         raise ValueError("form has poles off the marked points")
     if isinstance(v, tuple):
         v = {v: F1}
-    wt_v = vec_max_weight(v)
-    total = F0
-    for i, p in enumerate(phi.points):
-        module = phi.modules[i]
-        w_i = w_vecs[i]
-        wmax = vec_max_weight(w_i)
-        if p is INFINITY:
-            terms = gamma_twist(v, phi.modules[0])
-            span = max((abs(e) for e, _ in terms), default=0)
-            lam = _form_expansion(g, INFINITY, 2 * wt_v + wmax + span + 3)
-        else:
-            terms = [(0, v)]
-            lam = _form_expansion(g, p, wt_v + wmax + 1)
-        acted = _residue_action(module, terms, lam, w_i, phi.caps[i])
-        if acted:
-            args = list(w_vecs)
-            args[i] = acted
-            total += phi(*args)
-    return total == 0
+    tails = _tails(phi, v, w_vecs)
+    return _residue_sum((p, tail, _form_expansion(g, p, max(-tail.floor, 0)), cap)
+                        for (p, tail), cap in zip(tails.items(), phi.caps)) == 0

@@ -142,6 +142,9 @@ def cmd_coord_extract(args):
     _non_negative(args, "count")
     rho = _series_arg(args.series, args.order)
     count = args.count if args.count is not None else max(rho.order - 2, 0)
+    if count > rho.order - 2:
+        raise ValueError("series order too small for requested coefficient count: "
+                         f"--count {count} needs --order >= {count + 2}")
     cs = extract_coeffs(rho, count)
     _emit(args, {"command": "coord extract", "coeffs": [encode_rational(c) for c in cs]})
     return 0

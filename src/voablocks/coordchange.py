@@ -136,7 +136,8 @@ def extract_coeffs(rho: TruncSeries, count: int | None = None) -> list:
     if count < 0:
         raise ValueError(f"coefficient count must be >= 0, got {count}")
     if count > rho.order - 2:
-        raise ValueError("series order too small for requested coefficient count")
+        raise ValueError("series order too small for requested coefficient count: "
+                         f"{count} coefficients need order >= {count + 2}")
     inv_a1 = _inv(a1)
     cs = [a1]
     t: dict = {}  # (k, j) -> [z^j] V^k z / k!, zero unless j > k

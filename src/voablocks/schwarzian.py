@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .graded import vec_add_into, vec_is_zero, vec_weight_project
-from .coordchange import CoordChange, U_apply, extract_coeffs
+from .coordchange import CoordChange, U_apply
 from .series import TruncSeries, series_compose, series_comp_inverse, series_mul
 
 __all__ = [

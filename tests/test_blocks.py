@@ -283,6 +283,60 @@ class TestResiduePairing:
                 assert residue_pairing(cob, t) == 0
 
 
+    def test_window_boundary(self):
+        # t = zeta + 2 zeta^{-3}: a pole of order 3 at 0; sigma's floor is -1
+        t = RationalFunction(poly={1: F(1)}, poles={0: {3: F(2)}})
+
+        def sigma(order):
+            return {F(0): TruncSeries("t", -1, [F(1)] * (order + 1), order)}
+
+        with pytest.raises(UnderdeterminedCap, match=r"residue at 0: .* order >= 3 on the first"):
+            residue_pairing(sigma(2), t)
+        assert residue_pairing(sigma(3), t) == 2  # sigma_2 * 2
+
+    def test_vanishing_t_needs_less(self):
+        # t = zeta^2 - zeta = -x + x^2 at 0: the pairing with
+        # 2x^{-3} + x^{-2} + O(x^{-1}) never reads the unknown x^{-1} term
+        t = RationalFunction(poly={2: F(1), 1: F(-1)})
+        assert residue_pairing({F(0): TruncSeries("t", -3, [F(2), F(1)], -1)}, t) == 1
+        with pytest.raises(UnderdeterminedCap, match=r"order >= -1 on the first"):
+            residue_pairing({F(0): TruncSeries("t", -3, [F(2)], -2)}, t)
+
+
+@settings(max_examples=80, derandomize=True)
+@given(st.data())
+def test_residue_pairing_matches_closed_form(data):
+    """Against residues read off closed_form_tail: Res <sigma_p, t> is
+    sum_k sigma_p[k] [x^{-1-k}] t over sigma_p's window, which determines it
+    when it reaches order -f, f the lowest exponent of t's tail at p; a
+    shorter window raises naming that order, at the first such point."""
+    poles = data.draw(st.lists(small, max_size=3, unique=True))
+    t = RationalFunction(
+        data.draw(st.dictionaries(st.integers(0, 3), small)),
+        {q: data.draw(st.dictionaries(st.integers(1, 4), small, min_size=1)) for q in poles})
+    points = data.draw(st.lists(st.one_of(st.sampled_from(poles + [INFINITY]), small),
+                                min_size=1, max_size=3, unique=True))
+    sigma, want, short = {}, F(0), None
+    for p in points:
+        floor = data.draw(st.integers(-5, 2))
+        order = data.draw(st.integers(floor, 5))
+        coeffs = data.draw(st.lists(small, min_size=order - floor, max_size=order - floor))
+        sigma[p] = TruncSeries("w" if p is INFINITY else "t", floor, coeffs, order)
+        tail = closed_form_tail(t, p, 6)  # 6 > -1 - floor, past every exponent read
+        f = min(tail, default=6)
+        if order < -f and short is None:
+            short = (p, -f)
+        want += sum((c * tail.get(-1 - k, F(0)) for k, c in enumerate(coeffs, floor)), F(0))
+    if short is None:
+        got = residue_pairing(sigma, t)
+        assert got == want and type(got) is F
+    else:
+        with pytest.raises(UnderdeterminedCap) as err:
+            residue_pairing(sigma, t)
+        assert f"residue at {short[0]}: " in str(err.value)
+        assert f"order >= {short[1]} on the first" in str(err.value)
+
+
 class TestGammaTwist:
     def test_heisenberg_generator(self):
         assert gamma_twist((1,), H) == [(2, {(1,): F(-1)})]
@@ -644,6 +698,61 @@ class TestBlockProperty:
                                         [{(1,): F(1)}, {(1,): F(1)}])
                    for g in self.FORMS]
         assert not all(results)
+
+
+    def test_cap_boundary_names_the_cap(self):
+        # L_{-2}|0> against zeta^{-2} dzeta needs Y(omega)_{-2} (2,) = L_{-3} L_{-2}|0>
+        # of weight 5 at 0; against zeta^3 dzeta the tail at infinity needs cap 4
+        w = [{(2,): F(1)}, {(2,): F(1)}]
+        for g, cap, point in ((RationalFunction(poles={0: {2: F(1)}}), 5, "0"),
+                              (RationalFunction(poly={3: F(1)}), 4, "INFINITY")):
+            with pytest.raises(UnderdeterminedCap,
+                               match=rf"residue at {point}: .*\(slot cap >= {cap}\)"):
+                block_property_check(identity_hom(VIR, cap - 1), (2,), g, w)
+            assert block_property_check(identity_hom(VIR, cap), (2,), g, w)
+
+
+def sum_product(*w_vecs):
+    """A multilinear functional that is no block: the product over slots of
+    each insertion's coefficient sum."""
+    total = F(1)
+    for w in w_vecs:
+        total *= sum(w.values(), F(0))
+    return total
+
+
+@pytest.mark.parametrize("module", [heisenberg_model(), fock_module(heisenberg_model(), F(2, 3)),
+                                    virasoro_model(F(-22, 5))],
+                         ids=["heisenberg", "fock", "virasoro"])
+def test_block_property_on_drawn_forms(module):
+    """The defining property alone as the oracle: over drawn forms g dzeta
+    with poles at every finite marked point (and a polynomial part, a pole at
+    infinity), identity_hom and vertex_block pass for a drawn v of mixed
+    weight with a vacuum part, and the same check on phi + sum_product fails
+    for some drawn form.  Cap 7 covers poles of order <= 3 against v of
+    weight <= 3 and insertions of weight <= 2."""
+    rng = random.Random(1717)
+    voa = module.voa
+    v_by_weight = [voa.basis_at(wt) for wt in (1, 2, 3) if voa.basis_at(wt)]
+    perturbed = []
+    for trial in range(8):
+        z0 = rng.choice([F(1), F(-2), F(1, 3)])
+        phi = vertex_block(module, z0, 7) if trial % 2 else identity_hom(module, 7)
+        v = {(): rand_frac(rng, nonzero=True)}
+        for labels in rng.sample(v_by_weight, 2):
+            v[rng.choice(labels)] = rand_frac(rng, nonzero=True)
+        w_vecs = [rand_vector(rng, [l for wt in range(3) for l in m.basis_at(wt)], 2)
+                  for m in phi.modules]
+        psi = BlockFunctional(phi.points, phi.modules, phi.caps,
+                              lambda *ws, phi=phi: phi(*ws) + sum_product(*ws))
+        for _ in range(3):
+            g = RationalFunction(
+                {k: rand_frac(rng) for k in range(rng.randint(0, 2))},
+                {p: {m: rand_frac(rng, nonzero=True) for m in range(1, rng.randint(1, 3) + 1)}
+                 for p in phi.points.finite})
+            assert block_property_check(phi, v, g, w_vecs), (trial, v, g, w_vecs)
+            perturbed.append(block_property_check(psi, v, g, w_vecs))
+    assert not all(perturbed)
 
 
 class TestSpherePoints:

@@ -377,6 +377,12 @@ class TestMalformedInput:
                          "--count", str(SERIES_ORDER_MAX - 1))
         assert "series order too small" in err
 
+    def test_extract_names_the_order_it_needs(self, capsys):
+        # the default --order is 8: count 8 needs count + 2 = 10
+        err = self.check(capsys, "coord", "extract", "--series", "2*z - 1/3*z^2 + z^4",
+                         "--count", "8")
+        assert "series order too small" in err and "--count 8 needs --order >= 10" in err
+
     def test_character_zero_denominator_c(self, capsys):
         self.check(capsys, "character", "--model", "virasoro", "--c", "1/0",
                    "--cap", "4")

@@ -57,6 +57,12 @@ class TestExtract:
         with pytest.raises(ValueError, match="-3"):
             extract_coeffs(rho, -3)
 
+    def test_short_order_names_the_order_needed(self):
+        rho = CoordChange({1: F(2), 2: F(-1, 3), 4: F(1)}).series(8)
+        assert len(extract_coeffs(rho, 6)) == 7  # count + 2 = order: the largest count
+        with pytest.raises(ValueError, match=r"7 coefficients need order >= 9$"):
+            extract_coeffs(rho, 7)
+
 
 @settings(max_examples=30, derandomize=True)
 @given(st.lists(st.builds(F, st.integers(-5, 5), st.integers(1, 4)), min_size=3, max_size=3),

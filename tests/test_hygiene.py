@@ -1,5 +1,7 @@
-"""Package hygiene: every exported name resolves and every demo runs."""
+"""Package hygiene: every exported name resolves, no module imports a name
+it never uses, and every demo runs."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -21,6 +23,43 @@ def test_all_names_resolve(name):
     module = importlib.import_module(f"voablocks.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing
+
+
+def unused_imports(source: str) -> list:
+    """Module-level imported names that the module neither reads nor lists in
+    ``__all__``; ``__future__`` imports are directives, not names."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_unused_import_check_catches_a_leftover():
+    source = ("from __future__ import annotations\n"
+              "import os, sys\n"
+              "from .graded import vec_add_into, vec_max_weight as vmw, weight_of\n"
+              "__all__ = ['weight_of']\n"
+              "def f(x):\n"
+              "    return sys.argv, vec_add_into(x, {}, 1)\n")
+    assert unused_imports(source) == [(2, "os"), (3, "vmw")]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unused_imports(name):
+    # MODULES leaves out __init__, whose imports are the package's re-exports
+    path = ROOT / "src" / "voablocks" / f"{name}.py"
+    assert unused_imports(path.read_text()) == []
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
