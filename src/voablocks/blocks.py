@@ -165,12 +165,6 @@ class RationalFunction:
 
     # -- evaluation and expansion -------------------------------------
 
-    def pole_order_at(self, p) -> int:
-        if p is INFINITY:
-            return max(self.poly, default=0)
-        part = self.poles.get(Fraction(p))
-        return max(part, default=0) if part else 0
-
     def eval(self, x) -> Fraction:
         x = Fraction(x)
         if x in self.poles:

@@ -39,7 +39,6 @@ __all__ = [
     "gamma_series",
     "extract_coeffs",
     "U_apply",
-    "U_apply_series",
     "U_inverse_apply",
     "gamma_relation_check",
     "huang_conjugation_check",
@@ -52,8 +51,9 @@ F1 = Fraction(1)
 def poly_series(cmap: dict, var: str, order: int) -> TruncSeries:
     """Exact polynomial as a truncated series at any requested order."""
     cmap = {k: Fraction(v) if isinstance(v, int) else v for k, v in cmap.items() if v}
-    if any(k >= order for k in cmap):
-        raise ValueError("order too small for the polynomial")
+    if cmap and max(cmap) >= order:
+        raise ValueError(f"order {order} too small for the polynomial: "
+                         f"degree {max(cmap)} needs order >= {max(cmap) + 1}")
     return TruncSeries.from_coeff_map(var, cmap, order)
 
 
@@ -112,7 +112,7 @@ class CoordChange:
         return f"CoordChange({self.poly})"
 
 
-def extract_coeffs(rho: TruncSeries, count: int | None = None) -> list:
+def extract_coeffs(rho: TruncSeries, count: int) -> list:
     """[c0, c1, ..., c_count] with rho = c0 exp(sum c_n z^{n+1} d/dz) z.
 
     c0 = rho'(0).  With V = sum_m c_m z^{m+1} d/dz, the coefficients
@@ -131,8 +131,6 @@ def extract_coeffs(rho: TruncSeries, count: int | None = None) -> list:
         raise ValueError("rho'(0) = 0: not a coordinate change")
     if rho.floor < 1 and _nonzero(rho.coeff(0)):
         raise ValueError("rho(0) must be 0")
-    if count is None:
-        count = rho.order - 2
     if count < 0:
         raise ValueError(f"coefficient count must be >= 0, got {count}")
     if count > rho.order - 2:
@@ -159,31 +157,25 @@ def gamma_series(xi, order: int, var: str = "z") -> TruncSeries:
     return TruncSeries.from_coeff_map(var, cmap, order)
 
 
-def U_apply_series(rho: TruncSeries, w: dict, module: Module) -> dict:
-    """U(rho) w from a truncated series rho with sufficient order."""
+def U_apply(rho, w: dict, module: Module) -> dict:
+    """U(rho) w = c0^{Ltilde0} exp(sum_{n>0} c_n L_n) w for rho a CoordChange
+    or a truncated series.  A vector of top weight W needs c_0, ..., c_W: a
+    CoordChange extends its prefix, and a series must have order >= W + 2."""
     W = vec_max_weight(w)
     if W < 0:
         return {}
-    cs = extract_coeffs(rho, min(W, max(rho.order - 2, 0)))
-    if len(cs) - 1 < W:
-        raise ValueError(f"series order {rho.order} too small for weight {W}")
-    return apply_exp_raising(cs[1:], cs[0], w, module)
-
-
-def U_apply(rho, w: dict, module: Module) -> dict:
-    """U(rho) w for rho a CoordChange or a TruncSeries."""
     if isinstance(rho, CoordChange):
-        W = vec_max_weight(w)
-        if W < 0:
-            return {}
         cs = rho.coeffs(W)
-        return apply_exp_raising(cs[1:], cs[0], w, module)
-    return U_apply_series(rho, w, module)
+    elif rho.order - 2 < W:
+        raise ValueError(f"series order {rho.order} too small for weight {W}")
+    else:
+        cs = extract_coeffs(rho, W)
+    return apply_exp_raising(cs[1:], cs[0], w, module)
 
 
 def U_inverse_apply(rho: CoordChange, w: dict, module: Module) -> dict:
     W = vec_max_weight(w)
-    return U_apply_series(rho.inverse_series(W + 2), w, module)
+    return U_apply(rho.inverse_series(W + 2), w, module)
 
 
 def gamma_relation_check(xi, w: dict, module: Module) -> bool:
@@ -191,8 +183,8 @@ def gamma_relation_check(xi, w: dict, module: Module) -> bool:
     xi = Fraction(xi)
     W = vec_max_weight(w)
     order = W + 3
-    lhs = U_apply_series(gamma_series(xi, order), vec_scale_ltilde0(w, xi), module)
-    rhs = vec_scale_ltilde0(U_apply_series(gamma_series(F1, order), w, module), _inv(xi))
+    lhs = U_apply(gamma_series(xi, order), vec_scale_ltilde0(w, xi), module)
+    rhs = vec_scale_ltilde0(U_apply(gamma_series(F1, order), w, module), _inv(xi))
     diff = vec_add_into(dict(lhs), rhs, Fraction(-1))
     return vec_is_zero(diff)
 
@@ -245,7 +237,7 @@ def huang_conjugation_check(alpha: CoordChange, v, w: dict, module: Module,
     A = 2 * K + 2 * (Wv + Ww) + 8
 
     # ---- left side: mode-by-mode conjugation, exact rational vectors
-    ainv_w = U_apply_series(alpha.inverse_series(Ww + 2), w, module)
+    ainv_w = U_apply(alpha.inverse_series(Ww + 2), w, module)
     lhs: dict = {}
     for n in range(-K, nmax + 1):
         t = module.mode_apply(v, n, ainv_w)

@@ -15,17 +15,17 @@ Three flavours:
 * :class:`QExpansion` -- sum_{n >= 0} a_n q^(lam + n) with a single rational
   exponent offset lam; the container for sewn series and characters.
 
-Coefficients are ``fractions.Fraction`` in normal use, but any value
-supporting ring arithmetic (e.g. a TruncSeries in another variable) works;
-this is exercised when coordinate-change coefficients are themselves series.
+Coefficients are ``fractions.Fraction`` in normal use.  The container and
+the coefficient-wise operations (sums, scaling, ``map_coeffs``, ``deriv``)
+also take any value with ring arithmetic, e.g. a TruncSeries in another
+variable: the coordinate change rho_z of Huang's conjugation formula has
+z-series coefficients.
 
-When every coefficient is rational, :func:`series_mul` clears
-denominators once, works on Python integers and builds one Fraction per
+The three kernels take rationals only.  :func:`series_mul`,
+:meth:`TruncSeries.reciprocal` and :func:`series_compose` clear
+denominators once, work on Python integers and build one Fraction per
 output coefficient (the content/primitive-part technique of exact
-polynomial arithmetic); series coefficients take the generic loop, with
-the same window and the same values.  :meth:`TruncSeries.reciprocal` and
-:func:`series_compose` run on integer numerators too and accept rational
-coefficients only: any other coefficient raises ValueError.
+polynomial arithmetic); any other coefficient raises ValueError.
 :func:`series_comp_inverse` is built from ``reciprocal`` and ``series_mul``.
 """
 
@@ -228,9 +228,6 @@ class TruncSeries:
     def __sub__(self, other):
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def scale(self, s) -> "TruncSeries":
         """Multiply every coefficient by a scalar (which may live in another
         coefficient ring, e.g. a series in a different variable)."""
@@ -250,9 +247,6 @@ class TruncSeries:
         if _is_scalar(other):
             inv = Fraction(1, 1) / other
             return self.map_coeffs(lambda c: c * inv)
-        if isinstance(other, TruncSeries):
-            self._check_var(other)
-            return series_mul(self, other.reciprocal())
         return NotImplemented
 
     def __pow__(self, k: int):
@@ -301,32 +295,21 @@ class TruncSeries:
 
 
 def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    """Product of truncated series; order = min(a.floor + b.order, b.floor + a.order)."""
+    """Product of truncated series with rational coefficients; order =
+    min(a.floor + b.order, b.floor + a.order).  The numerators are convolved
+    and divided once; any other coefficient raises ValueError."""
     if a.var != b.var:
         raise ValueError(f"variable mismatch: {a.var!r} vs {b.var!r}")
+    ia, ib = _integer_form(a.coeffs), _integer_form(b.coeffs)
+    if ia is None or ib is None:
+        raise ValueError("series_mul needs rational coefficients")
     floor = a.floor + b.floor
     order = min(a.floor + b.order, b.floor + a.order)
     if order <= floor:
         return TruncSeries.zero(a.var, order)
-    size = order - floor
-    ia, ib = _integer_form(a.coeffs), _integer_form(b.coeffs)
-    if ia is not None and ib is not None:
-        # rational operands: convolve the numerators, divide once
-        (na, da), (nb, db) = ia, ib
-        den = da * db
-        return TruncSeries(a.var, floor, [Fraction(c, den) for c in _convolve(na, nb, size)],
-                           order)
-    coeffs = [_ZERO] * size
-    for i, ca in enumerate(a.coeffs):
-        if not _nonzero(ca):
-            continue
-        na = a.floor + i
-        for j, cb in enumerate(b.coeffs):
-            n = na + b.floor + j
-            if n >= order:
-                break
-            if _nonzero(cb):
-                coeffs[n - floor] = coeffs[n - floor] + ca * cb
+    (na, da), (nb, db) = ia, ib
+    den = da * db
+    coeffs = [Fraction(c, den) for c in _convolve(na, nb, order - floor)]
     return TruncSeries(a.var, floor, coeffs, order)
 
 

@@ -263,6 +263,41 @@ GLUE = ["blocks", "glue", "--fixture", "glue.json"]
 SERIES = {"var": "q", "floor": 0, "order": 2, "coeffs": [{"num": "0", "den": "1"}] * 2}
 
 
+# two or more bad inputs per subcommand, each with a fragment of its error
+# line; the fixtures they name are the files of SWEEP_FILES
+SWEEP = [
+    ("character --model nosuch --cap 3", "unknown model"),
+    ("character --model heisenberg --cap 0", "--cap must be positive"),
+    ("coord extract --series z --order 1", "order 1 too small for the polynomial: "
+                                           "degree 1 needs order >= 2"),
+    ("coord extract --series z+z^2 --format csv", "csv output not available"),
+    ("coord extract --series 1+z", "rho(0) must be 0"),
+    ("coord huang --alpha 1+z", "rho(0) must be 0"),
+    ("coord huang --alpha z^2", "rho'(0) must be nonzero"),
+    ("schwarzian --series z^2", "f'(0) = 0"),
+    ("schwarzian --series z+z^3 --format csv", "csv output not available"),
+    ("uniformize --series z^3 --order 2", "order 2 too small for the polynomial: "
+                                          "degree 3 needs order >= 4"),
+    ("uniformize --series z --format csv", "csv output not available"),
+    ("blocks three-point --fixture missing.json", "missing.json"),
+    ("blocks three-point --fixture list.json", "not an object"),
+    ("blocks glue --fixture missing.json", "missing.json"),
+    ("blocks glue --fixture bad.json", "fixture bad.json"),
+    ("blocks residue-check --fixture list.json", "not an object"),
+    ("blocks residue-check --fixture bad.json", "fixture bad.json"),
+    ("ode solve --matrix missing.json --order 2", "missing.json"),
+    ("ode solve --matrix bad.json --order 2", "fixture bad.json"),
+    ("ode continue --matrix mat.json --path missing.json", "missing.json"),
+    ("ode continue --matrix mat.json --path path.json --steps 0", "steps must be positive"),
+    ("report --format csv", "csv output not available"),
+    ("report --out nodir/report.json", "nodir/report.json"),
+]
+SWEEP_FILES = {"bad.json": "not json", "list.json": "[]",
+               "mat.json": json.dumps({"entries": [[SERIES]]}),
+               "path.json": json.dumps({"waypoints": [[0.05, 0.0], [0.1, 0.0]],
+                                        "start": [[1.0, 0.0]]})}
+
+
 def three_point(model, **keys):
     """A three-point fixture, <Y(alpha_{-1}, 2)|mu>, |mu>'> unless overridden."""
     return {"model": model, "v": {"1": 1}, "z0": 2, "w": {"": 1}, "wp": {"": 1}, **keys}
@@ -382,6 +417,14 @@ class TestMalformedInput:
         err = self.check(capsys, "coord", "extract", "--series", "2*z - 1/3*z^2 + z^4",
                          "--count", "8")
         assert "series order too small" in err and "--count 8 needs --order >= 10" in err
+
+    @pytest.mark.parametrize("argv, fragment", SWEEP, ids=[argv for argv, _ in SWEEP])
+    def test_every_subcommand_fails_closed(self, capsys, tmp_path, monkeypatch, argv,
+                                           fragment):
+        monkeypatch.chdir(tmp_path)
+        for name, text in SWEEP_FILES.items():
+            (tmp_path / name).write_text(text)
+        assert fragment in self.check(capsys, *argv.split())
 
     def test_character_zero_denominator_c(self, capsys):
         self.check(capsys, "character", "--model", "virasoro", "--c", "1/0",

@@ -1,5 +1,6 @@
 """Package hygiene: every exported name resolves, no module imports a name
-it never uses, and every demo runs."""
+it never uses, every public function is named somewhere, and every demo
+runs."""
 
 import ast
 import importlib
@@ -60,6 +61,50 @@ def test_no_unused_imports(name):
     # MODULES leaves out __init__, whose imports are the package's re-exports
     path = ROOT / "src" / "voablocks" / f"{name}.py"
     assert unused_imports(path.read_text()) == []
+
+
+def unnamed_functions(defined: dict, readers: list) -> list:
+    """(file, line, name) of each public (non-underscore) function or method
+    in the ``defined`` sources (file name -> text) that no ``ast.Name`` or
+    ``ast.Attribute`` in the ``readers`` sources names."""
+    named = set()
+    for source in readers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    return sorted((file, node.lineno, node.name)
+                  for file, source in defined.items()
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.FunctionDef)
+                  and not node.name.startswith("_") and node.name not in named)
+
+
+def test_unnamed_function_check_catches_a_leftover():
+    source = ("class A:\n"
+              "    def used(self):\n"
+              "        return self.helper()\n"
+              "    def helper(self):\n"
+              "        return 1\n"
+              "    def _private(self):\n"
+              "        return 2\n"
+              "    def leftover(self):\n"
+              "        return 3\n"
+              "def entry():\n"
+              "    return A().used()\n")
+    caller = "from m import entry\nentry()\n"
+    assert unnamed_functions({"m.py": source}, [source, caller]) == [("m.py", 8, "leftover")]
+    assert unnamed_functions({"m.py": source}, [source]) == [("m.py", 8, "leftover"),
+                                                             ("m.py", 10, "entry")]
+
+
+def test_every_public_function_is_named():
+    # a function that no library, test or demo code names is dead code
+    src = sorted((ROOT / "src" / "voablocks").glob("*.py"))
+    readers = [p.read_text() for d in ("src", "tests", "demos")
+               for p in sorted((ROOT / d).rglob("*.py"))]
+    assert unnamed_functions({p.name: p.read_text() for p in src}, readers) == []
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
