@@ -12,7 +12,8 @@ Subcommands
 Fixtures and ``--c``/``--mu`` are decoded by ``jsonio``, one decoder per value type.
 Output is JSON (schema "voa-blocks/1") or CSV where it makes sense; with
 a fixed configuration and seed, output bytes are identical across runs.
-Exit status: 0 on success, 1 on any failed check, 2 on bad input.
+Exit status: 0 on success, 1 on any failed check, 2 on bad input, with
+one ``error:`` line on stderr, also for input that argparse rejects.
 
 ``character --cap`` is at most ``CHARACTER_CAP_MAX`` (40): weight spaces
 grow like p(cap), so a larger cap exits 2 before any model is built.
@@ -365,12 +366,16 @@ class _Parser(argparse.ArgumentParser):
     with a leading minus such as ``--series -z+z^2`` as a value, not as an
     option; subparsers are built from the same class.  argparse consults
     the matcher only for strings that match no option, so ``-h`` and the
-    ``--`` options still parse as options."""
+    ``--`` options still parse as options.  Input that argparse rejects
+    exits 2 with one ``error:`` line, as every other bad input does."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(
             r"^-\d+(/\d+)?$|^-\d*\.\d+$|^-[\w/*^ ]+([+-][\w/*^ ]+)*$")
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -21,6 +21,15 @@ rho_z(t) = a(t+z) - a(z) has z-series coefficients.  U(rho) with rational
 coefficients and a rational vector runs on integer numerators (see
 ``virasoro.apply_exp_raising``); the right-hand side of that check, whose
 coefficients are z-series, takes the generic loop.
+
+The check's z-window is derived from its inputs.  Both sides are compared
+on z^e for -(wt v + wt w) <= e < K.  The right side sums
+f_u(z) a(z)^{-n-1} u_n w.  When rho_z's coefficients are known below z^A,
+the coefficients f_u of U(rho_z) v are too, 1/a(z) is known below
+z^{A-2}, and a(z)^{-m} f_u(z) below z^{A-1-m}.  Since m = n + 1 is at most
+wt v + wt w, A = K + wt v + wt w + 1 is the smallest window that reaches
+z^{K-1}.  Each product still checks its window and raises naming the
+window it needed.
 """
 
 from __future__ import annotations
@@ -181,8 +190,7 @@ def U_inverse_apply(rho: CoordChange, w: dict, module: Module) -> dict:
 def gamma_relation_check(xi, w: dict, module: Module) -> bool:
     """U(gamma_xi) xi^{Ltilde0} w == xi^{-Ltilde0} U(gamma_1) w, exactly."""
     xi = Fraction(xi)
-    W = vec_max_weight(w)
-    order = W + 3
+    order = vec_max_weight(w) + 2  # U_apply needs order >= W + 2 at top weight W
     lhs = U_apply(gamma_series(xi, order), vec_scale_ltilde0(w, xi), module)
     rhs = vec_scale_ltilde0(U_apply(gamma_series(F1, order), w, module), _inv(xi))
     diff = vec_add_into(dict(lhs), rhs, Fraction(-1))
@@ -202,19 +210,6 @@ class HuangReport:
         return self.passed
 
 
-def _series_map_eq(a: dict, b: dict, floor: int, order: int) -> bool:
-    labels = set(a) | set(b)
-    for label in labels:
-        sa = a.get(label)
-        sb = b.get(label)
-        for n in range(floor, order):
-            ca = sa.coeff(n) if sa is not None else F0
-            cb = sb.coeff(n) if sb is not None else F0
-            if ca != cb:
-                return False
-    return True
-
-
 def huang_conjugation_check(alpha: CoordChange, v, w: dict, module: Module,
                             z_order: int) -> HuangReport:
     """Exact check of U(a) Y(v,z) U(a)^{-1} w = Y(U(rho_z) v, a(z)) w in
@@ -222,31 +217,24 @@ def huang_conjugation_check(alpha: CoordChange, v, w: dict, module: Module,
 
     rho_z(t) = a(t+z) - a(z) is expanded with z-series coefficients; the
     right-hand side substitutes a(z) into the mode expansion of the
-    transformed vector.
+    transformed vector.  Both sides are collected as one map
+    {(label, z-exponent): coefficient} of the nonzero coefficients on the
+    window and compared with ==.  The series run on the z-window
+    A = z_order + wt v + wt w + 1, derived in the module docstring.
     """
-    voa = module.voa
     if isinstance(v, tuple):
         v = {v: F1}
     Wv = vec_max_weight(v)
     Ww = vec_max_weight(w)
     K = z_order
-    nmax = Wv + Ww - 1
-    floor = -(nmax + 1)
-
-    # generous z-window: reciprocal powers of a(z) eat ~1 order per factor
-    A = 2 * K + 2 * (Wv + Ww) + 8
+    A = K + Wv + Ww + 1
 
     # ---- left side: mode-by-mode conjugation, exact rational vectors
-    ainv_w = U_apply(alpha.inverse_series(Ww + 2), w, module)
-    lhs: dict = {}
-    for n in range(-K, nmax + 1):
-        t = module.mode_apply(v, n, ainv_w)
-        if not t:
-            continue
-        t = U_apply(alpha, t, module)
-        for label, c in t.items():
-            lhs.setdefault(label, {})[-n - 1] = c
-    lhs = {label: TruncSeries.from_coeff_map("z", cmap, K) for label, cmap in lhs.items()}
+    ainv_w = U_inverse_apply(alpha, w, module)
+    lhs = {(label, -n - 1): c
+           for n in range(-K, Wv + Ww)
+           for label, c in U_apply(alpha, module.mode_apply(v, n, ainv_w), module).items()
+           if c}
 
     # ---- right side
     # rho_z(t) = a(t+z) - a(z): t-coefficient j is sum_k a_k C(k,j) z^{k-j}
@@ -254,37 +242,23 @@ def huang_conjugation_check(alpha: CoordChange, v, w: dict, module: Module,
     for j in range(1, Wv + 2):
         cmap = {k - j: alpha.poly[k] * gbinom(k, j) for k in alpha.poly if k >= j}
         tcoeffs.append(TruncSeries.from_coeff_map("z", cmap, A))
-    rho_z = TruncSeries("t", 1, tcoeffs)
-    cs = extract_coeffs(rho_z, Wv)
-    vt = apply_exp_raising(cs[1:], cs[0], v, voa)  # VOA vector, z-series coeffs
+    cs = extract_coeffs(TruncSeries("t", 1, tcoeffs), Wv)
+    vt = apply_exp_raising(cs[1:], cs[0], v, module.voa)  # VOA vector, z-series coeffs
 
     a_series = alpha.series(A)
-    a_inv_mul = a_series.reciprocal()  # 1/a(z), floor -1
-    pow_cache: dict[int, TruncSeries] = {0: TruncSeries.const("z", F1, A)}
-
-    def a_pow(m: int) -> TruncSeries:
-        if m not in pow_cache:
-            base = a_series if m > 0 else a_inv_mul
-            prev = a_pow(m - 1 if m > 0 else m + 1)
-            pow_cache[m] = prev * base
-        return pow_cache[m]
-
-    rhs_map: dict = {}
+    rhs: dict = {}
     for ul, fu in vt.items():
-        wt_u = weight_of(ul)
-        for n in range(-K, wt_u + Ww):
+        for n in range(-K, weight_of(ul) + Ww):
             t = module.mode_apply(ul, n, w)
             if not t:
                 continue
-            zser = a_pow(-n - 1) * fu  # scalar or same-variable series factor
+            zser = a_series ** (-n - 1) * fu
+            if zser.order < K:
+                raise ValueError(f"z-window {A} too small: a(z)^{-n - 1} f_u(z) is known "
+                                 f"below z^{zser.order}, the check reads z^{K - 1} and "
+                                 f"needs z-window >= {A + K - zser.order}")
             for label, c in t.items():
-                cur = rhs_map.get(label)
-                add = zser.map_coeffs(lambda x, c=c: x * c)
-                rhs_map[label] = add if cur is None else cur + add
-    rhs = rhs_map
-
-    window_ok = all(s.order >= K for s in rhs.values())
-    if not window_ok:
-        raise ValueError("internal z-window exhausted; raise the order margin")
-    passed = _series_map_eq(lhs, rhs, floor, K)
-    return HuangReport(passed, (floor, K))
+                for e in range(zser.floor, K):
+                    rhs[label, e] = rhs.get((label, e), F0) + c * zser.coeff(e)
+    rhs = {key: c for key, c in rhs.items() if c}
+    return HuangReport(lhs == rhs, (-(Wv + Ww), K))

@@ -254,16 +254,16 @@ class TruncSeries:
             raise TypeError("series powers must be integers")
         if k < 0:
             return self.reciprocal() ** (-k)
-        result = TruncSeries.const(self.var, Fraction(1), max(self.order, 1))
-        base = self
-        # plain square-and-multiply; windows shrink per series_mul rules
-        while k:
-            if k & 1:
-                result = series_mul(result, base)
-            k >>= 1
-            if k:
-                base = series_mul(base, base)
-        return result
+        if k == 0:
+            return TruncSeries.const(self.var, Fraction(1), max(self.order, 1))
+        if k == 1:
+            return self
+        # square-and-multiply on f itself: every product keeps the window of
+        # the chain f * f * ... * f, which a start from the constant 1 cuts
+        # when f has a negative floor
+        half = self ** (k // 2)
+        square = series_mul(half, half)
+        return series_mul(square, self) if k & 1 else square
 
     def deriv(self) -> "TruncSeries":
         # derivative kills the constant term; the window shifts down by one

@@ -1,14 +1,16 @@
 """Command-line interface: goldens, determinism, provenance, exit codes."""
 
+import hashlib
 import json
 from fractions import Fraction as F
 
 import pytest
 
 from voablocks.cli import (CHARACTER_CAP_MAX, CONTINUE_SEGMENTS_MAX, CONTINUE_STEPS_MAX,
-                           HUANG_CAP_MAX, HUANG_ORDER_MAX, SERIES_ORDER_MAX, main,
-                           run_report)
+                           HUANG_CAP_MAX, HUANG_ORDER_MAX, SERIES_ORDER_MAX, build_parser,
+                           main, run_report)
 from voablocks.jsonio import dumps
+from voablocks.models import FockModule, heisenberg_model
 
 
 def run(capsys, *argv):
@@ -83,6 +85,21 @@ class TestCoord:
         assert code == 0
         assert json.loads(out)["passed"] is True
 
+    def test_huang_lists_the_failures(self, capsys, monkeypatch):
+        # F_{2/3} with every L_1 image doubled: U(a) is wrong on every label
+        class DoubledL1(FockModule):
+            def _L(self, n, label):
+                img = super()._L(n, label)
+                return {l: 2 * c for l, c in img.items()} if n == 1 else img
+
+        monkeypatch.setattr("voablocks.cli._build_model",
+                            lambda name, c, mu: DoubledL1(heisenberg_model(), mu))
+        code, out = run(capsys, "coord", "huang", "--model", "fock", "--mu", "2/3",
+                        "--alpha", "z + 1/2*z^2", "--cap", "2")
+        doc = json.loads(out)
+        assert code == 1 and doc["passed"] is False
+        assert doc["failures"] == [{"w": str(l)} for l in [(), (1,), (2,), (1, 1)]]
+
 
 @pytest.mark.parametrize("argv", [
     ("coord", "extract", "--series", "-z+z^2"),
@@ -109,6 +126,14 @@ def test_help_still_parses_as_option(capsys):
         main(["schwarzian", "--series", "-h"])
     assert exc.value.code == 2
     assert "expected one argument" in capsys.readouterr().err
+
+
+def test_parser_error_is_one_line(capsys):
+    # argparse reports every input it rejects through the parser's error()
+    with pytest.raises(SystemExit) as exc:
+        build_parser().error("the following arguments are required: --series")
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", "error: the following arguments are required: --series\n")
 
 
 def test_schwarzian_golden(capsys):
@@ -230,6 +255,9 @@ class TestOde:
         assert doc["error_estimate"]["provenance"] == "float"
 
 
+REPORT_GOLDEN = "ee982e3adce0510c80b4ec7e131bda5b60a45ce5d9da131683b21eadb9f5fead"
+
+
 class TestReport:
     def test_all_checks_pass(self):
         rep = run_report(7)
@@ -248,6 +276,15 @@ class TestReport:
         code, out = run(capsys, "report", "--seed", "11")
         assert code == 0
         assert json.loads(out)["seed"] == 11
+
+    def test_seeds_0_to_19_golden(self, capsys):
+        # sha256 of the concatenated stdout of ``report --seed 0..19``
+        digest = hashlib.sha256()
+        for seed in range(20):
+            code, out = run(capsys, "report", "--seed", str(seed))
+            assert code == 0, seed
+            digest.update(out.encode())
+        assert digest.hexdigest() == REPORT_GOLDEN
 
 
 def test_out_file(tmp_path, capsys):
@@ -291,6 +328,11 @@ SWEEP = [
     ("ode continue --matrix mat.json --path path.json --steps 0", "steps must be positive"),
     ("report --format csv", "csv output not available"),
     ("report --out nodir/report.json", "nodir/report.json"),
+    # rejected by argparse itself
+    ("character --model heisenberg --cap x", "argument --cap: invalid int value"),
+    ("coord extract", "required: --series"),
+    ("nosuch", "argument command: invalid choice"),
+    ("character --model heisenberg --cap 3 --format xml", "argument --format: invalid choice"),
 ]
 SWEEP_FILES = {"bad.json": "not json", "list.json": "[]",
                "mat.json": json.dumps({"entries": [[SERIES]]}),
@@ -314,7 +356,10 @@ class TestMalformedInput:
     """Bad input exits 2 with one error line and no output or traceback."""
 
     def check(self, capsys, *argv):
-        code = main(list(argv))
+        try:
+            code = main(list(argv))
+        except SystemExit as e:  # argparse rejects through the parser's exit
+            code = e.code
         cap = capsys.readouterr()
         assert code == 2
         assert cap.out == ""

@@ -12,7 +12,8 @@ from voablocks.coordchange import (CoordChange, U_apply, U_inverse_apply,
                                    extract_coeffs, gamma_relation_check,
                                    gamma_series, huang_conjugation_check)
 from voablocks.graded import vec_add_into, vec_is_zero, weight_of
-from voablocks.models import contragredient, fock_module, heisenberg_model, virasoro_model
+from voablocks.models import (FockModule, contragredient, fock_module, heisenberg_model,
+                               virasoro_model)
 from voablocks.series import TruncSeries
 
 H = heisenberg_model()
@@ -192,6 +193,23 @@ def test_scaling_is_graded_dilation():
                 assert out == {label: a ** wt}
 
 
+class DoubledL1(FockModule):
+    """F_mu with every L_1 image doubled: U(a) goes wrong."""
+
+    def _L(self, n, label):
+        img = super()._L(n, label)
+        return {l: 2 * c for l, c in img.items()} if n == 1 else img
+
+
+class DoubledAlpha2(FockModule):
+    """F_mu with every alpha_2 image doubled: the modes Y(v)_n go wrong, and
+    so does the Sugawara L_n built from them."""
+
+    def gen_apply(self, k, label):
+        img = super().gen_apply(k, label)
+        return {l: 2 * c for l, c in img.items()} if k == 2 else img
+
+
 class TestHuang:
     def test_randomized_instances(self):
         rng = random.Random(52)
@@ -206,6 +224,42 @@ class TestHuang:
         alpha = CoordChange({1: F(1), 2: F(1, 2)})
         rep = huang_conjugation_check(alpha, (2,), {(2,): F(1)}, VIR, 4)
         assert rep
+
+    @pytest.mark.parametrize("broken", [DoubledL1, DoubledAlpha2], ids=lambda c: c.__name__)
+    def test_fails_on_a_broken_module(self, broken):
+        alpha = CoordChange({1: F(1), 2: F(1, 2)})
+        good, bad = FockModule(H, F(2, 3)), broken(H, F(2, 3))
+        for label in good.basis_at(1) + good.basis_at(2):
+            assert huang_conjugation_check(alpha, (1,), {label: F(1)}, good, 4)
+            assert not huang_conjugation_check(alpha, (1,), {label: F(1)}, bad, 4)
+
+
+HUANG_MODULES = (H, fock_module(H, F(2, 3)), fock_module(H, F(-3, 2)), VIR,
+                 virasoro_model(F(-22, 5)))
+scalars = st.sampled_from([F(1), F(-1), F(2), F(1, 3), F(-5, 2)])
+
+
+@st.composite
+def huang_cases(draw):
+    """A module, v with one or two labels of weight 2-3 in its VOA, w with one
+    or two labels of weight 0-4, a window K and a coordinate change."""
+    M = draw(st.sampled_from(HUANG_MODULES))
+    v_labels = [l for wt in (2, 3) for l in M.voa.basis_at(wt)]
+    w_labels = [l for wt in range(5) for l in M.basis_at(wt)]
+    v = draw(st.dictionaries(st.sampled_from(v_labels), scalars, min_size=1, max_size=2))
+    w = draw(st.dictionaries(st.sampled_from(w_labels), scalars, min_size=1, max_size=2))
+    return M, v, w, draw(st.integers(0, 7)), CoordChange(draw(coords))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(huang_cases())
+def test_huang_on_non_generator_insertions(case):
+    # the law holds for every insertion, and the derived z-window never
+    # trips the check's own window guard (a ValueError)
+    M, v, w, K, alpha = case
+    rep = huang_conjugation_check(alpha, v, w, M, K)
+    wt = max(map(weight_of, v)) + max(map(weight_of, w))
+    assert rep and rep.window == (-wt, K), (M.name, v, w, K, alpha.poly)
 
 
 def test_gamma_series_expansion():

@@ -237,6 +237,24 @@ def test_laurent_reciprocal():
     assert [r.coeff(n) for n in (-2, -1, 0, 1)] == [1, -1, 1, -1]
 
 
+@pytest.mark.parametrize("floor", range(-2, 3))
+def test_pow_window_matches_the_product_chain(floor):
+    # f ** k keeps the window of f * f * ... * f (of 1/f for k < 0): k times
+    # the floor, and as many known coefficients as f has.  A product started
+    # from a constant 1 known below x^{f.order} cut a negative floor's window.
+    f = poly("z", {floor: F(2), floor + 1: F(-1, 3), floor + 3: F(5)}, floor + 5)
+    for k in range(-3, 5):
+        if k == 0:
+            want = TruncSeries.const("z", F(1), max(f.order, 1))
+        else:
+            base = f if k > 0 else f.reciprocal()
+            want = base
+            for _ in range(abs(k) - 1):
+                want = series_mul(want, base)
+        got = f ** k
+        assert (got.floor, got.order, got.coeffs) == (want.floor, want.order, want.coeffs), k
+
+
 def test_reciprocal_rejects_series_coefficients():
     # a z-series whose coefficients are x-series has no reciprocal here
     xs = [TruncSeries("x", 0, [F(1), F(2)]), TruncSeries("x", 0, [F(3), F(0)])]
