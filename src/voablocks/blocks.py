@@ -89,7 +89,7 @@ class SpherePoints:
 
     def __init__(self, points):
         pts = [p if p is INFINITY else Fraction(p) for p in points]
-        if len({repr(p) for p in pts}) != len(pts):
+        if len(set(pts)) != len(pts):
             raise ValueError("marked points must be distinct")
         if any(p is INFINITY for p in pts) and pts[-1] is not INFINITY:
             raise ValueError("INFINITY must come last")
@@ -310,7 +310,7 @@ def strong_residue_check(tails, points=None) -> ResidueReport:
                               ([INFINITY] if INFINITY in tails else []))
     if not points.has_infinity:
         raise ValueError("configurations must include the point at infinity")
-    if {repr(p) for p in tails} != {repr(p) for p in points}:
+    if set(tails) != set(points):
         raise ValueError("tails and marked points disagree")
     for p in points:
         need = 1 if p is INFINITY else 0
@@ -652,7 +652,7 @@ def block_property_check(phi: BlockFunctional, v, g: RationalFunction, w_vecs) -
     vector that phi kills; by linearity of phi, the sum over the marked
     points of Res_p(tail_p * g dzeta) for the slot tails of v.  Exact; a pole
     of g deeper than a tail's window raises UnderdeterminedCap."""
-    if {repr(p) for p in g.poles} - {repr(p) for p in phi.points.finite}:
+    if set(g.poles) - set(phi.points.finite):
         raise ValueError("form has poles off the marked points")
     if isinstance(v, tuple):
         v = {v: F1}

@@ -102,11 +102,11 @@ class CoordChange:
         self.degree = max(poly)
         self._coeffs: list = []  # [c0, ..., c_m], the longest prefix asked for
 
-    def series(self, order: int, var: str = "z") -> TruncSeries:
-        return poly_series(self.poly, var, max(order, self.degree + 1))
+    def series(self, order: int) -> TruncSeries:
+        return poly_series(self.poly, "z", max(order, self.degree + 1))
 
-    def inverse_series(self, order: int, var: str = "z") -> TruncSeries:
-        return series_comp_inverse(self.series(order, var))
+    def inverse_series(self, order: int) -> TruncSeries:
+        return series_comp_inverse(self.series(order))
 
     def coeffs(self, count: int) -> list:
         """[c0, c1, ..., c_count] of the exponential factorization, as a
@@ -157,13 +157,13 @@ def extract_coeffs(rho: TruncSeries, count: int) -> list:
     return cs
 
 
-def gamma_series(xi, order: int, var: str = "z") -> TruncSeries:
+def gamma_series(xi, order: int) -> TruncSeries:
     """gamma_xi(z) = 1/(xi+z) - 1/xi = sum_{k>=1} (-1)^k xi^{-k-1} z^k."""
     xi = Fraction(xi)
     if xi == 0:
         raise ValueError("xi must be nonzero")
     cmap = {k: Fraction((-1) ** k) / xi ** (k + 1) for k in range(1, order)}
-    return TruncSeries.from_coeff_map(var, cmap, order)
+    return TruncSeries.from_coeff_map("z", cmap, order)
 
 
 def U_apply(rho, w: dict, module: Module) -> dict:

@@ -32,11 +32,12 @@ entries that become Fractions once, at the end of the fill (the
 common-denominator representation of exact polynomial arithmetic, as in
 ``series.series_mul``).
 Generator modes act directly: alpha_k by exact bracket algebra on partition
-labels, L_k by PBW straightening through the Virasoro bracket.  The models
-also give L_n per label, ``_L(n, label)``, by PBW resp. the Sugawara form;
-``Module.L_apply``, Y(conformal vector)_{n+1} through the blocks, stays the
-reference and the L_n of contragredients.  Every module memoizes ``_L`` as
-read-only images (a contragredient's read once from ``L_apply``).
+labels, L_k by PBW straightening through the Virasoro bracket.  L_n has one
+representation: ``Module._L(n, label)`` memoizes the read-only image of each
+basis label, filled once by the hook ``_L_image`` (the Sugawara form on H and
+its Fock modules, PBW on Virasoro, and Y(conformal vector)_{n+1} through the
+blocks on a contragredient), and ``Module.L_apply`` sums those images over a
+vector.
 
 A contragredient block is the transpose of base blocks through the twist
 U(gamma_{1/w}) = e^{w^{-1} L_1} (-w^2)^{Ltilde0} (Frenkel-Huang-Lepowsky,
@@ -112,9 +113,11 @@ class CapError(Exception):
 class Module:
     """Common machinery for graded modules with a single generating field.
 
-    Subclasses provide ``basis_at`` and ``gen_apply`` (or override ``_block``).
-    ``mode_block`` memoizes the blocks per (v label, h, weight); ``mode_apply``
-    and ``L_apply`` read them.  Vectors are label -> coefficient dicts.
+    Subclasses provide ``basis_at`` and ``gen_apply`` (or override ``_block``),
+    and may override ``_L_image``.  ``mode_block`` memoizes the blocks per
+    (v label, h, weight) and ``mode_apply`` reads them; ``_L`` memoizes the
+    L_n image per (n, label) and ``L_apply`` reads it.  Vectors are
+    label -> coefficient dicts.
     """
 
     voa: "VOAModel"
@@ -210,17 +213,25 @@ class Module:
         return acc.fractions()
 
     def _L(self, n: int, label: tuple) -> MappingProxyType:
-        """L_n of one basis label, memoized as a read-only image; the VOAs
-        override it with their PBW resp. Sugawara images, memoized alike."""
+        """L_n of one basis label, memoized as a read-only image of
+        ``_L_image``."""
         key = (n, label)
         hit = self._L_cache.get(key)
         if hit is None:
-            hit = self._L_cache[key] = MappingProxyType(self.L_apply(n, {label: F1}))
+            hit = self._L_cache[key] = MappingProxyType(self._L_image(n, label))
         return hit
 
+    def _L_image(self, n: int, label: tuple) -> dict:
+        """L_n = Y_W(conformal vector)_{n+1} of one basis label, through the
+        blocks; the VOAs and Fock modules override it."""
+        return self.mode_apply(self.voa.conformal_vector, n + 1, {label: F1})
+
     def L_apply(self, n: int, w: dict) -> dict:
-        """L_n = Y_W(conformal vector)_{n+1}."""
-        return self.mode_apply(self.voa.conformal_vector, n + 1, w)
+        """L_n w, label by label through the memoized ``_L(n, label)``."""
+        out: dict = {}
+        for label, c in w.items():
+            vec_add_into(out, self._L(n, label), c)
+        return out
 
 
 class VOAModel(Module):
@@ -238,13 +249,6 @@ class VOAModel(Module):
     def peel(self, label: tuple) -> tuple[int, tuple]:
         """Split a basis label as v = Y(g)_j u; returns (j, label of u)."""
         raise NotImplementedError
-
-    def L_apply(self, n: int, w: dict) -> dict:
-        """L_n label by label through the model's own ``_L(n, label)``."""
-        out: dict = {}
-        for label, c in w.items():
-            vec_add_into(out, self._L(n, label), c)
-        return out
 
 
 class HeisenbergVOA(VOAModel):
@@ -279,14 +283,10 @@ class HeisenbergVOA(VOAModel):
         shorter.remove(k)
         return {tuple(shorter): Fraction(k * cnt)}
 
-    def _L(self, n: int, label: tuple) -> MappingProxyType:
+    def _L_image(self, n: int, label: tuple) -> dict:
         """Sugawara form with annihilators to the right:
         L_n = sum_{b > n/2} alpha_{n-b} alpha_b + [n even] alpha_{n/2}^2 / 2,
         where alpha_b kills the label once b exceeds its weight."""
-        key = (n, label)
-        hit = self._L_cache.get(key)
-        if hit is not None:
-            return hit
         terms = [(b, F1) for b in range(n // 2 + 1, weight_of(label) + 1)]
         if n % 2 == 0:
             terms.append((n // 2, Fraction(1, 2)))
@@ -294,7 +294,6 @@ class HeisenbergVOA(VOAModel):
         for b, c in terms:
             for l1, c1 in self.gen_apply(b, label).items():
                 vec_add_into(res, self.gen_apply(n - b, l1), c * c1)
-        res = self._L_cache[key] = MappingProxyType(res)
         return res
 
 
@@ -333,31 +332,25 @@ class VirasoroVOA(VOAModel):
     def gen_apply(self, k: int, label: tuple) -> dict:
         return self._L(k - 1, label)
 
-    def _L(self, n: int, label: tuple) -> MappingProxyType:
+    def _L_image(self, n: int, label: tuple) -> dict:
         """L_n on a PBW word, straightened through the Virasoro bracket."""
-        key = (n, label)
-        hit = self._L_cache.get(key)
-        if hit is not None:
-            return hit
         if not label:
-            res = {(-n,): F1} if n <= -2 else {}
-        elif n <= -label[0]:
-            res = {(-n,) + label: F1}
-        else:
-            lam = label[0]
-            rest = label[1:]
-            res: dict = {}
-            # L_n L_{-lam} = L_{-lam} L_n + (n+lam) L_{n-lam} + central
-            for l2, c2 in self._L(n, rest).items():
-                vec_add_into(res, self._L(-lam, l2), c2)
-            inner = self._L(n - lam, rest)
-            if inner:
-                vec_add_into(res, inner, Fraction(n + lam))
-            if n == lam:
-                _, central = vir_bracket(n, -lam, self.c)
-                if central:
-                    vec_add_into(res, {rest: F1}, central)
-        res = self._L_cache[key] = MappingProxyType(res)
+            return {(-n,): F1} if n <= -2 else {}
+        if n <= -label[0]:
+            return {(-n,) + label: F1}
+        lam = label[0]
+        rest = label[1:]
+        res: dict = {}
+        # L_n L_{-lam} = L_{-lam} L_n + (n+lam) L_{n-lam} + central
+        for l2, c2 in self._L(n, rest).items():
+            vec_add_into(res, self._L(-lam, l2), c2)
+        inner = self._L(n - lam, rest)
+        if inner:
+            vec_add_into(res, inner, Fraction(n + lam))
+        if n == lam:
+            _, central = vir_bracket(n, -lam, self.c)
+            if central:
+                vec_add_into(res, {rest: F1}, central)
         return res
 
 

@@ -45,19 +45,19 @@ def schwarzian(f: TruncSeries) -> TruncSeries:
     return series_mul(f3, inv) - series_mul(r, r) * F32
 
 
-def mobius_series(a, b, c, d, order: int, var: str = "z") -> TruncSeries:
+def mobius_series(a, b, c, d, order: int) -> TruncSeries:
     """(az+b)/(cz+d) expanded at 0; needs d != 0 and ad - bc != 0."""
     a, b, c, d = (Fraction(x) for x in (a, b, c, d))
     if d == 0:
         raise ValueError("pole at the expansion point")
     if a * d - b * c == 0:
         raise ValueError("degenerate Moebius map")
-    num = TruncSeries.from_coeff_map(var, {0: b, 1: a}, order)
-    den = TruncSeries.from_coeff_map(var, {0: d, 1: c}, order)
+    num = TruncSeries.from_coeff_map("z", {0: b, 1: a}, order)
+    den = TruncSeries.from_coeff_map("z", {0: d, 1: c}, order)
     return series_mul(num, den.reciprocal())
 
 
-def exp_minus_one_series(a, order: int, var: str = "z") -> TruncSeries:
+def exp_minus_one_series(a, order: int) -> TruncSeries:
     """e^{az} - 1 as a truncated series with rational a."""
     a = Fraction(a)
     cmap = {}
@@ -67,7 +67,7 @@ def exp_minus_one_series(a, order: int, var: str = "z") -> TruncSeries:
         p *= a
         fact *= k
         cmap[k] = p / fact
-    return TruncSeries.from_coeff_map(var, cmap, order)
+    return TruncSeries.from_coeff_map("z", cmap, order)
 
 
 def cocycle_check(f: TruncSeries, g: TruncSeries) -> bool:

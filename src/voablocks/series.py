@@ -9,8 +9,9 @@ Three flavours:
   largest window it can certify from its inputs and never pads with
   unverified zeros.
 
-* :class:`BivarSeries` -- a rectangular window of coefficients in two
-  variables (used for the pairing kernels f(xi, w) of the sewing identity).
+* :class:`BivarSeries` -- a series in two variables, kept as its nonzero
+  monomials below a pair of orders (the pairing kernels f(xi, w) of the
+  sewing identity).
 
 * :class:`QExpansion` -- sum_{n >= 0} a_n q^(lam + n) with a single rational
   exponent offset lam; the container for sewn series and characters.
@@ -255,7 +256,9 @@ class TruncSeries:
         if k < 0:
             return self.reciprocal() ** (-k)
         if k == 0:
-            return TruncSeries.const(self.var, Fraction(1), max(self.order, 1))
+            # 1 known as far as f ** 0 * f keeps f's window
+            order = max(self.order - min(self.floor, 0), 1)
+            return TruncSeries.const(self.var, Fraction(1), order)
         if k == 1:
             return self
         # square-and-multiply on f itself: every product keeps the window of
@@ -387,51 +390,33 @@ def series_residue(a: TruncSeries):
 
 
 class BivarSeries:
-    """Rectangular truncated series in two variables.
+    """Truncated series in two variables: the nonzero monomials
+    ``coeffs = {(r, s): c}``, every one with r < orders[0] and s < orders[1].
 
     Mostly a container: the sewing identity consumes its monomials one by
     one after substituting (xi, q/xi) or (q/w, w).
     """
 
-    __slots__ = ("vars", "floorA", "floorB", "orders", "coeffs")
+    __slots__ = ("vars", "orders", "coeffs")
 
-    def __init__(self, variables, floorA, floorB, coeffs, orders=None):
+    def __init__(self, variables, cmap: dict, orders):
         self.vars = tuple(variables)
         if len(self.vars) != 2:
             raise ValueError("need exactly two variables")
-        coeffs = [list(row) for row in coeffs]
-        rows = len(coeffs)
-        cols = len(coeffs[0]) if rows else 0
-        if any(len(row) != cols for row in coeffs):
-            raise ValueError("coefficient array must be rectangular")
-        if orders is None:
-            orders = (floorA + rows, floorB + cols)
-        if orders != (floorA + rows, floorB + cols):
-            raise ValueError("orders inconsistent with array shape")
-        self.floorA = floorA
-        self.floorB = floorB
-        self.orders = orders
-        self.coeffs = coeffs
+        self.orders = tuple(orders)
+        for r, s in cmap:
+            if r >= self.orders[0] or s >= self.orders[1]:
+                raise ValueError(f"monomial {(r, s)} at or beyond the orders {self.orders}")
+        self.coeffs = {k: Fraction(c) if isinstance(c, int) else c
+                       for k, c in sorted(cmap.items()) if c}
 
     @classmethod
     def from_monomials(cls, variables, cmap: dict, orders):
-        if not cmap:
-            return cls(variables, orders[0], orders[1], [], orders)
-        floorA = min(k[0] for k in cmap)
-        floorB = min(k[1] for k in cmap)
-        rows = orders[0] - floorA
-        cols = orders[1] - floorB
-        arr = [[_ZERO] * cols for _ in range(rows)]
-        for (r, s), c in cmap.items():
-            arr[r - floorA][s - floorB] = Fraction(c) if isinstance(c, int) else c
-        return cls(variables, floorA, floorB, arr, orders)
+        return cls(variables, cmap, orders)
 
     def monomials(self):
-        """Yield (r, s, coeff) for the nonzero stored coefficients."""
-        for i, row in enumerate(self.coeffs):
-            for j, c in enumerate(row):
-                if c:
-                    yield (self.floorA + i, self.floorB + j, c)
+        """Yield (r, s, coeff) for the nonzero coefficients, ascending in (r, s)."""
+        return ((r, s, c) for (r, s), c in self.coeffs.items())
 
 
 class QExpansion:

@@ -104,6 +104,16 @@ class TestStrongResidue:
                                     INFINITY: g.expand_at_infinity(5)})
         assert rep.passed and rep.section == g
 
+    def test_points_compare_as_values(self):
+        # an int key is the same marked point as its Fraction
+        g = RationalFunction(poly={1: F(3)}, poles={0: {2: F(-1), 1: F(1, 2)}})
+        at_inf = g.expand_at_infinity(5)
+        want = strong_residue_check({F(0): g.expand_at(0, 3), INFINITY: at_inf})
+        for points in (None, SpherePoints([0, INFINITY])):
+            rep = strong_residue_check({0: g.expand_at(0, 3), INFINITY: at_inf}, points)
+            assert rep.passed and rep.section == want.section == g
+            assert rep.conditions == want.conditions
+
     def test_zero_tails(self):
         rep = strong_residue_check({F(0): TruncSeries.zero("t", 3),
                                     INFINITY: TruncSeries.zero("w", 3)})

@@ -1,9 +1,10 @@
 """Package hygiene: every exported name resolves, no module imports a name
-it never uses, every public function is named somewhere, and every demo
-runs."""
+it never uses, every public function is named somewhere, every defaulted
+parameter is set somewhere, and every demo runs."""
 
 import ast
 import importlib
+import math
 import os
 import pkgutil
 import subprocess
@@ -105,6 +106,67 @@ def test_every_public_function_is_named():
     readers = [p.read_text() for d in ("src", "tests", "demos")
                for p in sorted((ROOT / d).rglob("*.py"))]
     assert unnamed_functions({p.name: p.read_text() for p in src}, readers) == []
+
+
+def unset_defaults(defined: dict, readers: list) -> list:
+    """(file, line, function, parameter) of each defaulted parameter of a
+    public module-level function or method in the ``defined`` sources that
+    no call in the ``readers`` sources passes, by position or by keyword.
+    Calls match by the name called (``f(...)`` or ``x.f(...)``), an
+    ``__init__`` by its class name; a ``*args`` call passes every position
+    and a ``**kwargs`` call every keyword."""
+    positions, keywords = {}, {}
+    for source in readers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = getattr(node.func, "id", None) or node.func.attr
+                star = any(isinstance(a, ast.Starred) for a in node.args)
+                positions[name] = max(positions.get(name, 0), math.inf if star else len(node.args))
+                keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
+    out = []
+    for file, source in defined.items():
+        tree = ast.parse(source)
+        owner = {fn: cls.name for cls in tree.body if isinstance(cls, ast.ClassDef)
+                 for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+        for fn in [n for n in tree.body if isinstance(n, ast.FunctionDef)] + list(owner):
+            if fn.name.startswith("_") and fn.name != "__init__":
+                continue
+            name = owner[fn] if fn.name == "__init__" else fn.name
+            # a method call does not pass self or cls
+            bound = fn in owner and "staticmethod" not in {getattr(d, "id", None)
+                                                          for d in fn.decorator_list}
+            args = fn.args.posonlyargs + fn.args.args
+            first = len(args) - len(fn.args.defaults)
+            defaulted = [(i - bound, a.arg) for i, a in enumerate(args) if i >= first]
+            defaulted += [(math.inf, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                          if d is not None]
+            kws = keywords.get(name, set())
+            out += [(file, fn.lineno, name, arg) for pos, arg in defaulted
+                    if positions.get(name, 0) <= pos and arg not in kws and None not in kws]
+    return sorted(out)
+
+
+def test_unset_default_check_catches_a_leftover():
+    source = ("class A:\n"
+              "    def __init__(self, x, y=1):\n"
+              "        self.x = x\n"
+              "    def scaled(self, s=2, *, shift=0):\n"
+              "        return self.x * s + shift\n"
+              "def make(x, var='z', order=3):\n"
+              "    return A(x, order).scaled(shift=1)\n")
+    assert unset_defaults({"m.py": source}, [source]) == [("m.py", 4, "scaled", "s"),
+                                                          ("m.py", 6, "make", "order"),
+                                                          ("m.py", 6, "make", "var")]
+    caller = "from m import make\nmake(1, 'w', 5)\nA(0).scaled(**{'s': 3})\n"
+    assert unset_defaults({"m.py": source}, [source, caller]) == []
+
+
+def test_every_default_parameter_is_set():
+    # a default that no library, test or demo call overrides is a fixed value
+    src = sorted((ROOT / "src" / "voablocks").glob("*.py"))
+    readers = [p.read_text() for d in ("src", "tests", "demos")
+               for p in sorted((ROOT / d).rglob("*.py"))]
+    assert unset_defaults({p.name: p.read_text() for p in src}, readers) == []
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from voablocks.graded import vec_add_into, vec_is_zero, weight_of
-from voablocks.models import (CapError, DualModule, Module, contragredient,
+from voablocks.models import (CapError, DualModule, contragredient,
                               fock_module, gamma_twist, heisenberg_model, jacobi_check,
                               mode_matrix, virasoro_model)
 from voablocks.sewing import torus_character
@@ -216,13 +216,14 @@ def test_memo_caches_are_read_only():
 
 @pytest.mark.parametrize("M", [H, fock_module(H, F(3, 2))], ids=["heisenberg", "fock"])
 def test_sugawara_L_matches_conformal_vector(M):
-    # oracle: the generic Module.L_apply, Y(conformal vector)_{n+1} by the
-    # Jacobi recursion over generator modes
+    # oracle: Y(conformal vector)_{n+1} by the Jacobi recursion over
+    # generator modes
     for wt in range(8):
         for label in M.basis_at(wt):
             for n in range(-4, wt + 3):
                 w = {label: F(1)}
-                assert M.L_apply(n, w) == Module.L_apply(M, n, w), (label, n)
+                want = M.mode_apply(M.voa.conformal_vector, n + 1, w)
+                assert M.L_apply(n, w) == want, (label, n)
 
 
 def twisted_transpose(M, vl, h, d):
@@ -313,7 +314,8 @@ def test_integer_blocks_match_independent_oracles(kind, param, data):
             for k in range(-3, wt + 3):
                 assert dict(M.mode_block(gen, k, wt).get(wl, {})) == M.gen_apply(k, wl)
             for n in range(-3, wt + 2):
-                assert Module.L_apply(M, n, {wl: F(1)}) == M._L(n, wl), (wl, n)
+                w = {wl: F(1)}
+                assert M.mode_apply(M.voa.conformal_vector, n + 1, w) == M._L(n, wl), (wl, n)
     labels = [l for wt in range(1, 4) for l in M.voa.basis_at(wt)]
     for _ in range(3):
         u = data.draw(st.sampled_from(COMPOSITE[kind]))

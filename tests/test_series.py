@@ -245,7 +245,8 @@ def test_pow_window_matches_the_product_chain(floor):
     f = poly("z", {floor: F(2), floor + 1: F(-1, 3), floor + 3: F(5)}, floor + 5)
     for k in range(-3, 5):
         if k == 0:
-            want = TruncSeries.const("z", F(1), max(f.order, 1))
+            # the empty product: 1 known as far as 1 * f keeps f's window
+            want = TruncSeries.const("z", F(1), max(f.order - min(f.floor, 0), 1))
         else:
             base = f if k > 0 else f.reciprocal()
             want = base
@@ -253,6 +254,18 @@ def test_pow_window_matches_the_product_chain(floor):
                 want = series_mul(want, base)
         got = f ** k
         assert (got.floor, got.order, got.coeffs) == (want.floor, want.order, want.coeffs), k
+
+
+def test_zeroth_power_is_a_unit_for_the_product():
+    # f ** 0 * f keeps f's window for a Laurent f; a floor >= 0 keeps 1 known
+    # below x^{max(order, 1)}
+    f = poly("z", {-1: F(1), 0: F(2), 2: F(1)}, 4)
+    one = f ** 0
+    assert (one.floor, one.order) == (0, 5)
+    g = one * f
+    assert (g.floor, g.order, g.coeffs) == (f.floor, f.order, f.coeffs)
+    for h in (poly("z", {1: F(1)}, 6), poly("z", {0: F(3)}, 1)):
+        assert (h ** 0).order == max(h.order, 1)
 
 
 def test_reciprocal_rejects_series_coefficients():
@@ -304,6 +317,19 @@ class TestQExpansion:
 def test_bivar_monomials():
     b = BivarSeries.from_monomials(("x", "y"), {(0, 0): F(1), (2, 1): F(-3)}, (4, 4))
     assert sorted(b.monomials()) == [(0, 0, F(1)), (2, 1, F(-3))]
+
+
+def test_bivar_monomials_ascend_as_fractions():
+    cmap = {(2, 1): -3, (0, 3): 0, (-1, 2): 1, (0, 0): F(1, 2), (2, -1): 5}
+    got = list(BivarSeries.from_monomials(("x", "y"), cmap, (4, 4)).monomials())
+    assert got == [(-1, 2, F(1)), (0, 0, F(1, 2)), (2, -1, F(5)), (2, 1, F(-3))]
+    assert all(type(c) is F for _, _, c in got)
+
+
+@pytest.mark.parametrize("mono", [(5, 0), (0, 4)])
+def test_bivar_monomial_beyond_the_orders_is_refused(mono):
+    with pytest.raises(ValueError, match=rf"monomial \({mono[0]}, {mono[1]}\).*\(4, 4\)"):
+        BivarSeries.from_monomials(("x", "y"), {(0, 0): 1, mono: 1}, (4, 4))
 
 
 def test_qexpansion_window_equality_is_unhashable():
