@@ -145,14 +145,22 @@ def extract_coeffs(rho: TruncSeries, count: int) -> list:
     if count > rho.order - 2:
         raise ValueError("series order too small for requested coefficient count: "
                          f"{count} coefficients need order >= {count + 2}")
-    inv_a1 = _inv(a1)
-    cs = [a1]
+    return _exp_factorization([a1] + [rho.coeff(j) for j in range(2, count + 2)])
+
+
+def _exp_factorization(r: list) -> list:
+    """The recursion of ``extract_coeffs`` on r = [rho_1, ..., rho_{m+1}],
+    the coefficients of z^1, ..., z^{m+1}, unchecked: [c0, ..., c_m] in any
+    ring with division by integers and an inverse of rho_1 != 0 (rationals,
+    or the z-series of Huang's rho_z)."""
+    inv_a1 = _inv(r[0])
+    cs = [r[0]]
     t: dict = {}  # (k, j) -> [z^j] V^k z / k!, zero unless j > k
-    for j in range(2, count + 2):
+    for j in range(2, len(r) + 1):
         for k in range(2, j):
             t[k, j] = sum((cs[m] * (j - m) * t[k - 1, j - m]
                            for m in range(1, j - k + 1)), F0) / k
-        t[1, j] = rho.coeff(j) * inv_a1 - sum((t[k, j] for k in range(2, j)), F0)
+        t[1, j] = r[j - 1] * inv_a1 - sum((t[k, j] for k in range(2, j)), F0)
         cs.append(t[1, j])
     return cs
 
@@ -242,17 +250,20 @@ def huang_conjugation_check(alpha: CoordChange, v, w: dict, module: Module,
     for j in range(1, Wv + 2):
         cmap = {k - j: alpha.poly[k] * gbinom(k, j) for k in alpha.poly if k >= j}
         tcoeffs.append(TruncSeries.from_coeff_map("z", cmap, A))
-    cs = extract_coeffs(TruncSeries("t", 1, tcoeffs), Wv)
+    cs = _exp_factorization(tcoeffs)
     vt = apply_exp_raising(cs[1:], cs[0], v, module.voa)  # VOA vector, z-series coeffs
 
     a_series = alpha.series(A)
+    powers: dict = {}  # n -> a(z)^{-n-1}, filled on first use
     rhs: dict = {}
     for ul, fu in vt.items():
         for n in range(-K, weight_of(ul) + Ww):
             t = module.mode_apply(ul, n, w)
             if not t:
                 continue
-            zser = a_series ** (-n - 1) * fu
+            if n not in powers:
+                powers[n] = a_series ** (-n - 1)
+            zser = powers[n] * fu
             if zser.order < K:
                 raise ValueError(f"z-window {A} too small: a(z)^{-n - 1} f_u(z) is known "
                                  f"below z^{zser.order}, the check reads z^{K - 1} and "

@@ -13,14 +13,14 @@ Three flavours:
   monomials below a pair of orders (the pairing kernels f(xi, w) of the
   sewing identity).
 
-* :class:`QExpansion` -- sum_{n >= 0} a_n q^(lam + n) with a single rational
-  exponent offset lam; the container for sewn series and characters.
+* :class:`QExpansion` -- sum_{n >= 0} a_n q^(lam + n): a rational offset
+  lam plus one TruncSeries in q with floor 0, whose product adds the
+  offsets; the one q-series type of sewn series and characters.
 
-Coefficients are ``fractions.Fraction`` in normal use.  The container and
-the coefficient-wise operations (sums, scaling, ``map_coeffs``, ``deriv``)
-also take any value with ring arithmetic, e.g. a TruncSeries in another
-variable: the coordinate change rho_z of Huang's conjugation formula has
-z-series coefficients.
+Coefficients are ``fractions.Fraction``: no library TruncSeries holds a
+series.  The z-series scalars of Huang's conjugation check live in a plain
+list (``coordchange._exp_factorization``) and as dict-vector values in
+``apply_exp_raising``'s generic loop.
 
 The three kernels take rationals only.  :func:`series_mul`,
 :meth:`TruncSeries.reciprocal` and :func:`series_compose` clear
@@ -345,7 +345,7 @@ def series_compose(f: TruncSeries, g: TruncSeries) -> TruncSeries:
     (fk, df), (G, dg) = fi, gi
     a = gn.floor
     # f_k g^k vanishes below x^{ka}, so the powers stop at K
-    K = min(fn.order - 1, (order - 1) // a)
+    K = (order - 1) // a
     acc = [0] * order
     floor = order
     if fn.floor == 0:
@@ -420,32 +420,34 @@ class BivarSeries:
 
 
 class QExpansion:
-    """Series sum_{n=0}^{order-1} coeffs[n] * q^(offset + n), offset rational."""
+    """Series sum_{n=0}^{order-1} coeffs[n] * q^(offset + n): a rational offset
+    and one q-series ``series`` at floor 0, given as it or as a coefficient list."""
 
-    __slots__ = ("offset", "coeffs")
+    __slots__ = ("offset", "series")
 
-    def __init__(self, offset, coeffs: Sequence):
+    def __init__(self, offset, coeffs):
         self.offset = Fraction(offset)
-        self.coeffs = [Fraction(c) if isinstance(c, int) else c for c in coeffs]
+        if not isinstance(coeffs, TruncSeries):
+            coeffs = TruncSeries("q", 0, [Fraction(c) if isinstance(c, int) else c for c in coeffs])
+        elif coeffs.var != "q" or coeffs.floor != 0:
+            raise ValueError(f"a q-expansion needs a q-series at floor 0, not {coeffs!r}")
+        self.series = coeffs
+
+    @property
+    def coeffs(self) -> list:
+        return self.series.coeffs
 
     @property
     def order(self) -> int:
-        return len(self.coeffs)
+        return self.series.order
 
     def coeff_at(self, exponent):
-        """Coefficient of q^exponent; exponent must differ from offset by an int."""
+        """Coefficient of q^exponent; zero off offset + Z and below offset."""
         d = Fraction(exponent) - self.offset
-        if d.denominator != 1:
-            return _ZERO
-        n = int(d)
-        if n < 0:
-            return _ZERO
-        if n >= len(self.coeffs):
-            raise IndexError("exponent beyond truncation")
-        return self.coeffs[n]
+        return self.series.coeff(int(d)) if d.denominator == 1 else _ZERO
 
     def shift_offset(self, delta) -> "QExpansion":
-        return QExpansion(self.offset + Fraction(delta), list(self.coeffs))
+        return QExpansion(self.offset + Fraction(delta), self.series)
 
     def __add__(self, other: "QExpansion") -> "QExpansion":
         if not isinstance(other, QExpansion):
@@ -453,36 +455,35 @@ class QExpansion:
         d = other.offset - self.offset
         if d.denominator != 1:
             raise ValueError("offsets differ by a non-integer; not addable")
-        d = int(d)
         if d < 0:
             return other + self
         # smaller offset wins; other shifts up by d
-        order = min(self.order, other.order + d)
-        coeffs = [self.coeffs[n] + (other.coeffs[n - d] if 0 <= n - d < other.order else _ZERO)
-                  for n in range(order)]
-        return QExpansion(self.offset, coeffs)
+        return QExpansion(self.offset, self.series + other.series.shift(int(d)))
 
     def __neg__(self):
-        return QExpansion(self.offset, [-c for c in self.coeffs])
+        return QExpansion(self.offset, -self.series)
 
     def __sub__(self, other):
         return self + (-other)
 
+    def __mul__(self, other: "QExpansion") -> "QExpansion":
+        """Product on the shorter order; the offsets add."""
+        if not isinstance(other, QExpansion):
+            return NotImplemented
+        return QExpansion(self.offset + other.offset, series_mul(self.series, other.series))
+
     def __eq__(self, other):
+        """Equality on the common window after aligning the offsets."""
         if not isinstance(other, QExpansion):
             return NotImplemented
         d = other.offset - self.offset
         if d.denominator != 1:
-            return all(c == 0 for c in self.coeffs) and all(c == 0 for c in other.coeffs)
-        d = int(d)
-        if d < 0:
-            return other == self
-        if any(self.coeffs[n] != 0 for n in range(min(d, self.order))):
-            return False
-        n_common = min(self.order - d, other.order)
-        if n_common < 0:
-            n_common = 0
-        return all(self.coeffs[n + d] == other.coeffs[n] for n in range(n_common))
+            return self.series.is_zero() and other.series.is_zero()
+        # for d < 0 the shift puts other's first -d coefficients below q^0,
+        # where self is exactly zero
+        b = other.series.shift(int(d))
+        m = min(self.order, b.order)
+        return self.series.truncate(m) == b.truncate(m)
 
     # Equality compares only the common window, so it is not transitive and
     # no non-constant hash can agree with it.

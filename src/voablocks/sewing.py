@@ -6,11 +6,11 @@ dual-basis insertion weighted by q:
 
     (sew psi)(w_bullet) = sum_n  psi(w_bullet (x) P(n)|> (x) <|) q^n,
 
-where P(n)|> (x) <| = sum_a m(n,a) (x) dual m(n,a).  The normalized
-series uses the Ltilde0 grading (offset 0); the standard series uses L0
-and differs exactly by the factor q^{Delta_M}.  Self-sewing the 3-pointed
-sphere (1, 0, infinity) yields the torus character: the q-trace of the
-weight-preserving zero mode.
+where P(n)|> (x) <| = sum_a m(n,a) (x) dual m(n,a).  A SewnSeries keeps
+one QExpansion, the standard series in the L0 grading (offset Delta_M);
+the Ltilde0 grading has the same coefficients at offset 0.  Self-sewing
+the 3-pointed sphere (1, 0, infinity) yields the torus character: the
+q-trace of the weight-preserving zero mode.
 
 The two-sided residue identity moves a vertex-operator insertion from
 the M side of the dual-basis sum to the M' side, where it reappears
@@ -28,7 +28,7 @@ from fractions import Fraction
 from .blocks import BlockFunctional, vertex_block
 from .graded import vec_add_into, weight_of
 from .models import CapError, DualModule, Module, contragredient, gamma_twist
-from .series import BivarSeries, QExpansion, TruncSeries, _integer_form, series_mul
+from .series import BivarSeries, QExpansion, _integer_form
 
 __all__ = [
     "SewableBlock",
@@ -66,22 +66,21 @@ class SewableBlock:
 
 
 class SewnSeries:
-    """The sewn q-series: ``normalized`` has offset 0 (Ltilde0 weighting),
-    ``standard`` has offset delta (L0 weighting); same coefficients."""
+    """The sewn q-series ``standard``, offset delta (L0 weighting); the
+    Ltilde0 weighting has the same coefficients at offset 0."""
 
     def __init__(self, coeffs, delta):
         self.delta = Fraction(delta)
-        self.normalized = QExpansion(F0, list(coeffs))
-        self.standard = QExpansion(self.delta, list(coeffs))
+        self.standard = QExpansion(self.delta, coeffs)
 
     @property
     def coeffs(self):
-        return self.normalized.coeffs
+        return self.standard.coeffs
 
     def __eq__(self, other):
         if not isinstance(other, SewnSeries):
             return NotImplemented
-        return self.delta == other.delta and self.normalized == other.normalized
+        return self.delta == other.delta and self.standard == other.standard
 
     def __repr__(self):
         return f"SewnSeries(delta={self.delta}, coeffs={list(self.coeffs)})"
@@ -215,19 +214,17 @@ def sewn_ode_witness(series, K: int):
         raise ValueError("family members have mixed offsets")
     if K < 0:
         raise ValueError(f"order K = {K} must be >= 0")
-    n_ord = min(len(c.coeffs) for c in cols)
-    if K >= n_ord:
+    if K >= min(c.order for c in cols):
         raise CapError(f"order {K} beyond the computed coefficients")
     if any(not c.coeffs[0] for c in cols):
         raise ValueError("rank deficiency: S_0 is singular at this cap")
     logs = []
     for c in cols:
-        s = QExpansion(lam, [Fraction(x) for x in c.coeffs[:K + 1]])
-        ds = TruncSeries("q", 0, s.q_ddq().coeffs)
-        s = TruncSeries("q", 0, s.coeffs)
-        a = series_mul(ds, s.reciprocal())
+        s = c.series.truncate(K + 1)
+        ds = QExpansion(lam, s).q_ddq().series
+        a = ds * s.reciprocal()
         # residual check: a_j s_j = q d/dq s_j to order K, exactly
-        if series_mul(a, s).coeffs != ds.coeffs:
+        if (a * s).coeffs != ds.coeffs:
             raise AssertionError("ODE witness failed its residual check")
         logs.append(a.coeffs)
     N = len(cols)

@@ -6,10 +6,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from voablocks.blocks import rational_glue
 from voablocks.cli import (CHARACTER_CAP_MAX, CONTINUE_SEGMENTS_MAX, CONTINUE_STEPS_MAX,
                            HUANG_CAP_MAX, HUANG_ORDER_MAX, SERIES_ORDER_MAX, build_parser,
                            main, run_report)
-from voablocks.jsonio import dumps
+from voablocks.jsonio import decode_rational, decode_series, dumps
 from voablocks.models import FockModule, heisenberg_model
 
 
@@ -285,6 +286,46 @@ class TestReport:
             assert code == 0, seed
             digest.update(out.encode())
         assert digest.hexdigest() == REPORT_GOLDEN
+
+    def test_failing_check_lists_its_witness(self, capsys, monkeypatch):
+        # the third and sixth cocycle draws fail: the report exits 1, and the
+        # witness names the first of them and decodes to the pair it was given
+        seen = []
+
+        def broken(f, g):
+            seen.append((f, g))
+            return len(seen) not in (3, 6)
+
+        monkeypatch.setattr("voablocks.cli.cocycle_check", broken)
+        code, out = run(capsys, "report", "--seed", "5")
+        doc = json.loads(out)
+        assert code == 1 and doc["passed"] is False
+        failed = [c for c in doc["checks"] if not c["passed"]]
+        assert [c["name"] for c in failed] == ["schwarzian-cocycle"]
+        assert all("witness" not in c for c in doc["checks"] if c["passed"])
+        witness = failed[0]["witness"]
+        assert witness["draw"] == 2 and len(seen) == 10
+        f, g = seen[2]
+        assert decode_series(witness["f"]) == f and decode_series(witness["g"]) == g
+
+    def test_glue_witness_names_the_tampered_tails(self, monkeypatch):
+        # a glue that passes every input fails on the tampered tails of draw 0
+        calls = []
+
+        def accept(*args):
+            calls.append(args)
+            rep = rational_glue(*args)
+            rep.passed = True
+            return rep
+
+        monkeypatch.setattr("voablocks.cli.rational_glue", accept)
+        rep = run_report(3)
+        (check,) = [c for c in rep["checks"] if not c["passed"]]
+        w = check["witness"]
+        assert check["name"] == "glue-roundtrip" and (w["draw"], w["glues"]) == (0, False)
+        tails, z0 = calls[1][:3], calls[1][3]
+        assert decode_rational(w["z0"]) == z0
+        assert [decode_series(t) for t in w["tails"]] == list(tails)
 
 
 def test_out_file(tmp_path, capsys):

@@ -110,8 +110,8 @@ def test_every_public_function_is_named():
 
 def unset_defaults(defined: dict, readers: list) -> list:
     """(file, line, function, parameter) of each defaulted parameter of a
-    public module-level function or method in the ``defined`` sources that
-    no call in the ``readers`` sources passes, by position or by keyword.
+    public function, method or nested function in the ``defined`` sources
+    that no call in the ``readers`` sources passes, by position or by keyword.
     Calls match by the name called (``f(...)`` or ``x.f(...)``), an
     ``__init__`` by its class name; a ``*args`` call passes every position
     and a ``**kwargs`` call every keyword."""
@@ -126,9 +126,9 @@ def unset_defaults(defined: dict, readers: list) -> list:
     out = []
     for file, source in defined.items():
         tree = ast.parse(source)
-        owner = {fn: cls.name for cls in tree.body if isinstance(cls, ast.ClassDef)
+        owner = {fn: cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
                  for fn in cls.body if isinstance(fn, ast.FunctionDef)}
-        for fn in [n for n in tree.body if isinstance(n, ast.FunctionDef)] + list(owner):
+        for fn in [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]:
             if fn.name.startswith("_") and fn.name != "__init__":
                 continue
             name = owner[fn] if fn.name == "__init__" else fn.name
@@ -153,11 +153,16 @@ def test_unset_default_check_catches_a_leftover():
               "    def scaled(self, s=2, *, shift=0):\n"
               "        return self.x * s + shift\n"
               "def make(x, var='z', order=3):\n"
+              "    def record(name, witness=None):\n"
+              "        return name, witness\n"
+              "    record('made')\n"
               "    return A(x, order).scaled(shift=1)\n")
     assert unset_defaults({"m.py": source}, [source]) == [("m.py", 4, "scaled", "s"),
                                                           ("m.py", 6, "make", "order"),
-                                                          ("m.py", 6, "make", "var")]
-    caller = "from m import make\nmake(1, 'w', 5)\nA(0).scaled(**{'s': 3})\n"
+                                                          ("m.py", 6, "make", "var"),
+                                                          ("m.py", 7, "record", "witness")]
+    caller = ("from m import make\nmake(1, 'w', 5)\nA(0).scaled(**{'s': 3})\n"
+              "record('seen', witness={})\n")
     assert unset_defaults({"m.py": source}, [source, caller]) == []
 
 

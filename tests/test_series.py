@@ -313,6 +313,33 @@ class TestQExpansion:
         s = QExpansion(F(0), [F(1), F(2)]).shift_offset(F(-1, 24))
         assert s.offset == F(-1, 24) and list(s.coeffs) == [1, 2]
 
+    @given(st.lists(rationals, max_size=7), st.lists(rationals, max_size=7),
+           rationals, rationals)
+    def test_product_matches_a_double_loop(self, a, b, la, lb):
+        # oracle: the plain Cauchy product, cut at the shorter order
+        n = min(len(a), len(b))
+        want = [sum((a[i] * b[k - i] for i in range(k + 1)), F(0)) for k in range(n)]
+        p = QExpansion(la, a) * QExpansion(lb, b)
+        assert p.offset == la + lb and p.order == n and list(p.coeffs) == want
+
+    def test_one_minus_q_times_the_geometric_series_is_one(self):
+        p = QExpansion(F(1, 3), [1, -1, 0, 0]) * QExpansion(F(-1, 3), [1] * 6)
+        assert p.offset == 0 and list(p.coeffs) == [1, 0, 0, 0]
+
+    @pytest.mark.parametrize("series", [TruncSeries("z", 0, [F(1)]),
+                                        TruncSeries("q", 1, [F(1)]),
+                                        TruncSeries("q", -1, [F(1), F(0)])],
+                             ids=["z-series", "floor-1", "floor-minus-1"])
+    def test_constructor_refuses_other_series(self, series):
+        with pytest.raises(ValueError, match="q-series at floor 0"):
+            QExpansion(0, series)
+
+    def test_built_on_a_q_series(self):
+        s = TruncSeries("q", 0, [F(1), F(2)])
+        e = QExpansion(F(1, 2), s)
+        assert e.series is s and e.coeffs is s.coeffs and e.order == 2
+        assert e == QExpansion(F(1, 2), [1, 2])
+
 
 def test_bivar_monomials():
     b = BivarSeries.from_monomials(("x", "y"), {(0, 0): F(1), (2, 1): F(-3)}, (4, 4))
@@ -330,6 +357,22 @@ def test_bivar_monomials_ascend_as_fractions():
 def test_bivar_monomial_beyond_the_orders_is_refused(mono):
     with pytest.raises(ValueError, match=rf"monomial \({mono[0]}, {mono[1]}\).*\(4, 4\)"):
         BivarSeries.from_monomials(("x", "y"), {(0, 0): 1, mono: 1}, (4, 4))
+
+
+@pytest.mark.parametrize("a, b, equal", [
+    (QExpansion(0, [1, 2, 3, 4]), QExpansion(0, [1, 2]), True),
+    (QExpansion(0, [1, 2, 3, 4]), QExpansion(0, [1, 5]), False),
+    (QExpansion(0, [0, 0, 1, 2, 3]), QExpansion(2, [1]), True),
+    (QExpansion(0, [0, 1, 1, 2]), QExpansion(2, [1]), False),
+    (QExpansion(0, [0, 0]), QExpansion(3, [1]), True),
+    (QExpansion(0, [1, 2]), QExpansion(3, [1]), False),
+    (QExpansion(0, [0]), QExpansion(F(1, 2), [0, 0]), True),
+    (QExpansion(0, [1]), QExpansion(F(1, 2), [0]), False),
+])
+def test_qexpansion_equality_on_the_common_window(a, b, equal):
+    # below its offset an expansion is exactly zero; at or beyond its order
+    # it is unknown, so only the common window is compared, in either order
+    assert (a == b) is equal and (b == a) is equal
 
 
 def test_qexpansion_window_equality_is_unhashable():

@@ -9,9 +9,9 @@ from voablocks.blocks import identity_hom, propagate_block
 from voablocks.models import (CapError, contragredient, fock_module,
                               heisenberg_model, virasoro_model)
 from voablocks.series import BivarSeries, QExpansion
-from voablocks.sewing import (SewableBlock, character_block, normalize_character,
-                              sew, sewn_ode_witness, torus_character,
-                              two_sided_identity_check)
+from voablocks.sewing import (SewableBlock, SewnSeries, character_block,
+                              normalize_character, sew, sewn_ode_witness,
+                              torus_character, two_sided_identity_check)
 
 H = heisenberg_model()
 VIR = virasoro_model(F(1, 2))
@@ -135,6 +135,14 @@ class TestTwoSidedIdentity:
     def test_inhomogeneous_insertion(self):
         assert two_sided_identity_check({(1,): F(1), (): F(1)},
                                         self.XIW, H, 5)
+
+
+def test_sewn_series_equality_compares_delta():
+    # the same standard series, as Delta = 0 with a zero q^0 coefficient and
+    # as Delta = 1, is not the same sewn series
+    a, b = SewnSeries([0, 1], 0), SewnSeries([1], 1)
+    assert a.standard == b.standard and a != b
+    assert SewnSeries([1, 2], F(1, 3)) == SewnSeries([1], F(1, 3))
 
 
 def log_derivative_modes(q_exp: QExpansion, K):
