@@ -14,13 +14,14 @@ A ``CoordChange`` keeps one prefix [c0, ..., c_m] of these coefficients
 and extends it only when a longer one is asked for: rho is an exact
 polynomial, so c_n does not depend on how many coefficients were requested.
 
-The scalar ring is generic: coefficients may be rationals or truncated
-series in another variable.  The latter is what powers the conjugation
-check U(a) Y(v,z) U(a)^{-1} = Y(U(rho_z) v, a(z)) where
-rho_z(t) = a(t+z) - a(z) has z-series coefficients.  U(rho) with rational
-coefficients and a rational vector runs on integer numerators (see
-``virasoro.apply_exp_raising``); the right-hand side of that check, whose
-coefficients are z-series, takes the generic loop.
+There is one scalar ring, the rationals: U(rho) takes rational c_n and
+vectors and runs on integer numerators (see ``virasoro.apply_exp_raising``).
+The conjugation check U(a) Y(v,z) U(a)^{-1} = Y(U(rho_z) v, a(z)), with
+rho_z(t) = a(t+z) - a(z), needs the c_n of rho_z as z-series: they come
+from the recursion of ``extract_coeffs`` run on a plain list of z-series,
+and exp(sum c_n(z) L_n) v is summed on rational coefficients keyed by
+(label, z-exponent), then gathered into one z-series per label and times
+c0(z)^{wt} once per weight.
 
 The check's z-window is derived from its inputs.  Both sides are compared
 on z^e for -(wt v + wt w) <= e < K.  The right side sums
@@ -38,8 +39,8 @@ from fractions import Fraction
 
 from .graded import vec_add_into, vec_is_zero, vec_max_weight, vec_scale_ltilde0, weight_of
 from .models import Module
-from .series import TruncSeries, _inv, _nonzero, series_comp_inverse
-from .virasoro import apply_exp_raising, gbinom
+from .series import TruncSeries, series_comp_inverse
+from .virasoro import apply_exp_raising, exp_terms, gbinom
 
 __all__ = [
     "CoordChange",
@@ -136,24 +137,24 @@ def extract_coeffs(rho: TruncSeries, count: int) -> list:
     if rho.floor > 1:
         raise ValueError("rho'(0) = 0: not a coordinate change")
     a1 = rho.coeff(1)
-    if not _nonzero(a1):
+    if not a1:
         raise ValueError("rho'(0) = 0: not a coordinate change")
-    if rho.floor < 1 and _nonzero(rho.coeff(0)):
+    if rho.floor < 1 and rho.coeff(0):
         raise ValueError("rho(0) must be 0")
     if count < 0:
         raise ValueError(f"coefficient count must be >= 0, got {count}")
     if count > rho.order - 2:
         raise ValueError("series order too small for requested coefficient count: "
                          f"{count} coefficients need order >= {count + 2}")
-    return _exp_factorization([a1] + [rho.coeff(j) for j in range(2, count + 2)])
+    a1 = Fraction(a1) if isinstance(a1, int) else a1
+    return _exp_factorization([a1] + [rho.coeff(j) for j in range(2, count + 2)], F1 / a1)
 
 
-def _exp_factorization(r: list) -> list:
+def _exp_factorization(r: list, inv_a1) -> list:
     """The recursion of ``extract_coeffs`` on r = [rho_1, ..., rho_{m+1}],
     the coefficients of z^1, ..., z^{m+1}, unchecked: [c0, ..., c_m] in any
-    ring with division by integers and an inverse of rho_1 != 0 (rationals,
-    or the z-series of Huang's rho_z)."""
-    inv_a1 = _inv(r[0])
+    ring with division by integers, given inv_a1 = 1/rho_1 (rationals, or
+    the z-series of Huang's rho_z)."""
     cs = [r[0]]
     t: dict = {}  # (k, j) -> [z^j] V^k z / k!, zero unless j > k
     for j in range(2, len(r) + 1):
@@ -200,7 +201,7 @@ def gamma_relation_check(xi, w: dict, module: Module) -> bool:
     xi = Fraction(xi)
     order = vec_max_weight(w) + 2  # U_apply needs order >= W + 2 at top weight W
     lhs = U_apply(gamma_series(xi, order), vec_scale_ltilde0(w, xi), module)
-    rhs = vec_scale_ltilde0(U_apply(gamma_series(F1, order), w, module), _inv(xi))
+    rhs = vec_scale_ltilde0(U_apply(gamma_series(F1, order), w, module), F1 / xi)
     diff = vec_add_into(dict(lhs), rhs, Fraction(-1))
     return vec_is_zero(diff)
 
@@ -250,14 +251,41 @@ def huang_conjugation_check(alpha: CoordChange, v, w: dict, module: Module,
     for j in range(1, Wv + 2):
         cmap = {k - j: alpha.poly[k] * gbinom(k, j) for k in alpha.poly if k >= j}
         tcoeffs.append(TruncSeries.from_coeff_map("z", cmap, A))
-    cs = _exp_factorization(tcoeffs)
-    vt = apply_exp_raising(cs[1:], cs[0], v, module.voa)  # VOA vector, z-series coeffs
+    cs = _exp_factorization(tcoeffs, tcoeffs[0].reciprocal())
+    # exp(sum c_n(z) L_n) v on rational coefficients keyed by (label, e),
+    # e below the window of the c_n; c0(z)^{wt}, taken once per weight, is
+    # multiplied into each label's series
+    window = min(c.order for c in cs)
+
+    def raising(vec: dict) -> dict:
+        out: dict = {}
+        for n, cn in enumerate(cs[1:], start=1):
+            for (label, e), x in vec.items():
+                for u, y in module.voa._L(n, label).items():
+                    for j in range(cn.floor, window - e):
+                        out[u, e + j] = out.get((u, e + j), F0) + x * y * cn.coeff(j)
+        return out
+
+    coeffs: dict = {}
+    for term in exp_terms(raising, {(label, 0): c for label, c in v.items()}):
+        vec_add_into(coeffs, term)
+    fmaps: dict = {}  # label -> {e: [z^e] of exp(sum c_n L_n) v}
+    for (label, e), x in coeffs.items():
+        fmaps.setdefault(label, {})[e] = x
 
     a_series = alpha.series(A)
     powers: dict = {}  # n -> a(z)^{-n-1}, filled on first use
+    c0_powers: dict = {}  # wt -> c0(z)^{wt}
     rhs: dict = {}
-    for ul, fu in vt.items():
-        for n in range(-K, weight_of(ul) + Ww):
+    for ul, cmap in fmaps.items():
+        wt = weight_of(ul)
+        if wt not in c0_powers:
+            c0_powers[wt] = cs[0] ** wt
+        if cmap.keys() == {0}:  # a constant (a top-weight label of v): no series_mul
+            fu = c0_powers[wt] * cmap[0]
+        else:
+            fu = TruncSeries.from_coeff_map("z", cmap, window) * c0_powers[wt]
+        for n in range(-K, wt + Ww):
             t = module.mode_apply(ul, n, w)
             if not t:
                 continue

@@ -6,9 +6,8 @@ its parts.  Dual spaces reuse the same labels (a dual basis vector is
 identified by the label it pairs to 1 with), so the dual-basis pairing is
 label equality.
 
-Vectors are plain ``{label: coefficient}`` dicts.  Coefficients are
-Fractions, or any ring value when series-valued scalars flow through (see
-series module notes).
+Vectors are plain ``{label: coefficient}`` dicts of rationals: no vector
+holds a series (see the series module notes).
 
 Exact rational sums that build many entries, the weight blocks and the
 contragredient transpose of ``models`` and U(rho) in ``virasoro``, run on
@@ -21,8 +20,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-
-from .series import _nonzero
 
 __all__ = [
     "weight_of",
@@ -46,7 +43,7 @@ def vec_add_into(dst: dict, src: dict, c=1) -> dict:
     """dst += c * src, dropping exact zeros. Mutates and returns dst."""
     for label, a in src.items():
         v = dst.get(label, _ZERO) + c * a
-        if _nonzero(v):
+        if v:
             dst[label] = v
         elif label in dst:
             del dst[label]
@@ -112,4 +109,4 @@ def vec_max_weight(v: dict) -> int:
 
 
 def vec_is_zero(v: dict) -> bool:
-    return not any(_nonzero(a) for a in v.values())
+    return not any(v.values())

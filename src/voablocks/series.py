@@ -17,10 +17,10 @@ Three flavours:
   lam plus one TruncSeries in q with floor 0, whose product adds the
   offsets; the one q-series type of sewn series and characters.
 
-Coefficients are ``fractions.Fraction``: no library TruncSeries holds a
-series.  The z-series scalars of Huang's conjugation check live in a plain
-list (``coordchange._exp_factorization``) and as dict-vector values in
-``apply_exp_raising``'s generic loop.
+Coefficients are ``fractions.Fraction``: no library TruncSeries and no
+dict vector holds a series.  The z-series c_n of Huang's conjugation check
+live in a plain list (``coordchange._exp_factorization``), and its U(rho_z) v
+is kept as rational coefficients keyed by (label, z-exponent).
 
 The three kernels take rationals only.  :func:`series_mul`,
 :meth:`TruncSeries.reciprocal` and :func:`series_compose` clear
@@ -49,26 +49,11 @@ __all__ = [
 _ZERO = Fraction(0)
 
 
-# Scalar helpers shared by every module whose coefficients may be either
-# rationals or series in another variable.
+# Scalar helpers: the one scalar ring is the rationals (int or Fraction).
 
 
 def _is_scalar(x) -> bool:
     return isinstance(x, (int, Fraction))
-
-
-def _nonzero(c) -> bool:
-    """True when a coefficient is (known to be) nonzero."""
-    if isinstance(c, Fraction):  # the common case, tested first
-        return c != 0
-    if isinstance(c, TruncSeries):
-        return any(_nonzero(x) for x in c.coeffs)
-    return c != 0
-
-
-def _inv(x):
-    """Multiplicative inverse of a rational or of a series coefficient."""
-    return Fraction(1) / x if _is_scalar(x) else x.reciprocal()
 
 
 def _integer_form(cs):
@@ -129,9 +114,8 @@ class TruncSeries:
 
     @classmethod
     def from_coeff_map(cls, var: str, cmap: dict, order: int) -> "TruncSeries":
-        if not cmap:
-            return cls.zero(var, order)
-        floor = min(cmap)
+        """The series known below x^order; entries at or above it are truncated."""
+        floor = min(min(cmap, default=order), order)
         coeffs = [cmap.get(n, _ZERO) for n in range(floor, order)]
         return cls(var, floor, coeffs, order)
 
@@ -146,13 +130,13 @@ class TruncSeries:
         return self.coeffs[n - self.floor]
 
     def is_zero(self) -> bool:
-        return not any(_nonzero(c) for c in self.coeffs)
+        return not any(self.coeffs)
 
     def normalize(self) -> "TruncSeries":
         """Trim leading zero coefficients so the floor coefficient is nonzero
         (or the series is the canonical zero with floor = order)."""
         i = 0
-        while i < len(self.coeffs) and not _nonzero(self.coeffs[i]):
+        while i < len(self.coeffs) and not self.coeffs[i]:
             i += 1
         return TruncSeries(self.var, self.floor + i, self.coeffs[i:], self.order)
 
@@ -177,7 +161,7 @@ class TruncSeries:
         terms = []
         for n in range(self.floor, self.order):
             c = self.coeff(n)
-            if _nonzero(c):
+            if c:
                 terms.append(f"{c}*{self.var}^{n}")
         body = " + ".join(terms) if terms else "0"
         return f"<{body} + O({self.var}^{self.order})>"
@@ -230,8 +214,7 @@ class TruncSeries:
         return self + (-other)
 
     def scale(self, s) -> "TruncSeries":
-        """Multiply every coefficient by a scalar (which may live in another
-        coefficient ring, e.g. a series in a different variable)."""
+        """Multiply every coefficient by a rational scalar."""
         return self.map_coeffs(lambda c: c * s)
 
     def __mul__(self, other):
@@ -278,7 +261,7 @@ class TruncSeries:
         nonzero leading coefficient; a coefficient that is not a rational
         (a series in another variable) raises ValueError."""
         f = self.normalize()
-        if not f.coeffs or not _nonzero(f.coeffs[0]):
+        if not f.coeffs or not f.coeffs[0]:
             raise ZeroDivisionError("series has zero leading coefficient")
         v = f.floor
         rel = f.order - v  # number of known relative coefficients

@@ -4,13 +4,13 @@
 
 with central charge c.  ``apply_exp_raising`` realizes the coordinate-change
 representation factor c0^{Ltilde0} exp(sum_{n>0} c_n L_n) on any module that
-provides an ``L_apply(n, vec)`` action; the exponential is a finite sum
-because L_n with n > 0 lowers the grading weight by n.  ``exp_terms`` is the
-one X^k w / k! loop over generic scalars; it also builds the e^{L_1} of
-``models.gamma_twist``.  With rational c0, c_n and vector, ``apply_exp_raising``
-sums the same terms on the integer accumulator ``graded._IntVectors``, the one
-the weight blocks use, and builds one Fraction per output entry, with the
-same values and key order; series-valued scalars take ``exp_terms``.
+provides the per-label L_n images ``_L(n, label)``; the exponential is a
+finite sum because L_n with n > 0 lowers the grading weight by n.  Its
+scalars are rationals only: it sums the terms X^k w / k! on the integer
+accumulator ``graded._IntVectors``, the one the weight blocks use, and
+builds one Fraction per output entry.  ``exp_terms`` is the one X^k w / k!
+loop over a given step; it builds the e^{L_1} of ``models.gamma_twist`` and
+the exp(sum c_n(z) L_n) v of Huang's check, on (label, z-exponent) keys.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .graded import _IntVectors, vec_add_into, vec_scale, vec_scale_ltilde0, weight_of
-from .series import _integer_form, _is_scalar
+from .graded import _IntVectors, vec_scale, weight_of
+from .series import _integer_form
 
 __all__ = ["vir_bracket", "exp_terms", "apply_exp_raising", "gbinom"]
 
@@ -58,45 +58,24 @@ def apply_exp_raising(coeffs, c0, w: dict, module) -> dict:
     """c0^{Ltilde0} . exp(sum_{k>=1} coeffs[k-1] L_k) . w on a graded module.
 
     ``coeffs`` lists c_1, c_2, ...; ``w`` is a label->coefficient dict.
-    Scalars may be Fractions or series-valued (the grading power c0^n is an
-    integer power either way).  When c0 is a Fraction and every c_n and
-    every value of w is a rational, the terms X^k w / k! are summed as
-    integer numerators over one running common denominator: L_n images
-    are the module's memoized read-only ``_L`` images per label, and the
-    denominator grows to an lcm only when an image needs it.  One
-    Fraction is built per output entry, with c0^{wt} folded in.  Modes are
-    the outer loop and labels the inner one, as in ``exp_terms`` over the
-    generic step, so the result has the same key order.  Series-valued
-    scalars take the generic loop.
+    c0, every c_n and every value of w must be rationals (int or
+    Fraction); any other scalar raises ValueError naming it.  The terms
+    X^k w / k! are summed as integer numerators over one running common
+    denominator on the accumulator ``graded._IntVectors``: the L_i image
+    of a term is summed label by label from the module's memoized
+    read-only per-label ``_L``, as ``L_apply`` does, and its denominator
+    grows to an lcm only when an image needs it.  One Fraction is built
+    per output entry, with c0^{wt} folded in once per weight.  Modes are
+    the outer loop and labels the inner one, so entries appear, cancel and
+    reappear in the order of ``exp_terms`` over the step
+    sum_i c_i L_apply(i, .).
     """
-    if _is_scalar(c0) and c0 == 0:
+    for x in (c0, *coeffs, *w.values()):
+        if not isinstance(x, (int, Fraction)):
+            raise ValueError(f"U(rho) needs rational scalars, not {x!r}")
+    if c0 == 0:
         raise ValueError("c0 = 0 is not a coordinate change")
-    cf, wf = _integer_form(coeffs), _integer_form(list(w.values()))
-    if isinstance(c0, Fraction) and cf is not None and wf is not None:
-        return _exp_raising_integer(cf, wf, c0, w, module)
-
-    def raising(vec: dict) -> dict:
-        out: dict = {}
-        for i, ci in enumerate(coeffs, start=1):
-            if not (_is_scalar(ci) and ci == 0):
-                vec_add_into(out, module.L_apply(i, vec), ci)
-        return out
-
-    out = dict(w)
-    for term in exp_terms(raising, w)[1:]:
-        vec_add_into(out, term)
-    return vec_scale_ltilde0(out, c0)
-
-
-def _exp_raising_integer(cf, wf, c0: Fraction, w: dict, module) -> dict:
-    """``apply_exp_raising`` on integer numerators: ``cf`` and ``wf`` are
-    the integer forms of c_1, c_2, ... and of w's values.  The output, and
-    per term the images L_i and dc X of its numerators, are accumulators
-    ``graded._IntVectors``.  L_i of a term is summed label by label from
-    the module's per-label ``_L``, as ``L_apply`` does, and then added to the
-    term's image, as the generic ``raising`` does, so entries appear, cancel
-    and reappear in the same order."""
-    (cn, dc), (wn, den) = cf, wf
+    (cn, dc), (wn, den) = _integer_form(coeffs), _integer_form(list(w.values()))
     modes = [(i, c) for i, c in enumerate(cn, start=1) if c]
     out = _IntVectors({0: dict(zip(w, wn))}, den)
     term, tden = {label: n for label, n in zip(w, wn) if n}, den  # X^k w / k! over tden

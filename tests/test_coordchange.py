@@ -15,6 +15,7 @@ from voablocks.graded import vec_add_into, vec_is_zero, weight_of
 from voablocks.models import (FockModule, contragredient, fock_module, heisenberg_model,
                                virasoro_model)
 from voablocks.series import TruncSeries
+from voablocks.virasoro import apply_exp_raising
 
 H = heisenberg_model()
 VIR = virasoro_model(F(1, 2))
@@ -57,6 +58,13 @@ class TestExtract:
         rho = CoordChange({1: F(1), 2: F(1)}).series(6)
         with pytest.raises(ValueError, match="-3"):
             extract_coeffs(rho, -3)
+
+    def test_int_coefficients_give_fractions(self):
+        # rho = 2z + z^2 + 3z^3: c0 = 2, c1 = (1/2) rho''(0)/rho'(0) = 1/2 and
+        # c2 = (1/6) rho'''(0)/rho'(0) - (1/4)(rho''(0)/rho'(0))^2 = 3/2 - 1/4
+        cs = extract_coeffs(TruncSeries("z", 0, [0, 2, 1, 3]), 2)
+        assert cs == [F(2), F(1, 2), F(5, 4)]
+        assert [type(c) for c in cs] == [F, F, F]
 
     def test_short_order_names_the_order_needed(self):
         rho = CoordChange({1: F(2), 2: F(-1, 3), 4: F(1)}).series(8)
@@ -172,6 +180,31 @@ def test_U_apply_golden():
     assert hashlib.sha256(U_golden_text().encode()).hexdigest() == U_GOLDEN
 
 
+def test_U_apply_on_an_int_series():
+    # a series with int coefficients acts as the same polynomial's CoordChange
+    rho = TruncSeries("z", 0, [0, 2, 1, 3])
+    for label in ((), (1,), (2,), (1, 1)):
+        out = U_apply(rho, {label: 1}, H)
+        assert out == U_apply(CoordChange({1: 2, 2: 1, 3: 3}), {label: F(1)}, H)
+        assert all(type(c) is F for c in out.values()), out
+
+
+@pytest.mark.parametrize("coeffs, c0, w, shown", [
+    ([F(1)], F(2), {(2,): 0.5}, "0.5"),
+    ([TruncSeries("z", 0, [F(1), F(1)])], F(2), {(2,): F(1)}, "1*z^0 + 1*z^1"),
+    ([F(1)], 2.0, {(2,): F(1)}, "2.0"),
+], ids=["float-in-w", "series-c1", "float-c0"])
+def test_exp_raising_refuses_non_rationals(coeffs, c0, w, shown):
+    with pytest.raises(ValueError, match="rational") as err:
+        apply_exp_raising(coeffs, c0, w, H)
+    assert shown in str(err.value)
+
+
+def test_exp_raising_refuses_c0_zero():
+    with pytest.raises(ValueError, match=r"^c0 = 0 is not a coordinate change$"):
+        apply_exp_raising([F(1)], F(0), {(2,): F(1)}, H)
+
+
 def test_U_inverse_roundtrip():
     rng = random.Random(99)
     labels = [l for wt in range(5) for l in H.basis_at(wt)]
@@ -219,6 +252,14 @@ class TestHuang:
             w = {rng.choice(labels): F(1)}
             rep = huang_conjugation_check(alpha, (1,), w, H, 5)
             assert rep, (alpha.poly, w)
+
+    def test_alpha_above_the_z_window(self):
+        # a(z) = z + 3z^8 at K = 0: the z-window A is 3 or 4, so every term of
+        # rho_z's t-coefficients from z^8 lies beyond it; the left side is the oracle
+        alpha = CoordChange({1: F(1), 8: F(3)})
+        for v, wl in (((2,), ()), ((2,), (1,)), ({(2,): F(1), (3,): F(1)}, ())):
+            rep = huang_conjugation_check(alpha, v, {wl: F(1)}, H, 0)
+            assert rep and rep.window[1] == 0, (v, wl)
 
     def test_virasoro_instance(self):
         alpha = CoordChange({1: F(1), 2: F(1, 2)})

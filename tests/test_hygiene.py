@@ -65,9 +65,9 @@ def test_no_unused_imports(name):
 
 
 def unnamed_functions(defined: dict, readers: list) -> list:
-    """(file, line, name) of each public (non-underscore) function or method
-    in the ``defined`` sources (file name -> text) that no ``ast.Name`` or
-    ``ast.Attribute`` in the ``readers`` sources names."""
+    """(file, line, name) of each function or method, public or private but
+    not a dunder, in the ``defined`` sources (file name -> text) that no
+    ``ast.Name`` or ``ast.Attribute`` in the ``readers`` sources names."""
     named = set()
     for source in readers:
         for node in ast.walk(ast.parse(source)):
@@ -79,7 +79,8 @@ def unnamed_functions(defined: dict, readers: list) -> list:
                   for file, source in defined.items()
                   for node in ast.walk(ast.parse(source))
                   if isinstance(node, ast.FunctionDef)
-                  and not node.name.startswith("_") and node.name not in named)
+                  and not (node.name.startswith("__") and node.name.endswith("__"))
+                  and node.name not in named)
 
 
 def test_unnamed_function_check_catches_a_leftover():
@@ -93,15 +94,23 @@ def test_unnamed_function_check_catches_a_leftover():
               "    def leftover(self):\n"
               "        return 3\n"
               "def entry():\n"
-              "    return A().used()\n")
+              "    return A().used()\n"
+              "class B:\n"
+              "    def __repr__(self):\n"
+              "        return 'B'\n")
+    # a dunder is named by the language, not by a reader; a private
+    # function that nothing calls is a leftover like a public one
     caller = "from m import entry\nentry()\n"
-    assert unnamed_functions({"m.py": source}, [source, caller]) == [("m.py", 8, "leftover")]
-    assert unnamed_functions({"m.py": source}, [source]) == [("m.py", 8, "leftover"),
+    assert unnamed_functions({"m.py": source}, [source, caller]) == [("m.py", 6, "_private"),
+                                                                     ("m.py", 8, "leftover")]
+    assert unnamed_functions({"m.py": source}, [source]) == [("m.py", 6, "_private"),
+                                                             ("m.py", 8, "leftover"),
                                                              ("m.py", 10, "entry")]
 
 
 def test_every_public_function_is_named():
-    # a function that no library, test or demo code names is dead code
+    # a function, public or private, that no library, test or demo code names
+    # is dead code
     src = sorted((ROOT / "src" / "voablocks").glob("*.py"))
     readers = [p.read_text() for d in ("src", "tests", "demos")
                for p in sorted((ROOT / d).rglob("*.py"))]

@@ -31,6 +31,13 @@ class TestWindow:
         assert s.floor == -2 and s.order == 4
         assert s.coeff(-2) == 1 and s.coeff(1) == 3 and s.coeff(0) == 0
 
+    def test_from_coeff_map_truncates_at_the_order(self):
+        # entries at or above the order are unknown there, as after truncate
+        full = TruncSeries.from_coeff_map("z", {1: F(2), 5: F(1)}, 8)
+        assert TruncSeries.from_coeff_map("z", {1: F(2), 5: F(1)}, 3) == full.truncate(3)
+        beyond = TruncSeries.from_coeff_map("z", {5: F(1), 6: F(2)}, 3)
+        assert (beyond.floor, beyond.order, beyond.coeffs) == (3, 3, [])
+
     def test_truncate_and_shift(self):
         s = poly("z", {0: F(1), 1: F(2), 2: F(3)}, 4)
         assert s.truncate(2).order == 2
