@@ -127,6 +127,7 @@ class Module:
     def __init__(self):
         self._blocks: dict = {}
         self._L_cache: dict = {}  # (n, label) -> read-only L_n image
+        self._traces: dict = {}  # label -> torus-trace coefficients (sewing)
         self._dual: Module | None = None
 
     # -- subclass interface --------------------------------------------

@@ -12,6 +12,17 @@ the Ltilde0 grading has the same coefficients at offset 0.  Self-sewing
 the 3-pointed sphere (1, 0, infinity) yields the torus character: the
 q-trace of the weight-preserving zero mode.
 
+``torus_character`` computes that trace, Z(v) = sum_n tr_{M(n)} o(v) q^n
+with o(v) = v_{wt v - 1}, without a weight block of M: Zhu's recursion
+(Y. Zhu, J. AMS 9, 1996, 4.3), in the Mason-Tuite normalization without
+factors 2 pi i, writes Z of a label v = g_{-n} u through the square-bracket
+modes of the generator g, the scalar o(g) on each M(w) (mu on F_mu, L_0 on
+Vir_c) and the q-series E_2k(q) = -B_2k/(2k)! + (2/(2k-1)!) sum sigma_{2k-1}(n)
+q^n times traces of labels of lower weight, down to Z(vacuum)_n = dim M(n).
+Each E_2k Z product is one ``series_mul``; Z is memoized per (module, label).
+A contragredient reads its base: Z_{W'}(v) = Z_W(theta v), theta v the sum
+of v's ``gamma_twist`` vectors.
+
 The two-sided residue identity moves a vertex-operator insertion from
 the M side of the dual-basis sum to the M' side, where it reappears
 twisted by U(gamma_1) = e^{L_1} (-1)^{Ltilde0} with the roles of the two
@@ -24,11 +35,13 @@ with A diagonal: A_jj = (q d/dq s_j) / s_j, an exact series log-derivative.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from math import comb, factorial
 
 from .blocks import BlockFunctional, vertex_block
 from .graded import vec_add_into, weight_of
 from .models import CapError, DualModule, Module, contragredient, gamma_twist
-from .series import BivarSeries, QExpansion, _integer_form
+from .series import BivarSeries, QExpansion, TruncSeries, series_mul
 
 __all__ = [
     "SewableBlock",
@@ -122,26 +135,135 @@ def character_block(module: Module, K: int) -> SewableBlock:
 def torus_character(module: Module, v, K: int) -> SewnSeries:
     """Sigma_n tr_{M(n)} Y_M(v)_{wt v - 1} q^n (+ offset Delta_M in the
     standard grading); for v = vacuum this is the graded character.
-    Each trace sums the diagonal of a memoized weight block on integer
-    numerators over one common denominator.  K < 0 raises ValueError."""
+    Each label's trace Z comes from Zhu's recursion (``_zhu``) in the
+    Mason-Tuite normalization, E_2k(q) = -B_2k/(2k)! + O(q) with no factors
+    2 pi i, memoized per (module, label); no weight block is filled.  K < 0
+    and an inhomogeneous insertion raise ValueError."""
     if K < 0:
         raise ValueError(f"order K = {K} must be >= 0")
     if isinstance(v, tuple):
         v = {v: F1}
-    wts = {weight_of(l) for l in v}
-    if len(wts) != 1:
+    if len({weight_of(l) for l in v}) != 1:
         raise ValueError("insertion must be homogeneous")
-    h = wts.pop() - 1  # the weight-preserving mode
-    coeffs = []
-    for n in range(K + 1):
-        tr = F0
-        for vl, vc in v.items():
-            # the block's diagonal, summed on integer numerators
-            nums, den = _integer_form([img[label] for label, img in
-                                       module.mode_block(vl, h, n).items() if label in img])
-            tr += vc * Fraction(sum(nums), den)
-        coeffs.append(tr)
+    coeffs = [F0] * (K + 1)
+    _add_traces(coeffs, module, v, K)
     return SewnSeries(coeffs, module.delta)
+
+
+# ---------------------------------------------------------------------------
+# Zhu's recursion for the torus traces
+
+
+@lru_cache(maxsize=None)
+def _bernoulli(n: int) -> tuple:
+    """B_k / k! for k = 0..n: the coefficients of z / (e^z - 1), the
+    reciprocal of (e^z - 1) / z = sum z^k / (k + 1)!."""
+    base = TruncSeries("z", 0, [Fraction(1, factorial(k + 1)) for k in range(n + 1)])
+    return tuple(base.reciprocal().coeffs)
+
+
+@lru_cache(maxsize=None)
+def _bracket_coeff(wt: int, p: int, m: int) -> Fraction:
+    """The coefficient of the round mode a_m in the square-bracket mode a[p]
+    of a weight-wt vector a, for Y[a, z] = Y(e^{z L_0} a, e^z - 1):
+    [z^{-p-1}] e^{z wt} (e^z - 1)^{-m-1}
+    = [z^{m-p}] e^{z wt} (z / (e^z - 1))^{m+1}, zero for m < p."""
+    d = m - p
+    if d < 0:
+        return F0
+    e = TruncSeries("z", 0, [Fraction(wt ** i, factorial(i)) for i in range(d + 1)])
+    return series_mul(e, TruncSeries("z", 0, _bernoulli(d)) ** (m + 1)).coeffs[d]
+
+
+@lru_cache(maxsize=None)
+def _eisenstein(k: int, K: int) -> tuple:
+    """E_2k(q) to q^K in the Mason-Tuite normalization of Zhu's recursion:
+    -B_2k / (2k)! + (2 / (2k - 1)!) sum_{n>=1} sigma_{2k-1}(n) q^n."""
+    sigma = [0] * (K + 1)
+    for d in range(1, K + 1):
+        for n in range(d, K + 1, d):
+            sigma[n] += d ** (2 * k - 1)
+    f = factorial(2 * k - 1)
+    return (-_bernoulli(2 * k)[2 * k],) + tuple(Fraction(2 * s, f) for s in sigma[1:])
+
+
+def _axpy(acc: list, c, z):
+    """acc += c * z on coefficient lists, skipping the zero entries of z."""
+    for n, t in enumerate(z):
+        if t:
+            acc[n] += c * t
+
+
+def _add_traces(acc: list, module: Module, vec, K: int):
+    """acc += Z(vec) to q^K: Z is linear, each label taking its own o(.)."""
+    for label, a in vec.items():
+        _axpy(acc, a, _trace(module, label, K))
+
+
+def _trace(module: Module, label: tuple, K: int) -> tuple:
+    """Z(label) = sum_{n<=K} tr_{M(n)} o(label) q^n with o(v) = v_{wt v - 1},
+    memoized per (module, label) as a tuple; a longer window serves a
+    shorter one.  Z(vacuum)_n = dim M(n).  On a contragredient every term
+    of U(gamma) v keeps the weight and the transpose keeps the trace, so
+    Z_{W'}(v) = Z_W(theta v), theta v the sum of v's ``gamma_twist``
+    vectors."""
+    hit = module._traces.get(label)
+    if hit is not None and len(hit) > K:
+        return hit[:K + 1]
+    if isinstance(module, DualModule):
+        z = [F0] * (K + 1)
+        for _, vec in gamma_twist(label, module):
+            _add_traces(z, module.base, vec, K)
+    elif not label:
+        z = [Fraction(len(module.basis_at(n))) for n in range(K + 1)]
+    else:
+        z = _zhu(module, label, K)
+    hit = module._traces[label] = tuple(z)
+    return hit
+
+
+def _zhu(module: Module, label: tuple, K: int) -> list:
+    """Z(v) for v = g_{-n} u, the ``peel`` split of a non-vacuum label, by
+    Zhu's recursion (Zhu 1996, 4.3; Mason-Tuite normalization, no 2 pi i):
+
+        Z(g[-n]u) = delta_{n,1} tr o(g) o(u) q^{L_0}
+                  + sum_{k>=1} (-1)^{n-1} C(2k-1, n-1) E_2k(q) Z(g[2k-n]u),
+
+    the a[-1] case moved to a[-n] by (L[-1]a)[m] = -m a[m-1].  The bracket
+    mode g[-n]u is g_{-n}u = v plus terms of lower weight, so Z(v) is
+    Z(g[-n]u) minus the traces of those terms.  o(g) is the scalar s_w of
+    Y_M(g)_{wt g - 1} on M(w) (mu on F_mu, L_0 = w + Delta on Vir_c).  Every
+    other trace is of a label of lower weight."""
+    voa = module.voa
+    wg = voa.gen_weight
+    j, u = voa.peel(label)
+    n = -j
+    top = wg + weight_of(u) - 1  # g_m u = 0 for m > top
+    ys = {}  # the nonzero Z(g_m u) for the round modes m > -n
+    for m in range(1 - n, top + 1):
+        y = [F0] * (K + 1)
+        _add_traces(y, module, voa.gen_apply(m, u), K)
+        if any(y):
+            ys[m] = y
+    z = [F0] * (K + 1)
+    for m, y in ys.items():  # minus the lower terms of g[-n]u
+        _axpy(z, -_bracket_coeff(wg, -n, m), y)
+    if n == 1:
+        for w, t in enumerate(_trace(module, u, K)):
+            if t:
+                rep = module.basis_at(w)[0]
+                z[w] += module.gen_apply(wg - 1, rep).get(rep, F0) * t
+    for k in range((n + 1) // 2, (top + n) // 2 + 1):
+        p = 2 * k - n
+        x = [F0] * (K + 1)  # Z(g[p]u)
+        for m, y in ys.items():
+            if m >= p:
+                _axpy(x, _bracket_coeff(wg, p, m), y)
+        if any(x):
+            b = comb(2 * k - 1, n - 1)
+            prod = series_mul(TruncSeries("q", 0, _eisenstein(k, K)), TruncSeries("q", 0, x))
+            _axpy(z, -b if n % 2 == 0 else b, prod.coeffs)
+    return z
 
 
 def normalize_character(s: SewnSeries, c) -> QExpansion:

@@ -369,11 +369,18 @@ def test_length_one_blocks_obey_the_derivative_property(kind, param, k, h, wt):
 
 
 def test_traces_fill_no_vacuum_block():
-    """Cold conformal-vector traces start the recursion at length-1 labels:
-    no weight block of the vacuum label is filled."""
+    """Cold weight-preserving blocks of the conformal-vector labels start the
+    recursion at length-1 labels: no weight block of the vacuum label is
+    filled.  A cold torus trace fills no weight block at all."""
     H0, V = heisenberg_model(), virasoro_model(F(-22, 5))
-    torus_character(H0, {(1, 1): F(1, 2)}, 12)
-    torus_character(V, (2,), 12)
+    for n in range(13):
+        H0.mode_block((1, 1), 1, n)
+        V.mode_block((2,), 1, n)
     for M in (H0, V):
         assert M._blocks
         assert [key for key in M._blocks if key[0] == ()] == []
+    H1, V1 = heisenberg_model(), virasoro_model(F(-22, 5))
+    torus_character(H1, {(1, 1): F(1, 2)}, 12)
+    torus_character(V1, (2,), 12)
+    for M in (H1, V1):
+        assert M._blocks == {}

@@ -82,6 +82,63 @@ class TestCharacters:
             torus_character(H, (), -1)
 
 
+def block_diagonal_trace(module, label, K):
+    """Oracle: tr_{M(n)} Y_M(v)_{wt v - 1} as the diagonal of the weight
+    block the mode recursion fills, for n = 0..K."""
+    h = sum(label) - 1
+    return [sum((img[w] for w, img in module.mode_block(label, h, n).items() if w in img), F(0))
+            for n in range(K + 1)]
+
+
+TRACE_CASES = {  # name -> (module factory, top label weight, K)
+    "H": (heisenberg_model, 6, 10),
+    "F(2/3)": (lambda: fock_module(heisenberg_model(), F(2, 3)), 5, 10),
+    "F(-3/2)": (lambda: fock_module(heisenberg_model(), F(-3, 2)), 5, 12),
+    "Vir(-22/5)": (lambda: virasoro_model(F(-22, 5)), 6, 10),
+    "Vir(1/2)": (lambda: virasoro_model(F(1, 2)), 6, 12),
+    "H'": (lambda: contragredient(heisenberg_model()), 5, 8),
+    "F(2/3)'": (lambda: contragredient(fock_module(heisenberg_model(), F(2, 3))), 4, 8),
+    "F(-3/2)'": (lambda: contragredient(fock_module(heisenberg_model(), F(-3, 2))), 4, 8),
+    "Vir(-22/5)'": (lambda: contragredient(virasoro_model(F(-22, 5))), 6, 8),
+    "Vir(1/2)'": (lambda: contragredient(virasoro_model(F(1, 2))), 6, 8),
+}
+
+
+class TestZhuTraces:
+    """torus_character runs Zhu's recursion on q-series and fills no weight
+    block; the diagonals of the filled blocks are an independent oracle."""
+
+    @pytest.mark.parametrize("name", TRACE_CASES)
+    def test_matches_block_diagonal(self, name):
+        factory, top, K = TRACE_CASES[name]
+        M = factory()
+        for wt in range(top + 1):
+            for label in M.voa.basis_at(wt):
+                got = torus_character(M, label, K).coeffs
+                assert all(type(c) is F for c in got)
+                assert got == block_diagonal_trace(M, label, K), (name, label)
+
+    def test_memo_hands_out_copies(self):
+        M = virasoro_model(F(-22, 5))
+        want = list(torus_character(virasoro_model(F(-22, 5)), (2, 2), 10).coeffs)
+        got = torus_character(M, (2, 2), 10)
+        got.coeffs[3] += 1
+        got.coeffs.append(F(7))
+        assert torus_character(M, (2, 2), 10).coeffs == want
+
+    def test_windows_share_the_memo(self):
+        # a longer window serves a shorter one, and a shorter one is extended
+        M, fresh = fock_module(H, F(1, 3)), fock_module(H, F(1, 3))
+        want = torus_character(fresh, (2, 1), 12).coeffs
+        assert torus_character(M, (2, 1), 5).coeffs == want[:6]
+        assert torus_character(M, (2, 1), 12).coeffs == want
+        assert torus_character(M, (2, 1), 0).coeffs == want[:1]
+
+    def test_inhomogeneous_insertion_rejected(self):
+        with pytest.raises(ValueError, match="homogeneous"):
+            torus_character(H, {(1,): F(1), (): F(1)}, 4)
+
+
 class TestSew:
     def test_sew_equals_trace(self):
         for module, K in ((H, 8), (VIR, 8), (fock_module(H, F(1, 2)), 6)):
