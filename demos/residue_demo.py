@@ -23,8 +23,8 @@ def main():
     print("  reconstructed section equals the target:", rep.section == f)
 
     t = f.expand_at(0, 4)
-    bad = TruncSeries(t.var, t.floor, list(t.coeffs), t.order)
-    bad.coeffs[0] += 1  # perturb the residue at 0
+    # perturb the residue at 0
+    bad = TruncSeries(t.var, t.floor, [t.coeffs[0] + 1, *t.coeffs[1:]], t.order)
     rep = rational_glue(bad, f.expand_at(1, 4), f.expand_at_infinity(4), F(1))
     print("after perturbing one coefficient:",
           "passed" if rep.passed else "failed, as it must")

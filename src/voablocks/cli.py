@@ -323,7 +323,7 @@ def run_report(seed: int) -> dict:
             poles={0: {1: _rand_frac(rng)}, z0: {1: _rand_frac(rng), 2: _rand_frac(rng)}})
         tails = [f.expand_at(0, 4), f.expand_at(z0, 4), f.expand_at_infinity(5)]
         t = tails[0]
-        bad = TruncSeries(t.var, t.floor, [t.coeffs[0] + 1] + t.coeffs[1:], t.order)
+        bad = TruncSeries(t.var, t.floor, [t.coeffs[0] + 1, *t.coeffs[1:]], t.order)
         for glues, inputs in ((True, tails), (False, [bad] + tails[1:])):
             rep = rational_glue(*inputs, z0)
             if (rep.passed != glues or (glues and rep.section != f)) and witness is None:

@@ -26,11 +26,13 @@ c0(z)^{wt} once per weight.
 The check's z-window is derived from its inputs.  Both sides are compared
 on z^e for -(wt v + wt w) <= e < K.  The right side sums
 f_u(z) a(z)^{-n-1} u_n w.  When rho_z's coefficients are known below z^A,
-the coefficients f_u of U(rho_z) v are too, 1/a(z) is known below
-z^{A-2}, and a(z)^{-m} f_u(z) below z^{A-1-m}.  Since m = n + 1 is at most
-wt v + wt w, A = K + wt v + wt w + 1 is the smallest window that reaches
-z^{K-1}.  Each product still checks its window and raises naming the
-window it needed.
+1/a(z) is known below z^{A-2} and a(z)^{-m} below z^{A-1-m}, with floor
+-m.  Since m = n + 1 is at most wt v + wt w, A = K + wt v + wt w + 1 is
+the smallest window that reaches z^{K-1}.  The coefficients f_u of
+U(rho_z) v are known below z^A too, but [z^e] a(z)^{-m} f_u(z) for e < K
+reads f_u only up to z^{K-1+m} <= z^{A-2}: f_u is summed below z^{A-1}
+only, and a(z)^{-m} f_u(z) is still known below z^{A-1-m}.  Each product
+still checks its window and raises naming the window it needed.
 """
 
 from __future__ import annotations
@@ -253,17 +255,18 @@ def huang_conjugation_check(alpha: CoordChange, v, w: dict, module: Module,
         tcoeffs.append(TruncSeries.from_coeff_map("z", cmap, A))
     cs = _exp_factorization(tcoeffs, tcoeffs[0].reciprocal())
     # exp(sum c_n(z) L_n) v on rational coefficients keyed by (label, e),
-    # e below the window of the c_n; c0(z)^{wt}, taken once per weight, is
-    # multiplied into each label's series
+    # e below window - 1 (the module docstring says why f_u stops there);
+    # c0(z)^{wt}, taken once per weight, is multiplied into each label's series
     window = min(c.order for c in cs)
 
     def raising(vec: dict) -> dict:
         out: dict = {}
         for n, cn in enumerate(cs[1:], start=1):
+            known = cn.coeffs
             for (label, e), x in vec.items():
                 for u, y in module.voa._L(n, label).items():
-                    for j in range(cn.floor, window - e):
-                        out[u, e + j] = out.get((u, e + j), F0) + x * y * cn.coeff(j)
+                    for j in range(cn.floor, window - 1 - e):
+                        out[u, e + j] = out.get((u, e + j), F0) + x * y * known[j - cn.floor]
         return out
 
     coeffs: dict = {}
@@ -284,7 +287,7 @@ def huang_conjugation_check(alpha: CoordChange, v, w: dict, module: Module,
         if cmap.keys() == {0}:  # a constant (a top-weight label of v): no series_mul
             fu = c0_powers[wt] * cmap[0]
         else:
-            fu = TruncSeries.from_coeff_map("z", cmap, window) * c0_powers[wt]
+            fu = TruncSeries.from_coeff_map("z", cmap, window - 1) * c0_powers[wt]
         for n in range(-K, wt + Ww):
             t = module.mode_apply(ul, n, w)
             if not t:
@@ -296,8 +299,9 @@ def huang_conjugation_check(alpha: CoordChange, v, w: dict, module: Module,
                 raise ValueError(f"z-window {A} too small: a(z)^{-n - 1} f_u(z) is known "
                                  f"below z^{zser.order}, the check reads z^{K - 1} and "
                                  f"needs z-window >= {A + K - zser.order}")
+            zc = zser.coeffs
             for label, c in t.items():
                 for e in range(zser.floor, K):
-                    rhs[label, e] = rhs.get((label, e), F0) + c * zser.coeff(e)
+                    rhs[label, e] = rhs.get((label, e), F0) + c * zc[e - zser.floor]
     rhs = {key: c for key, c in rhs.items() if c}
     return HuangReport(lhs == rhs, (-(Wv + Ww), K))

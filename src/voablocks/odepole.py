@@ -25,7 +25,9 @@ Numeric side (the only floating-point code in the package): classical
 fixed-step RK4 transport of psi' = A(q) psi / q along straight segments
 between waypoints, with a step-halving Richardson error estimate.  Each
 transport evaluates, by Horner's rule, one private complex copy of the
-entries, each on its own window [floor, order).
+entries, each on its own window [floor, order).  A(q) is evaluated at two
+points per step: the midpoint serves k2 and k3, and the step's end serves
+k4 and the next step's k1.
 """
 
 from __future__ import annotations
@@ -79,8 +81,6 @@ class PoleODE:
         # integer form, so the (j, k) terms of a mode sum are one slice
         self._rows = tuple(_integer_form([A[i][k] for A in reversed(self._coeffs)
                                           for k in range(n)]) for i in range(n))
-        if None in self._rows:
-            raise ValueError("entries need rational coefficients")
 
     def coeff_matrix(self, k: int):
         """Ahat_k, defined for 0 <= k < order (a read-only matrix)."""
@@ -262,8 +262,8 @@ class NumericPath:
 def _rk4_transport(ode: PoleODE, path: NumericPath, psi, steps: int):
     # the float copy of A: per entry its floor and its coefficients on the
     # entry's own window [floor, order), highest power first for Horner
-    table = [[(e.floor, [complex(e.coeff(k)) for k in range(e.order - 1, e.floor - 1, -1)])
-              for e in row] for row in ode.entries]
+    table = [[(e.floor, [complex(c) for c in reversed(e.coeffs)]) for e in row]
+             for row in ode.entries]
 
     def entry(q, floor, coeffs):
         acc = 0j
@@ -271,9 +271,11 @@ def _rk4_transport(ode: PoleODE, path: NumericPath, psi, steps: int):
             acc = acc * q + c
         return acc * q ** floor if floor else acc
 
-    def field(q, v):
-        return [sum(entry(q, *fc) * x for fc, x in zip(row, v)) / q
-                for row in table]
+    def matrix(q):
+        return [[entry(q, *fc) for fc in row] for row in table]
+
+    def field(q, A, v):
+        return [sum(a * x for a, x in zip(row, v)) / q for row in A]
 
     v = [complex(x) for x in psi]
     for a, b in path.segments():
@@ -281,16 +283,21 @@ def _rk4_transport(ode: PoleODE, path: NumericPath, psi, steps: int):
         if abs(h) == 0.0:
             raise ValueError("step underflow: degenerate segment")
         q = a
+        A = matrix(q)
         for _ in range(steps):
             if min(abs(q), abs(q + h)) < 10 * abs(h):
                 raise ValueError("pole proximity: step size comparable to |q|")
-            k1 = field(q, v)
-            k2 = field(q + h / 2, [x + h / 2 * k for x, k in zip(v, k1)])
-            k3 = field(q + h / 2, [x + h / 2 * k for x, k in zip(v, k2)])
-            k4 = field(q + h, [x + h * k for x, k in zip(v, k3)])
+            # A at the midpoint serves k2 and k3; A at q + h serves k4 and
+            # is the next step's A(q)
+            mid, end = q + h / 2, q + h
+            A_mid, A_end = matrix(mid), matrix(end)
+            k1 = field(q, A, v)
+            k2 = field(mid, A_mid, [x + h / 2 * k for x, k in zip(v, k1)])
+            k3 = field(mid, A_mid, [x + h / 2 * k for x, k in zip(v, k2)])
+            k4 = field(end, A_end, [x + h * k for x, k in zip(v, k3)])
             v = [x + h / 6 * (a1 + 2 * a2 + 2 * a3 + a4)
                  for x, a1, a2, a3, a4 in zip(v, k1, k2, k3, k4)]
-            q = q + h
+            q, A = end, A_end
     return v
 
 

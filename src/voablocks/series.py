@@ -17,23 +17,27 @@ Three flavours:
   lam plus one TruncSeries in q with floor 0, whose product adds the
   offsets; the one q-series type of sewn series and characters.
 
-Coefficients are ``fractions.Fraction``: no library TruncSeries and no
-dict vector holds a series.  The z-series c_n of Huang's conjugation check
-live in a plain list (``coordchange._exp_factorization``), and its U(rho_z) v
-is kept as rational coefficients keyed by (label, z-exponent).
-
-The three kernels take rationals only.  :func:`series_mul`,
-:meth:`TruncSeries.reciprocal` and :func:`series_compose` clear
-denominators once, work on Python integers and build one Fraction per
-output coefficient (the content/primitive-part technique of exact
-polynomial arithmetic); any other coefficient raises ValueError.
-:func:`series_comp_inverse` is built from ``reciprocal`` and ``series_mul``.
+A TruncSeries holds rationals only: its constructor refuses any
+coefficient that is not an ``int`` or a ``Fraction``.  It is an immutable
+tuple of integer numerators over one positive denominator, in lowest terms
+(gcd(den, *nums) == 1), the content/primitive-part form of exact polynomial
+arithmetic.  ``coeffs`` is a read-only tuple view of the rationals.  Both
+forms are made on demand, once: a series built from rationals keeps the
+tuple it was given as its view and makes its integer form when a kernel
+first needs it; a kernel output is born integer and makes its Fractions
+only when they are read.  The ring operations, :func:`series_mul`,
+:meth:`TruncSeries.reciprocal` and :func:`series_compose` run on the
+integers and reduce once per result; :func:`series_comp_inverse` is built
+from ``reciprocal`` and ``series_mul``.  The z-series c_n of Huang's
+conjugation check live in a plain list (``coordchange._exp_factorization``),
+and its U(rho_z) v is kept as rational coefficients keyed by
+(label, z-exponent).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 __all__ = [
@@ -47,6 +51,7 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
+_RATIONAL_TYPES = {int, Fraction}
 
 
 # Scalar helpers: the one scalar ring is the rationals (int or Fraction).
@@ -57,20 +62,18 @@ def _is_scalar(x) -> bool:
 
 
 def _integer_form(cs):
-    """(integer numerators, common denominator) of a list of rationals, so
-    that cs[i] == nums[i] / den; None when some entry is not a rational.
+    """(integer numerators, common denominator) of a sequence of rationals,
+    so that cs[i] == nums[i] / den, in lowest terms.
 
-    The exact kernels run on these integers and build one Fraction per
-    output, instead of normalizing a Fraction after every + and *."""
-    if not all(isinstance(c, (int, Fraction)) for c in cs):
-        return None
+    The exact kernels run on these integers instead of normalizing a
+    Fraction after every + and *."""
     den = lcm(*(c.denominator for c in cs))
     return [c.numerator * (den // c.denominator) for c in cs], den
 
 
-def _convolve(a: list, b: list, size: int) -> list:
+def _convolve(a, b, size: int) -> list:
     """The first ``size`` coefficients of the product of two integer
-    coefficient lists."""
+    coefficient sequences."""
     acc = [0] * size
     for i, x in enumerate(a[:size]):
         if x:
@@ -79,23 +82,51 @@ def _convolve(a: list, b: list, size: int) -> list:
     return acc
 
 
-class TruncSeries:
-    """Truncated Laurent series sum_{floor <= n < order} coeffs[n-floor] x^n."""
+def _on_window(nums, nfloor: int, floor: int, order: int, factor: int) -> list:
+    """factor * nums, stored from exponent nfloor >= floor, on [floor, order)."""
+    return [0] * min(nfloor - floor, order - floor) + \
+        [factor * n for n in nums[:max(order - nfloor, 0)]]
 
-    __slots__ = ("var", "floor", "order", "coeffs")
+
+def _new(var, floor, order, view, nums, den) -> "TruncSeries":
+    s = object.__new__(TruncSeries)
+    s.var, s.floor, s.order = var, floor, order
+    s._view, s._nums, s._den = view, nums, den
+    return s
+
+
+def _series(var, floor: int, nums, den: int, order: int) -> "TruncSeries":
+    """The series sum nums[i] / den x^(floor + i) on [floor, order), den > 0,
+    reduced to lowest terms; its Fractions are built when first read."""
+    g = gcd(den, *nums)
+    if g == 1:
+        return _new(var, floor, order, None, tuple(nums), den)
+    return _new(var, floor, order, None, tuple(n // g for n in nums), den // g)
+
+
+class TruncSeries:
+    """Truncated Laurent series sum_{floor <= n < order} coeffs[n-floor] x^n,
+    stored as integer numerators over one denominator (module docstring)."""
+
+    __slots__ = ("var", "floor", "order", "_view", "_nums", "_den")
 
     def __init__(self, var: str, floor: int, coeffs: Sequence, order: int | None = None):
-        coeffs = list(coeffs)
+        coeffs = tuple(coeffs)
         if order is None:
             order = floor + len(coeffs)
         if order - floor != len(coeffs):
             raise ValueError("coeffs length must equal order - floor")
         if order < floor:
             raise ValueError("order < floor")
+        if not _RATIONAL_TYPES.issuperset(map(type, coeffs)):
+            bad = next(c for c in coeffs if type(c) not in _RATIONAL_TYPES)
+            raise ValueError(f"a series coefficient must be an int or a Fraction, not {bad!r}")
         self.var = var
         self.floor = floor
         self.order = order
-        self.coeffs = coeffs
+        self._view = coeffs
+        self._nums = None
+        self._den = 1
 
     # -- constructors ---------------------------------------------------
 
@@ -119,26 +150,54 @@ class TruncSeries:
         coeffs = [cmap.get(n, _ZERO) for n in range(floor, order)]
         return cls(var, floor, coeffs, order)
 
+    # -- the two forms --------------------------------------------------
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients on [floor, order) as a read-only tuple."""
+        if self._view is None:
+            den = self._den
+            self._view = tuple(Fraction(n, den) for n in self._nums)
+        return self._view
+
+    def _ints(self) -> tuple:
+        """(numerators, denominator) in lowest terms, made on first use."""
+        if self._nums is None:
+            nums, self._den = _integer_form(self._view)
+            self._nums = tuple(nums)
+        return self._nums, self._den
+
+    def _slice(self, i: int, j: int, floor: int, order: int) -> "TruncSeries":
+        """Stored coefficients i..j-1 as the series on [floor, order)."""
+        view = None if self._view is None else self._view[i:j]
+        if self._nums is None:
+            return _new(self.var, floor, order, view, None, 1)
+        s = _series(self.var, floor, self._nums[i:j], self._den, order)
+        s._view = view
+        return s
+
     # -- basics ---------------------------------------------------------
 
     def coeff(self, n: int):
-        """Coefficient of x^n; exact zero below the floor, error at/above order."""
+        """Coefficient of x^n; exact zero below the floor, error at/above order.
+        Before ``coeffs`` is built each call builds one Fraction."""
         if n >= self.order:
             raise IndexError(f"exponent {n} beyond truncation order {self.order}")
         if n < self.floor:
             return _ZERO
-        return self.coeffs[n - self.floor]
+        if self._view is None:
+            return Fraction(self._nums[n - self.floor], self._den)
+        return self._view[n - self.floor]
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self._view if self._nums is None else self._nums)
 
     def normalize(self) -> "TruncSeries":
         """Trim leading zero coefficients so the floor coefficient is nonzero
         (or the series is the canonical zero with floor = order)."""
-        i = 0
-        while i < len(self.coeffs) and not self.coeffs[i]:
-            i += 1
-        return TruncSeries(self.var, self.floor + i, self.coeffs[i:], self.order)
+        cs = self._view if self._nums is None else self._nums
+        i = next((i for i, c in enumerate(cs) if c), len(cs))
+        return self._slice(i, len(cs), self.floor + i, self.order)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -151,18 +210,14 @@ class TruncSeries:
         if not isinstance(other, TruncSeries):
             return NotImplemented
         a, b = self.normalize(), other.normalize()
-        return a.var == b.var and a.floor == b.floor and a.order == b.order and a.coeffs == b.coeffs
+        return (a.var, a.floor, a.order, a._ints()) == (b.var, b.floor, b.order, b._ints())
 
-    # Equality with scalars and across windows is not transitive and the
-    # coefficients are mutable, so no hash can agree with it.
+    # Equality with scalars and across windows is not transitive, so no
+    # hash can agree with it.
     __hash__ = None
 
     def __repr__(self):
-        terms = []
-        for n in range(self.floor, self.order):
-            c = self.coeff(n)
-            if c:
-                terms.append(f"{c}*{self.var}^{n}")
+        terms = [f"{c}*{self.var}^{n}" for n, c in enumerate(self.coeffs, self.floor) if c]
         body = " + ".join(terms) if terms else "0"
         return f"<{body} + O({self.var}^{self.order})>"
 
@@ -170,14 +225,11 @@ class TruncSeries:
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
         floor = min(self.floor, order)
-        return TruncSeries(self.var, floor, self.coeffs[: order - floor], order)
+        return self._slice(0, order - floor, floor, order)
 
     def shift(self, k: int) -> "TruncSeries":
         """Multiply by x^k."""
-        return TruncSeries(self.var, self.floor + k, self.coeffs, self.order + k)
-
-    def map_coeffs(self, f) -> "TruncSeries":
-        return TruncSeries(self.var, self.floor, [f(c) for c in self.coeffs], self.order)
+        return _new(self.var, self.floor + k, self.order + k, self._view, self._nums, self._den)
 
     # -- ring operations ------------------------------------------------
 
@@ -185,41 +237,53 @@ class TruncSeries:
         if self.var != other.var:
             raise ValueError(f"variable mismatch: {self.var!r} vs {other.var!r}")
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int):
+        """self + sign * other, for a rational or a series other."""
         if _is_scalar(other):
             if other == 0:
                 return self
             if 0 >= self.order:
                 raise IndexError("constant term beyond truncation order")
+            nums, den = self._ints()
             floor = min(self.floor, 0)
-            cmap = {n: self.coeff(n) for n in range(floor, self.order)}
-            cmap[0] = cmap.get(0, _ZERO) + other
-            return TruncSeries.from_coeff_map(self.var, cmap, self.order)
+            d = lcm(den, other.denominator)
+            acc = _on_window(nums, self.floor, floor, self.order, d // den)
+            acc[-floor] += sign * other.numerator * (d // other.denominator)
+            return _series(self.var, floor, acc, d, self.order)
         if not isinstance(other, TruncSeries):
             return NotImplemented
         self._check_var(other)
         floor = min(self.floor, other.floor)
         order = min(self.order, other.order)
-        if order < floor:
-            floor = order
-        coeffs = [self.coeff(n) + other.coeff(n) for n in range(floor, order)]
-        return TruncSeries(self.var, floor, coeffs, order)
+        (na, da), (nb, db) = self._ints(), other._ints()
+        d = lcm(da, db)
+        acc = [x + y for x, y in zip(_on_window(na, self.floor, floor, order, d // da),
+                                     _on_window(nb, other.floor, floor, order, sign * (d // db)))]
+        return _series(self.var, floor, acc, d, order)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return self.map_coeffs(lambda c: -c)
-
     def __sub__(self, other):
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def __neg__(self):
+        return self.scale(-1)
 
     def scale(self, s) -> "TruncSeries":
         """Multiply every coefficient by a rational scalar."""
-        return self.map_coeffs(lambda c: c * s)
+        if not _is_scalar(s):
+            raise ValueError(f"a series scales by an int or a Fraction, not {s!r}")
+        nums, den = self._ints()
+        p = s.numerator
+        return _series(self.var, self.floor, [n * p for n in nums], den * s.denominator,
+                       self.order)
 
     def __mul__(self, other):
         if _is_scalar(other):
-            return self.map_coeffs(lambda c: c * other)
+            return self.scale(other)
         if not isinstance(other, TruncSeries):
             return NotImplemented
         self._check_var(other)
@@ -229,8 +293,7 @@ class TruncSeries:
 
     def __truediv__(self, other):
         if _is_scalar(other):
-            inv = Fraction(1, 1) / other
-            return self.map_coeffs(lambda c: c * inv)
+            return self.scale(Fraction(1, 1) / other)
         return NotImplemented
 
     def __pow__(self, k: int):
@@ -253,50 +316,45 @@ class TruncSeries:
 
     def deriv(self) -> "TruncSeries":
         # derivative kills the constant term; the window shifts down by one
-        cmap = {n - 1: self.coeff(n) * n for n in range(self.floor, self.order) if n != 0}
-        return TruncSeries.from_coeff_map(self.var, cmap, self.order - 1)
+        nums, den = self._ints()
+        d = [c * n for n, c in enumerate(nums, self.floor)]
+        floor = self.floor - 1
+        if self.floor == 0 and d:  # the constant's derivative is no coefficient at x^-1
+            d, floor = d[1:], 0
+        return _series(self.var, floor, d, den, self.order - 1)
 
     def reciprocal(self) -> "TruncSeries":
-        """Multiplicative inverse 1/f for f with rational coefficients and a
-        nonzero leading coefficient; a coefficient that is not a rational
-        (a series in another variable) raises ValueError."""
+        """Multiplicative inverse 1/f for f with a nonzero leading coefficient."""
         f = self.normalize()
-        if not f.coeffs or not f.coeffs[0]:
+        A, d = f._ints()
+        if not A:
             raise ZeroDivisionError("series has zero leading coefficient")
         v = f.floor
         rel = f.order - v  # number of known relative coefficients
-        ints = _integer_form(f.coeffs)
-        if ints is None:
-            raise ValueError("reciprocal needs rational coefficients")
         # f = x^v A(x) / d with A integral: C_n = A_0^{n+1} [x^n] 1/A
         # satisfies C_0 = 1, C_n = -sum_{j=1..n} A_j C_{n-j} A_0^{j-1}
-        A, d = ints
         p = [1, A[0]]  # powers of A_0
         C = [1]
         for n in range(1, rel):
             C.append(-sum(A[j] * C[n - j] * p[j - 1] for j in range(1, n + 1) if A[j]))
             p.append(p[-1] * A[0])
-        b = [Fraction(d * c, p[n + 1]) for n, c in enumerate(C)]
-        return TruncSeries(self.var, -v, b, -v + rel)
+        # [x^(n-v)] 1/f = d C_n / A_0^{n+1}, over the one denominator A_0^rel
+        sign = -1 if p[rel] < 0 else 1
+        b = [sign * d * c * p[rel - 1 - n] for n, c in enumerate(C)]
+        return _series(self.var, -v, b, sign * p[rel], -v + rel)
 
 
 def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    """Product of truncated series with rational coefficients; order =
-    min(a.floor + b.order, b.floor + a.order).  The numerators are convolved
-    and divided once; any other coefficient raises ValueError."""
+    """Product of truncated series; order = min(a.floor + b.order,
+    b.floor + a.order).  The numerators are convolved and reduced once."""
     if a.var != b.var:
         raise ValueError(f"variable mismatch: {a.var!r} vs {b.var!r}")
-    ia, ib = _integer_form(a.coeffs), _integer_form(b.coeffs)
-    if ia is None or ib is None:
-        raise ValueError("series_mul needs rational coefficients")
     floor = a.floor + b.floor
     order = min(a.floor + b.order, b.floor + a.order)
     if order <= floor:
         return TruncSeries.zero(a.var, order)
-    (na, da), (nb, db) = ia, ib
-    den = da * db
-    coeffs = [Fraction(c, den) for c in _convolve(na, nb, order - floor)]
-    return TruncSeries(a.var, floor, coeffs, order)
+    (na, da), (nb, db) = a._ints(), b._ints()
+    return _series(a.var, floor, _convolve(na, nb, order - floor), da * db, order)
 
 
 def series_compose(f: TruncSeries, g: TruncSeries) -> TruncSeries:
@@ -306,11 +364,9 @@ def series_compose(f: TruncSeries, g: TruncSeries) -> TruncSeries:
     smallest positive exponent of f with a (potentially) nonzero coefficient;
     a zero window g = O(x^m) takes the same rule, and an order 0 result is
     O(x^0).  g(0) = 0 must be certified, so g = O(x^0) is refused.
-    Coefficients must be rationals; any other coefficient raises
-    ValueError.  With g = x^a G(x) / dg and f's coefficients f_k / df
-    (G and f_k integral), the powers G^k and the sum of f_k x^{ka} G^k
-    dg^{K-k} run on integers, and the result is that sum over df dg^K, one
-    Fraction per coefficient.
+    With g = x^a G(x) / dg and f's coefficients f_k / df (G and f_k
+    integral), the powers G^k and the sum of f_k x^{ka} G^k dg^{K-k} run on
+    integers, and the result is that sum over df dg^K, reduced once.
     """
     fn = f.normalize()
     if fn.floor < 0:
@@ -318,14 +374,11 @@ def series_compose(f: TruncSeries, g: TruncSeries) -> TruncSeries:
     gn = g.normalize()
     if gn.floor < 1:
         raise ValueError("composition needs g(0) = 0")
-    fi, gi = _integer_form(fn.coeffs), _integer_form(gn.coeffs)
-    if fi is None or gi is None:
-        raise ValueError("composition needs rational coefficients")
     k0 = max(fn.floor, 1)
     order = min(f.order, g.order + k0 - 1)
     if order <= 0:
         return TruncSeries.zero(g.var, 0)
-    (fk, df), (G, dg) = fi, gi
+    (fk, df), (G, dg) = fn._ints(), gn._ints()
     a = gn.floor
     # f_k g^k vanishes below x^{ka}, so the powers stop at K
     K = (order - 1) // a
@@ -343,8 +396,7 @@ def series_compose(f: TruncSeries, g: TruncSeries) -> TruncSeries:
             floor = min(floor, k * a)
             for j, x in enumerate(p, k * a):
                 acc[j] += c * x
-    den = df * dg ** K
-    return TruncSeries(g.var, floor, [Fraction(c, den) for c in acc[floor:]], order)
+    return _series(g.var, floor, acc[floor:], df * dg ** K, order)
 
 
 def series_comp_inverse(f: TruncSeries) -> TruncSeries:
@@ -358,11 +410,14 @@ def series_comp_inverse(f: TruncSeries) -> TruncSeries:
         raise ValueError("compositional inverse needs f(0)=0 and f'(0) != 0")
     h = fn.shift(-1).reciprocal()
     hn = h
-    b = {1: hn.coeff(0)}
-    for n in range(2, f.order):
-        hn = series_mul(hn, h)
-        b[n] = hn.coeff(n - 1) / n
-    return TruncSeries.from_coeff_map(f.var, b, f.order)
+    terms = []  # [x^n] g as (numerator, denominator), n = 1, 2, ...
+    for n in range(1, f.order):
+        if n > 1:
+            hn = series_mul(hn, h)
+        nums, den = hn._ints()
+        terms.append((nums[n - 1], den * n))
+    den = lcm(*(d for _, d in terms))
+    return _series(f.var, 1, [x * (den // d) for x, d in terms], den, f.order)
 
 
 def series_residue(a: TruncSeries):
@@ -417,7 +472,7 @@ class QExpansion:
         self.series = coeffs
 
     @property
-    def coeffs(self) -> list:
+    def coeffs(self) -> tuple:
         return self.series.coeffs
 
     @property

@@ -159,7 +159,7 @@ def _bernoulli(n: int) -> tuple:
     """B_k / k! for k = 0..n: the coefficients of z / (e^z - 1), the
     reciprocal of (e^z - 1) / z = sum z^k / (k + 1)!."""
     base = TruncSeries("z", 0, [Fraction(1, factorial(k + 1)) for k in range(n + 1)])
-    return tuple(base.reciprocal().coeffs)
+    return base.reciprocal().coeffs
 
 
 @lru_cache(maxsize=None)
@@ -172,7 +172,7 @@ def _bracket_coeff(wt: int, p: int, m: int) -> Fraction:
     if d < 0:
         return F0
     e = TruncSeries("z", 0, [Fraction(wt ** i, factorial(i)) for i in range(d + 1)])
-    return series_mul(e, TruncSeries("z", 0, _bernoulli(d)) ** (m + 1)).coeffs[d]
+    return series_mul(e, TruncSeries("z", 0, _bernoulli(d)) ** (m + 1)).coeff(d)
 
 
 @lru_cache(maxsize=None)

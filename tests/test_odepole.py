@@ -195,7 +195,7 @@ class TestDenseGolden:
             FormalSolution(ode, modes)
 
     def test_inexact_entries_rejected(self):
-        with pytest.raises(ValueError, match="rational coefficients"):
+        with pytest.raises(ValueError, match="an int or a Fraction, not 0.5"):
             PoleODE([[TruncSeries("q", 0, [0.5, F(1)])]])
 
     def test_mode_of_wrong_length_rejected(self):

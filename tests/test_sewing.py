@@ -116,14 +116,16 @@ class TestZhuTraces:
             for label in M.voa.basis_at(wt):
                 got = torus_character(M, label, K).coeffs
                 assert all(type(c) is F for c in got)
-                assert got == block_diagonal_trace(M, label, K), (name, label)
+                assert list(got) == block_diagonal_trace(M, label, K), (name, label)
 
     def test_memo_hands_out_copies(self):
         M = virasoro_model(F(-22, 5))
-        want = list(torus_character(virasoro_model(F(-22, 5)), (2, 2), 10).coeffs)
+        want = torus_character(virasoro_model(F(-22, 5)), (2, 2), 10).coeffs
         got = torus_character(M, (2, 2), 10)
-        got.coeffs[3] += 1
-        got.coeffs.append(F(7))
+        with pytest.raises(TypeError):
+            got.coeffs[3] += 1
+        with pytest.raises(TypeError):
+            del got.coeffs[0]
         assert torus_character(M, (2, 2), 10).coeffs == want
 
     def test_windows_share_the_memo(self):
