@@ -372,6 +372,37 @@ def test_constructor_refuses_non_rational_coefficients():
             TruncSeries.from_coeff_map("z", {0: F(1), 3: bad}, 5)
 
 
+XS = [TruncSeries("x", 0, [F(1), F(2)]), TruncSeries("x", 0, [F(3), F(0)])]
+
+
+def test_mul_rejects_series_coefficients():
+    # products run on integer numerators: an operand with x-series
+    # coefficients, on either side, is refused before the kernel runs
+    rational = poly("z", {0: F(1), 1: F(1, 2)}, 2)
+    for side in (0, 1):
+        with pytest.raises(ValueError, match="must be an int or a Fraction"):
+            operands = [rational, rational]
+            operands[side] = TruncSeries("z", 0, XS)
+            series_mul(*operands)
+
+
+def test_compose_rejects_series_coefficients():
+    # composition runs on integer numerators: x-series coefficients on the
+    # outer or the inner series are refused before the kernel runs
+    rational = poly("z", {1: F(1), 2: F(1, 2)}, 4)
+    for side, floor in ((0, 0), (1, 1)):
+        with pytest.raises(ValueError, match="must be an int or a Fraction"):
+            operands = [rational, rational]
+            operands[side] = TruncSeries("z", floor, XS)
+            series_compose(*operands)
+
+
+def test_reciprocal_rejects_series_coefficients():
+    # a z-series whose coefficients are x-series has no reciprocal here
+    with pytest.raises(ValueError, match="must be an int or a Fraction"):
+        TruncSeries("z", 0, XS).reciprocal()
+
+
 def test_residue():
     s = TruncSeries.from_coeff_map("z", {-2: F(5), -1: F(7), 3: F(1)}, 4)
     assert series_residue(s) == 7
