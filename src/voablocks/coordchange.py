@@ -9,6 +9,12 @@ and the representation is U(rho) = c0^{Ltilde0} exp(sum_{n>0} c_n L_n).
 The c_n are extracted in one pass over the exponents of z: the terms
 V^k z / k! of the Lie series, V = sum c_m z^{m+1} d/dz, obey a recurrence
 in k, and c_n enters the z^{n+1} coefficient only through the k = 1 term.
+The pass runs on integer columns: [z^j] V^k z / k! is homogeneous of
+index sum j - 1 in the c_m, so, scaled by d^{j-1} with d a common
+denominator of the rho_j / rho_1, it needs only the divisions by k, which
+a constant M_j of the column clears.  One recursion serves rationals and
+z-series alike: each value is split into a numerator (an int, or a series
+of integer numerators) over an int denominator.
 
 A ``CoordChange`` keeps one prefix [c0, ..., c_m] of these coefficients
 and extends it only when a longer one is asked for: rho is an exact
@@ -38,10 +44,13 @@ still checks its window and raises naming the window it needed.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
+from operator import mul
 
 from .graded import vec_add_into, vec_is_zero, vec_max_weight, vec_scale_ltilde0, weight_of
 from .models import Module
-from .series import TruncSeries, series_comp_inverse
+from .series import TruncSeries, _series, series_comp_inverse
 from .virasoro import apply_exp_raising, exp_terms, gbinom
 
 __all__ = [
@@ -96,6 +105,8 @@ class CoordChange:
 
     def __init__(self, poly: dict):
         poly = {int(k): Fraction(v) for k, v in poly.items() if v}
+        if min(poly, default=0) < 0:
+            raise ValueError(f"rho has a pole at 0: its z^{min(poly)} coefficient is nonzero")
         if poly.get(0):
             raise ValueError("rho(0) must be 0")
         poly.pop(0, None)
@@ -131,11 +142,17 @@ def extract_coeffs(rho: TruncSeries, count: int) -> list:
     t[k, j] = [z^j] V^k z / k! obey t[k, j] = (1/k) sum_m c_m (j-m) t[k-1, j-m]
     with t[1, j] = c_{j-1}, so one sweep over j gives
     c_n = [z^{n+1}] rho / c0 - sum_{k>=2} t[k, n+1] from the earlier c_m.
-    Closed forms at low order: c1 = (1/2) rho''(0)/rho'(0),
+    The sweep runs on integer columns (``_exp_factorization``) and builds
+    two Fractions per c_n.  Closed forms at low order:
+    c1 = (1/2) rho''(0)/rho'(0),
     c2 = (1/6) rho'''(0)/rho'(0) - (1/4)(rho''(0)/rho'(0))^2.
+    A nonzero term below z^1 is refused; zero ones are allowed.
     """
     if rho.order < 2:
         raise ValueError("series window too small to see rho'(0)")
+    for e in range(rho.floor, 0):
+        if rho.coeff(e):
+            raise ValueError(f"rho has a pole at 0: its z^{e} coefficient is nonzero")
     if rho.floor > 1:
         raise ValueError("rho'(0) = 0: not a coordinate change")
     a1 = rho.coeff(1)
@@ -152,19 +169,63 @@ def extract_coeffs(rho: TruncSeries, count: int) -> list:
     return _exp_factorization([a1] + [rho.coeff(j) for j in range(2, count + 2)], F1 / a1)
 
 
+def _split(x) -> tuple:
+    """(numerator, denominator) with x = numerator / denominator and the
+    denominator a positive int: of a rational, or of a z-series, whose
+    numerator is the series of its integer numerators."""
+    if isinstance(x, TruncSeries):
+        nums, den = x._ints()
+        return _series(x.var, x.floor, nums, 1, x.order), den
+    return x.numerator, x.denominator
+
+
+@lru_cache(maxsize=None)
+def _column(j: int) -> tuple:
+    """(M_j, g_j, h_j), the constants of column j >= 2 of
+    ``_exp_factorization``: M_j = K_j B_j with K_j = lcm(2..j-1) and
+    B_j = lcm_m M_{m+1} M_{j-m} (m = 1..j-2), g_j[m-1] = (j-m) B_j /
+    (M_{m+1} M_{j-m}) and h_j[k-2] = K_j / k.  ``_exp_factorization`` asks
+    for columns 2, 3, ... in turn, so each call reads only cached columns."""
+    qs = [_column(m + 1)[0] * _column(j - m)[0] for m in range(1, j - 1)]
+    B, K = lcm(*qs), lcm(*range(2, j))
+    return (K * B, tuple((j - m) * (B // q) for m, q in enumerate(qs, 1)),
+            tuple(K // k for k in range(2, j)))
+
+
 def _exp_factorization(r: list, inv_a1) -> list:
     """The recursion of ``extract_coeffs`` on r = [rho_1, ..., rho_{m+1}],
-    the coefficients of z^1, ..., z^{m+1}, unchecked: [c0, ..., c_m] in any
-    ring with division by integers, given inv_a1 = 1/rho_1 (rationals, or
-    the z-series of Huang's rho_z)."""
+    the coefficients of z^1, ..., z^{m+1}, unchecked: [c0, ..., c_m] given
+    inv_a1 = 1/rho_1, for rationals or for the z-series of Huang's rho_z.
+
+    One recursion serves both rings, on integer numerators.  With d the
+    lcm of the denominators of u_j = rho_j / rho_1, u_j d^{j-1} is
+    integral, and t[k, j] is homogeneous of index sum j - 1 in the c_m, so
+    the graded values t[k, j] d^{j-1} obey the recursion of t with
+    u_j d^{j-1} for u_j and only the 1/k left to divide.  Column j keeps
+    them as integer numerators over M_j, a constant of the column alone
+    (``_column``): no lcm or gcd of the input is taken inside the sweep,
+    and each c_{j-1} is its numerator times Fraction(1, M_j d^{j-1})."""
+    inum, iden = _split(inv_a1)
+    us = [(n * inum, den * iden) for n, den in map(_split, r[1:])]
+    d = lcm(*(den for _, den in us))
     cs = [r[0]]
-    t: dict = {}  # (k, j) -> [z^j] V^k z / k!, zero unless j > k
+    rows = [None, [None, None]]  # rows[k][j]: t[k, j] d^{j-1} M_j, for j > k
     for j in range(2, len(r) + 1):
+        M, g, h = _column(j)
+        un, uden = us[j - 2]
+        c = rows[1]
+        f = [c[m + 1] * gm for m, gm in enumerate(g, 1)]
+        tot = un * (M * (d // uden) * d ** (j - 2))
         for k in range(2, j):
-            t[k, j] = sum((cs[m] * (j - m) * t[k - 1, j - m]
-                           for m in range(1, j - k + 1)), F0) / k
-        t[1, j] = r[j - 1] * inv_a1 - sum((t[k, j] for k in range(2, j)), F0)
-        cs.append(t[1, j])
+            if k == j - 1:
+                rows.append([None] * j)
+            # sum_m c_m (j-m) t[k-1, j-m] / k on numerators: the row slice
+            # holds t[k-1, j-1..k], so m runs over 1..j-k
+            s = sum(map(mul, f, rows[k - 1][j - 1:k - 1:-1])) * h[k - 2]
+            rows[k].append(s)
+            tot -= s
+        c.append(tot)
+        cs.append(tot * Fraction(1, M * d ** (j - 1)))
     return cs
 
 

@@ -9,10 +9,12 @@ solved order by order from the matrices Ahat_0..Ahat_{order-1} that
 PoleODE builds once; the residual self-check and the radius certificate
 read the same matrices.  The sum on the right, in the recursion and in
 the residual, is one integer dot product per row: PoleODE also keeps each
-row of the Ahat_m over one common denominator, the modes are brought to
-one common denominator, and one Fraction is built per row.  At a
-resonance (n - Ahat_0 singular) no mode is ever invented: a seed must be
-supplied and is verified against the recursion.  The convergence certificate mirrors the classical majorant
+row of the Ahat_m over one common denominator, the modes are kept over
+one common denominator (``formal_solve`` extends it as each mode is
+found, and a FormalSolution converts its modes once for every residual),
+and one Fraction is built per row.  At a resonance (n - Ahat_0 singular)
+no mode is ever invented: a seed must be supplied and is verified against
+the recursion.  The convergence certificate mirrors the classical majorant
 argument: with M the resonance bound, beta = M + 1 dominates
 ||(n - Ahat_0)^{-1}|| for n > M via the Neumann series
 (n - Ahat_0)^{-1} = n^{-1} sum_j (Ahat_0/n)^j, alpha bounds
@@ -33,6 +35,7 @@ k4 and the next step's k1.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 from .linalg import mat_one_norm, mat_vec, solve_linear, vec_one_norm
@@ -92,14 +95,15 @@ class PoleODE:
         return f"PoleODE(dim={self.dim}, order={self.order})"
 
 
-def _mode_sum(ode: PoleODE, modes, n: int):
-    """sum_{j < len(modes)} Ahat_{n-j} psihat_j, exactly: per row one integer
-    dot product over the flattened (j, k) terms, divided once."""
+def _mode_sum(ode: PoleODE, nums, den: int, n: int):
+    """sum_{j<=n} Ahat_{n-j} psihat_j over the modes psihat_0, psihat_1, ...
+    given flattened as integer numerators over den, exactly: per row one
+    integer dot product over the flattened (j, k) terms, divided once.
+    The row from Ahat_n on ends at Ahat_0, so modes beyond n are not read,
+    and modes not given count as zero."""
     ode.coeff_matrix(n)  # range check
-    nums, den = _integer_form([x for v in modes for x in v])
     start = (ode.order - 1 - n) * ode.dim
-    stop = start + len(nums)
-    return [Fraction(sum(map(mul, row[start:stop], nums)), d * den) for row, d in ode._rows]
+    return [Fraction(sum(map(mul, row[start:], nums)), d * den) for row, d in ode._rows]
 
 
 class ResonanceError(Exception):
@@ -119,6 +123,8 @@ class FormalSolution:
         self.modes = [list(map(Fraction, v)) for v in modes]
         if any(len(v) != ode.dim for v in self.modes):
             raise ValueError(f"each mode must have length {ode.dim}")
+        # the modes' integer form, built once for every residual
+        self._nums, self._den = _integer_form([x for v in self.modes for x in v])
         for n in range(len(self.modes)):
             r = self.residual(n)
             if any(r):
@@ -130,7 +136,7 @@ class FormalSolution:
 
     def residual(self, n: int):
         """n psihat_n - sum_{j<=n} Ahat_{n-j} psihat_j, exactly."""
-        img = _mode_sum(self.ode, self.modes[:n + 1], n)
+        img = _mode_sum(self.ode, self._nums, self._den, n)
         return [n * x - y for x, y in zip(self.modes[n], img)]
 
     def partial_sum(self, q):
@@ -158,25 +164,29 @@ def formal_solve(ode: PoleODE, seeds: dict, K: int) -> FormalSolution:
     if any(len(v) != N for v in seeds.values()):
         raise ValueError(f"each seed must have length {N}")
     modes = []
+    nums, den = [], 1  # the modes so far, flattened, over one running denominator
     for n in range(K + 1):
-        rhs = _mode_sum(ode, modes, n)
+        rhs = _mode_sum(ode, nums, den, n)
         mat = [[(n if i == k else 0) - A0[i][k] for k in range(N)] for i in range(N)]
         res = solve_linear(mat, rhs)
         if res.unique:
             if n in seeds and [Fraction(x) for x in seeds[n]] != res.solution:
                 raise ResonanceError(n, "seed supplied at a non-resonant index "
                                         "disagrees with the recursion")
-            modes.append(res.solution)
-            continue
-        if n not in seeds:
+            mode = res.solution
+        elif n not in seeds:
             kind = "no solution" if not res.consistent else \
                 f"kernel of dimension {len(res.free)}"
             raise ResonanceError(n, f"(n - Ahat_0) singular ({kind}); seed required")
-        seed = [Fraction(x) for x in seeds[n]]
-        got = mat_vec(mat, seed)
-        if got != rhs:
-            raise ResonanceError(n, "seed violates the recursion")
-        modes.append(seed)
+        else:
+            mode = [Fraction(x) for x in seeds[n]]
+            if mat_vec(mat, mode) != rhs:
+                raise ResonanceError(n, "seed violates the recursion")
+        modes.append(mode)
+        grown = lcm(den, *(x.denominator for x in mode))
+        nums = [x * (grown // den) for x in nums] + \
+            [x.numerator * (grown // x.denominator) for x in mode]
+        den = grown
     return FormalSolution(ode, modes)
 
 

@@ -80,6 +80,18 @@ class TestCoord:
         got = [F(int(c["num"]), int(c["den"])) for c in doc["coeffs"]]
         assert got == [F(1), F(1), F(0)]
 
+    def test_extract_count_20_golden(self, capsys):
+        # sha256 of the concatenated stdout, captured while the c_n were
+        # still summed in Fractions
+        digest = hashlib.sha256()
+        for series in ("-3/2*z + 1/3*z^3 - 2*z^7",
+                       "2/7*z - z^2 + 3/4*z^3 + 1/5*z^4 - 6*z^5 + z^6", "5*z + z^2"):
+            code, out = run(capsys, "coord", "extract", f"--series={series}",
+                            "--count", "20", "--order", "22")
+            assert code == 0, series
+            digest.update(out.encode())
+        assert digest.hexdigest() == EXTRACT_20_GOLDEN
+
     def test_huang_passes(self, capsys):
         code, out = run(capsys, "coord", "huang",
                         "--alpha", "z + 1/2*z^2", "--cap", "2")
@@ -257,6 +269,7 @@ class TestOde:
 
 
 REPORT_GOLDEN = "ee982e3adce0510c80b4ec7e131bda5b60a45ce5d9da131683b21eadb9f5fead"
+EXTRACT_20_GOLDEN = "2bf2c4fc7ec3fc4e947161f406964771f7e3084de7caa81c8a4aba12ae72436c"
 
 
 class TestReport:

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from voablocks.coordchange import (CoordChange, U_apply, U_inverse_apply,
                                    extract_coeffs, gamma_relation_check,
@@ -66,6 +66,18 @@ class TestExtract:
         assert cs == [F(2), F(1, 2), F(5, 4)]
         assert [type(c) for c in cs] == [F, F, F]
 
+    def test_pole_at_zero_refused(self):
+        with pytest.raises(ValueError, match=r"pole at 0: its z\^-1 coefficient is nonzero"):
+            CoordChange({-1: 1, 1: 2, 2: 1})
+        with pytest.raises(ValueError, match=r"pole at 0: its z\^-1 coefficient is nonzero"):
+            extract_coeffs(TruncSeries("z", -1, [1, 0, 1, 1]), 1)
+        with pytest.raises(ValueError, match=r"pole at 0: its z\^-2 coefficient is nonzero"):
+            U_apply(TruncSeries("z", -3, [0, F(1, 2), 0, 0, 1, 1]), {(1,): F(1)}, H)
+
+    def test_zero_terms_below_z_allowed(self):
+        assert CoordChange({-2: 0, 0: F(0), 1: 2}).coeffs(1) == [F(2), F(0)]
+        assert extract_coeffs(TruncSeries("z", -2, [0, F(0), 0, 3, 1]), 1) == [F(3), F(1, 3)]
+
     def test_short_order_names_the_order_needed(self):
         rho = CoordChange({1: F(2), 2: F(-1, 3), 4: F(1)}).series(8)
         assert len(extract_coeffs(rho, 6)) == 7  # count + 2 = order: the largest count
@@ -110,6 +122,44 @@ def test_extract_flow_closed_form(c0, a, m, count):
     # rho = c0 exp(a z^{m+1} d/dz) z, so c_m = a and every other c_n = 0
     cs = extract_coeffs(flow_series(c0, a, m, count + 2), count)
     assert cs == [c0] + [a if n == m else F(0) for n in range(1, count + 1)]
+
+
+def exp_flow(cs, order):
+    """c0 sum_k V^k z / k! below z^order with V = sum_{m>=1} c_m z^{m+1} d/dz,
+    as a list indexed by exponent: V sends x z^e to sum_m c_m e x z^{e+m}."""
+    term = [F(0)] * order
+    term[1] = F(1)
+    total = list(term)
+    k = 0
+    while any(term):
+        k += 1
+        nxt = [F(0)] * order
+        for e, x in enumerate(term):
+            for m, c in enumerate(cs[1:order - e], 1):
+                if x and c:
+                    nxt[e + m] += c * e * x
+        term = [x / k for x in nxt]
+        total = [a + b for a, b in zip(total, term)]
+    return [cs[0] * a for a in total]
+
+
+coeff_or_gap = st.one_of(st.just(F(0)), st.builds(F, st.integers(-7, 7), st.integers(1, 6)))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.builds(F, st.integers(-9, 9), st.integers(1, 5)).filter(
+           lambda c: c < 0 or c.denominator > 1),
+       st.integers(0, 20).flatmap(lambda n: st.lists(coeff_or_gap, min_size=n, max_size=n)))
+@example(F(-3, 2), [F(k % 5 - 2, k % 4 + 1) for k in range(1, 21)])
+@example(F(2, 7), [F(0)] * 6 + [F(-5, 3)] + [F(0)] * 12 + [F(1, 6)])
+def test_extract_round_trip(c0, rest):
+    # rho rebuilt from drawn c_n by the exponential series itself, not by the
+    # recursion; c0 negative or non-integer, zeros leave gaps
+    n = len(rest)
+    rho = TruncSeries("z", 0, exp_flow([c0] + rest, n + 2))
+    cs = extract_coeffs(rho, n)
+    assert cs == [c0] + rest
+    assert all(type(c) is F for c in cs)
 
 
 def compose(p1, p2):
@@ -178,6 +228,35 @@ def U_golden_text():
 
 def test_U_apply_golden():
     assert hashlib.sha256(U_golden_text().encode()).hexdigest() == U_GOLDEN
+
+
+# sha256 of ``extract_golden_text()``, captured while the c_n were still
+# summed in Fractions: same values and value types
+EXTRACT_GOLDEN = "a29fbff84cb44a4dbd19bf9612d8742db6f41b0e76454489fcc6d98e0a565368"
+
+# rho = a1 z + (the terms below): sparse with gaps and an int entry, dense
+# with mixed signs and denominators
+EXTRACT_RHOS = {
+    "sparse": {3: F(1, 3), 7: -2, 12: F(5, 4)},
+    "dense": {k: F((-1) ** k * (k - 1), k + 1) for k in range(2, 10)},
+}
+
+
+def extract_golden_text():
+    """One line per extract_coeffs call: rho'(0), the rho, the count, then
+    the output as (value type, value), at counts 0-20."""
+    lines = []
+    for a1 in (F(-3, 2), F(2, 7), 5):
+        for name, rest in EXTRACT_RHOS.items():
+            rho = TruncSeries.from_coeff_map("z", {1: a1, **rest}, 22)
+            for count in range(21):
+                cs = extract_coeffs(rho, count)
+                lines.append(repr((a1, name, count, [(type(c).__name__, c) for c in cs])))
+    return "\n".join(lines)
+
+
+def test_extract_golden():
+    assert hashlib.sha256(extract_golden_text().encode()).hexdigest() == EXTRACT_GOLDEN
 
 
 def test_U_apply_on_an_int_series():

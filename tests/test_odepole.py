@@ -29,6 +29,12 @@ class TestFormal:
         sol = formal_solve(geometric_ode(12), {0: [F(1)]}, 10)
         assert sol.modes == [[F(1)]] * 11
 
+    def test_order_at_the_window_refused(self):
+        # K = order - 1 is the last mode the coefficient window determines
+        assert formal_solve(geometric_ode(12), {0: [F(1)]}, 11).K == 11
+        with pytest.raises(ValueError, match="order 12 beyond the coefficient window 12"):
+            formal_solve(geometric_ode(12), {0: [F(1)]}, 12)
+
     def test_residual_to_order_40(self):
         sol = formal_solve(geometric_ode(41), {0: [F(1)]}, 40)
         for n in range(41):
