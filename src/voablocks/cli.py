@@ -17,6 +17,14 @@ one ``error:`` line on stderr, also for input that argparse rejects.
 
 ``character --cap`` is at most ``CHARACTER_CAP_MAX`` (40): weight spaces
 grow like p(cap), so a larger cap exits 2 before any model is built.
+A ``blocks three-point`` fixture label (in ``v``, ``w`` or ``wp``) has weight
+at most ``FIXTURE_WEIGHT_MAX`` (10): the block of v fills the whole weight
+space of w for every suffix of v's label, so the cost grows with both
+weights.  One label of each at the bound takes about 1 s (F_{2/3} with
+v = alpha_{-1}^10 1, the slowest shape; at weight 12 it took 4.6 s, and on
+the Heisenberg VOA v = alpha_{-1}^2 1 against w of weight 40 took 6.9 s),
+and a fixture that lists every label up to the bound in all three vectors
+about 17 s; a heavier label exits 2 before any block is built.
 ``--order`` of ``coord extract``, ``schwarzian`` and ``uniformize`` is at
 most ``SERIES_ORDER_MAX`` (100): ``coord extract`` takes seconds there and
 its cost grows about as order^3, so a larger order exits 2 before the
@@ -62,6 +70,7 @@ from .virasoro import vir_bracket
 __all__ = ["main", "build_parser", "run_report"]
 
 CHARACTER_CAP_MAX = 40
+FIXTURE_WEIGHT_MAX = 10
 SERIES_ORDER_MAX = 100
 HUANG_CAP_MAX = 6
 HUANG_ORDER_MAX = 12
@@ -183,8 +192,9 @@ def cmd_blocks_three_point(args):
     fx = load_fixture(args.fixture, {"model": decode_text},
                       {"c": decode_rational, "mu": decode_rational})
     module = _build_model(fx["model"], fx.get("c"), fx.get("mu"))
-    # vectors decode against the model: basis labels have parts >= the generator's weight
-    vector = vector_of(module.voa.gen_weight)
+    # vectors decode against the model: basis labels have parts >= the
+    # generator's weight, and weight at most FIXTURE_WEIGHT_MAX
+    vector = vector_of(module.voa.gen_weight, FIXTURE_WEIGHT_MAX)
     fx = load_fixture(args.fixture, {"v": vector, "z0": decode_rational,
                                      "w": vector, "wp": vector})
     val = three_point_block(module, fx["v"], fx["z0"], fx["w"], fx["wp"])

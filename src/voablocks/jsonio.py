@@ -84,14 +84,17 @@ def decode_point(key: str):
     return INFINITY if key in ("inf", "infinity") else decode_rational(key)
 
 
-def vector_of(min_part: int = 1):
+def vector_of(min_part: int, max_weight: int):
     """The decoder of a vector {"3,1,1": rational, ...} keyed by basis
-    labels: partitions into parts >= ``min_part``, "" the highest weight."""
+    labels: partitions into parts >= ``min_part`` of weight at most
+    ``max_weight``, "" the highest weight."""
     def label(key: str) -> tuple:
         parts = tuple(int(p) for p in key.split(",")) if key else ()
         if list(parts) != sorted(parts, reverse=True) or min(parts, default=min_part) < min_part:
             raise ValueError(f"{_shown(key)} is not a basis label: "
                              f"non-increasing parts >= {min_part}")
+        if sum(parts) > max_weight:
+            raise ValueError(f"label weight {sum(parts)} must be at most {max_weight}")
         return parts
     return map_of(label, decode_rational)
 

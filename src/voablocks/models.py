@@ -67,6 +67,7 @@ from .virasoro import exp_terms, gbinom, vir_bracket
 
 __all__ = [
     "partitions",
+    "partition_count",
     "CapError",
     "Module",
     "VOAModel",
@@ -90,7 +91,7 @@ F1 = Fraction(1)
 
 
 @lru_cache(maxsize=None)
-def partitions(n: int, min_part: int = 1, max_part: int | None = None) -> tuple:
+def partitions(n: int, min_part: int, max_part: int | None = None) -> tuple:
     """All partitions of n with parts in [min_part, max_part], as
     non-increasing tuples in descending lexicographic order."""
     if n == 0:
@@ -106,6 +107,18 @@ def partitions(n: int, min_part: int = 1, max_part: int | None = None) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def partition_count(n: int, min_part: int) -> int:
+    """The number of partitions of n with parts >= min_part, that is
+    len(partitions(n, min_part)), counted without listing them: a partition
+    either has a part min_part or has all parts >= min_part + 1."""
+    if n == 0:
+        return 1
+    if n < min_part:
+        return 0
+    return partition_count(n - min_part, min_part) + partition_count(n, min_part + 1)
+
+
 class CapError(Exception):
     """A computed vector needs weights above the requested cap."""
 
@@ -113,11 +126,12 @@ class CapError(Exception):
 class Module:
     """Common machinery for graded modules with a single generating field.
 
-    Subclasses provide ``basis_at`` and ``gen_apply`` (or override ``_block``),
-    and may override ``_L_image``.  ``mode_block`` memoizes the blocks per
-    (v label, h, weight) and ``mode_apply`` reads them; ``_L`` memoizes the
-    L_n image per (n, label) and ``L_apply`` reads it.  Vectors are
-    label -> coefficient dicts.
+    The basis labels of weight n are the partitions of n into parts >= the
+    generator's weight (``basis_at``).  Subclasses provide ``gen_apply`` (or
+    override ``_block``), and may override ``_L_image``.  ``mode_block``
+    memoizes the blocks per (v label, h, weight) and ``mode_apply`` reads
+    them; ``_L`` memoizes the L_n image per (n, label) and ``L_apply`` reads
+    it.  Vectors are label -> coefficient dicts.
     """
 
     voa: "VOAModel"
@@ -127,13 +141,15 @@ class Module:
     def __init__(self):
         self._blocks: dict = {}
         self._L_cache: dict = {}  # (n, label) -> read-only L_n image
-        self._traces: dict = {}  # label -> torus-trace coefficients (sewing)
+        self._traces: dict = {}  # label -> torus trace Z as a q-series TruncSeries (sewing)
         self._dual: Module | None = None
 
     # -- subclass interface --------------------------------------------
 
     def basis_at(self, n: int) -> tuple:
-        raise NotImplementedError
+        """The basis labels of weight n: partitions into parts >= the
+        generator's weight (alpha_{-k}, k >= 1; L_{-k}, k >= 2)."""
+        return partitions(n, self.voa.gen_weight)
 
     def gen_apply(self, k: int, label: tuple) -> dict:
         """Action of the generator mode Y_W(g)_k on a basis label."""
@@ -265,9 +281,6 @@ class HeisenbergVOA(VOAModel):
         self.gen_weight = 1
         self.conformal_vector = {(1, 1): Fraction(1, 2)}
 
-    def basis_at(self, n: int) -> tuple:
-        return partitions(n)
-
     def peel(self, label: tuple) -> tuple[int, tuple]:
         return -label[0], label[1:]
 
@@ -323,9 +336,6 @@ class VirasoroVOA(VOAModel):
         self.gen_weight = 2
         self.conformal_vector = {(2,): F1}
 
-    def basis_at(self, n: int) -> tuple:
-        return partitions(n, min_part=2)
-
     def peel(self, label: tuple) -> tuple[int, tuple]:
         # L_{-n} = Y(conformal vector)_{-n+1}
         return -label[0] + 1, label[1:]
@@ -366,9 +376,6 @@ class DualModule(Module):
         self.voa = base.voa
         self.delta = base.delta
         self.name = base.name + "'"
-
-    def basis_at(self, n: int) -> tuple:
-        return self.base.basis_at(n)
 
     def _block(self, vl: tuple, h: int, wt: int) -> dict:
         """Transpose of base blocks through U(gamma_{1/w}): the twist term at

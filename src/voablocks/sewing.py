@@ -18,10 +18,15 @@ with o(v) = v_{wt v - 1}, without a weight block of M: Zhu's recursion
 factors 2 pi i, writes Z of a label v = g_{-n} u through the square-bracket
 modes of the generator g, the scalar o(g) on each M(w) (mu on F_mu, L_0 on
 Vir_c) and the q-series E_2k(q) = -B_2k/(2k)! + (2/(2k-1)!) sum sigma_{2k-1}(n)
-q^n times traces of labels of lower weight, down to Z(vacuum)_n = dim M(n).
-Each E_2k Z product is one ``series_mul``; Z is memoized per (module, label).
-A contragredient reads its base: Z_{W'}(v) = Z_W(theta v), theta v the sum
-of v's ``gamma_twist`` vectors.
+q^n times traces of labels of lower weight, down to Z(vacuum)_n = dim M(n),
+which ``models.partition_count`` counts without listing a weight space.
+Each Z is a ``TruncSeries`` in q, integer numerators over one denominator:
+the linear combinations are its ``scale`` and ``+``, each reduced once, and
+each E_2k Z product is one ``series_mul``.  Z is memoized per (module,
+label), a longer window serving a shorter one through ``truncate``, and
+``torus_character`` hands its Z to the SewnSeries as it is.  A
+contragredient reads its base: Z_{W'}(v) = Z_W(theta v), theta v the sum of
+v's ``gamma_twist`` vectors.
 
 The two-sided residue identity moves a vertex-operator insertion from
 the M side of the dual-basis sum to the M' side, where it reappears
@@ -40,8 +45,9 @@ from math import comb, factorial
 
 from .blocks import BlockFunctional, vertex_block
 from .graded import vec_add_into, weight_of
-from .models import CapError, DualModule, Module, contragredient, gamma_twist
-from .series import BivarSeries, QExpansion, TruncSeries, series_mul
+from .models import (CapError, DualModule, Module, contragredient, gamma_twist,
+                     partition_count)
+from .series import BivarSeries, QExpansion, TruncSeries, _series, series_mul
 
 __all__ = [
     "SewableBlock",
@@ -137,7 +143,8 @@ def torus_character(module: Module, v, K: int) -> SewnSeries:
     standard grading); for v = vacuum this is the graded character.
     Each label's trace Z comes from Zhu's recursion (``_zhu``) in the
     Mason-Tuite normalization, E_2k(q) = -B_2k/(2k)! + O(q) with no factors
-    2 pi i, memoized per (module, label); no weight block is filled.  K < 0
+    2 pi i, as a q-series memoized per (module, label), and v's combination
+    of them is the SewnSeries' series; no weight block is filled.  K < 0
     and an inhomogeneous insertion raise ValueError."""
     if K < 0:
         raise ValueError(f"order K = {K} must be >= 0")
@@ -145,9 +152,7 @@ def torus_character(module: Module, v, K: int) -> SewnSeries:
         v = {v: F1}
     if len({weight_of(l) for l in v}) != 1:
         raise ValueError("insertion must be homogeneous")
-    coeffs = [F0] * (K + 1)
-    _add_traces(coeffs, module, v, K)
-    return SewnSeries(coeffs, module.delta)
+    return SewnSeries(sum(_trace(module, l, K).scale(a) for l, a in v.items()), module.delta)
 
 
 # ---------------------------------------------------------------------------
@@ -176,53 +181,43 @@ def _bracket_coeff(wt: int, p: int, m: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _eisenstein(k: int, K: int) -> tuple:
+def _eisenstein(k: int, K: int) -> TruncSeries:
     """E_2k(q) to q^K in the Mason-Tuite normalization of Zhu's recursion:
-    -B_2k / (2k)! + (2 / (2k - 1)!) sum_{n>=1} sigma_{2k-1}(n) q^n."""
+    -B_2k / (2k)! + (2 / (2k - 1)!) sum_{n>=1} sigma_{2k-1}(n) q^n, kept
+    as one q-series so that its integer form is made once per (k, K)."""
     sigma = [0] * (K + 1)
     for d in range(1, K + 1):
         for n in range(d, K + 1, d):
             sigma[n] += d ** (2 * k - 1)
     f = factorial(2 * k - 1)
-    return (-_bernoulli(2 * k)[2 * k],) + tuple(Fraction(2 * s, f) for s in sigma[1:])
+    return TruncSeries("q", 0, (-_bernoulli(2 * k)[2 * k],)
+                       + tuple(Fraction(2 * s, f) for s in sigma[1:]))
 
 
-def _axpy(acc: list, c, z):
-    """acc += c * z on coefficient lists, skipping the zero entries of z."""
-    for n, t in enumerate(z):
-        if t:
-            acc[n] += c * t
-
-
-def _add_traces(acc: list, module: Module, vec, K: int):
-    """acc += Z(vec) to q^K: Z is linear, each label taking its own o(.)."""
-    for label, a in vec.items():
-        _axpy(acc, a, _trace(module, label, K))
-
-
-def _trace(module: Module, label: tuple, K: int) -> tuple:
+def _trace(module: Module, label: tuple, K: int) -> TruncSeries:
     """Z(label) = sum_{n<=K} tr_{M(n)} o(label) q^n with o(v) = v_{wt v - 1},
-    memoized per (module, label) as a tuple; a longer window serves a
-    shorter one.  Z(vacuum)_n = dim M(n).  On a contragredient every term
-    of U(gamma) v keeps the weight and the transpose keeps the trace, so
-    Z_{W'}(v) = Z_W(theta v), theta v the sum of v's ``gamma_twist``
-    vectors."""
+    as a q-series ``TruncSeries`` on [0, K + 1), memoized per (module, label);
+    a longer memo serves a shorter window through ``truncate``.
+    Z(vacuum)_n = dim M(n) is counted by ``partition_count``, not listed.  On a
+    contragredient every term of U(gamma) v keeps the weight and the transpose
+    keeps the trace, so Z_{W'}(v) = Z_W(theta v), theta v the sum of v's
+    ``gamma_twist`` vectors."""
     hit = module._traces.get(label)
-    if hit is not None and len(hit) > K:
-        return hit[:K + 1]
+    if hit is not None and hit.order > K:
+        return hit.truncate(K + 1)
     if isinstance(module, DualModule):
-        z = [F0] * (K + 1)
-        for _, vec in gamma_twist(label, module):
-            _add_traces(z, module.base, vec, K)
+        z = sum(_trace(module.base, l, K).scale(a)
+                for _, vec in gamma_twist(label, module) for l, a in vec.items())
     elif not label:
-        z = [Fraction(len(module.basis_at(n))) for n in range(K + 1)]
+        wg = module.voa.gen_weight
+        z = _series("q", 0, [partition_count(n, wg) for n in range(K + 1)], 1, K + 1)
     else:
         z = _zhu(module, label, K)
-    hit = module._traces[label] = tuple(z)
-    return hit
+    module._traces[label] = z
+    return z
 
 
-def _zhu(module: Module, label: tuple, K: int) -> list:
+def _zhu(module: Module, label: tuple, K: int) -> TruncSeries:
     """Z(v) for v = g_{-n} u, the ``peel`` split of a non-vacuum label, by
     Zhu's recursion (Zhu 1996, 4.3; Mason-Tuite normalization, no 2 pi i):
 
@@ -233,36 +228,35 @@ def _zhu(module: Module, label: tuple, K: int) -> list:
     mode g[-n]u is g_{-n}u = v plus terms of lower weight, so Z(v) is
     Z(g[-n]u) minus the traces of those terms.  o(g) is the scalar s_w of
     Y_M(g)_{wt g - 1} on M(w) (mu on F_mu, L_0 = w + Delta on Vir_c).  Every
-    other trace is of a label of lower weight."""
+    other trace is of a label of lower weight.  The traces are summed as
+    series, by ``scale`` and ``+``."""
     voa = module.voa
     wg = voa.gen_weight
     j, u = voa.peel(label)
     n = -j
     top = wg + weight_of(u) - 1  # g_m u = 0 for m > top
     ys = {}  # the nonzero Z(g_m u) for the round modes m > -n
+    # (each ``sum`` starts from the int 0, which a series absorbs)
     for m in range(1 - n, top + 1):
-        y = [F0] * (K + 1)
-        _add_traces(y, module, voa.gen_apply(m, u), K)
-        if any(y):
+        y = sum(_trace(module, l, K).scale(a) for l, a in voa.gen_apply(m, u).items())
+        if y:
             ys[m] = y
-    z = [F0] * (K + 1)
-    for m, y in ys.items():  # minus the lower terms of g[-n]u
-        _axpy(z, -_bracket_coeff(wg, -n, m), y)
-    if n == 1:
-        for w, t in enumerate(_trace(module, u, K)):
+    # minus the lower terms of g[-n]u, from the zero series on [0, K + 1)
+    z = sum((y.scale(-_bracket_coeff(wg, -n, m)) for m, y in ys.items()),
+            _series("q", 0, [0] * (K + 1), 1, K + 1))
+    if n == 1:  # tr o(g) o(u) on M(w): o(g) is the scalar s_w, read on one label
+        s = [F0] * (K + 1)
+        for w, t in enumerate(_trace(module, u, K).coeffs):
             if t:
                 rep = module.basis_at(w)[0]
-                z[w] += module.gen_apply(wg - 1, rep).get(rep, F0) * t
+                s[w] = module.gen_apply(wg - 1, rep).get(rep, F0) * t
+        z += TruncSeries("q", 0, s)
     for k in range((n + 1) // 2, (top + n) // 2 + 1):
         p = 2 * k - n
-        x = [F0] * (K + 1)  # Z(g[p]u)
-        for m, y in ys.items():
-            if m >= p:
-                _axpy(x, _bracket_coeff(wg, p, m), y)
-        if any(x):
+        x = sum(y.scale(_bracket_coeff(wg, p, m)) for m, y in ys.items() if m >= p)  # Z(g[p]u)
+        if x:
             b = comb(2 * k - 1, n - 1)
-            prod = series_mul(TruncSeries("q", 0, _eisenstein(k, K)), TruncSeries("q", 0, x))
-            _axpy(z, -b if n % 2 == 0 else b, prod.coeffs)
+            z += series_mul(_eisenstein(k, K), x).scale(-b if n % 2 == 0 else b)
     return z
 
 

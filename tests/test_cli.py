@@ -8,8 +8,8 @@ import pytest
 
 from voablocks.blocks import rational_glue
 from voablocks.cli import (CHARACTER_CAP_MAX, CONTINUE_SEGMENTS_MAX, CONTINUE_STEPS_MAX,
-                           HUANG_CAP_MAX, HUANG_ORDER_MAX, SERIES_ORDER_MAX, build_parser,
-                           main, run_report)
+                           FIXTURE_WEIGHT_MAX, HUANG_CAP_MAX, HUANG_ORDER_MAX,
+                           SERIES_ORDER_MAX, build_parser, main, run_report)
 from voablocks.jsonio import decode_rational, decode_series, dumps
 from voablocks.models import FockModule, heisenberg_model
 
@@ -503,6 +503,32 @@ class TestMalformedInput:
         assert code == 0
         doc = json.loads(out)
         assert (doc["cap"], doc["order"], doc["passed"]) == (cap, order, True)
+
+    @pytest.mark.parametrize("key", ["v", "w", "wp"])
+    @pytest.mark.parametrize("label", [str(FIXTURE_WEIGHT_MAX + 1),
+                                       ",".join(["1"] * (FIXTURE_WEIGHT_MAX + 1)), str(10 ** 11)],
+                             ids=["ceiling+1", "ones", "1e11"])
+    def test_three_point_label_above_ceiling(self, capsys, tmp_path, monkeypatch, key, label):
+        def no_block(*args, **kwargs):
+            raise AssertionError("block built")
+        monkeypatch.setattr("voablocks.cli.three_point_block", no_block)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "tp.json").write_text(json.dumps(three_point("heisenberg", **{key: {label: 1}})))
+        err = self.check(capsys, *THREE_POINT)
+        assert f" {key}: " in err and f"must be at most {FIXTURE_WEIGHT_MAX}" in err
+
+    @pytest.mark.parametrize("model, extra, label", [
+        ("fock", {"mu": "1/2"}, str(FIXTURE_WEIGHT_MAX)),
+        ("virasoro", {"c": "-22/5"}, ",".join(["2"] * (FIXTURE_WEIGHT_MAX // 2)))],
+        ids=["fock", "virasoro"])
+    def test_three_point_labels_at_ceiling_run(self, capsys, tmp_path, monkeypatch, model,
+                                               extra, label):
+        monkeypatch.chdir(tmp_path)
+        vectors = {key: {label: 1} for key in ("v", "w", "wp")}
+        (tmp_path / "tp.json").write_text(json.dumps(three_point(model, **extra, **vectors)))
+        code, out = run(capsys, *THREE_POINT)
+        assert code == 0
+        assert json.loads(out)["command"] == "blocks three-point"
 
     def test_extract_count_needs_the_order(self, capsys):
         # --count is bounded through --order: order - 2 coefficients at most

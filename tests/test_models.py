@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from voablocks.graded import vec_add_into, vec_is_zero, weight_of
 from voablocks.models import (CapError, DualModule, contragredient,
                               fock_module, gamma_twist, heisenberg_model, jacobi_check,
-                              mode_matrix, virasoro_model)
+                              mode_matrix, partition_count, partitions, virasoro_model)
 from voablocks.sewing import torus_character
 from voablocks.virasoro import gbinom
 
@@ -384,3 +384,24 @@ def test_traces_fill_no_vacuum_block():
     torus_character(V1, (2,), 12)
     for M in (H1, V1):
         assert M._blocks == {}
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["M", "M'"])
+@pytest.mark.parametrize("factory", [heisenberg_model,
+                                     lambda: fock_module(heisenberg_model(), F(2, 3)),
+                                     lambda: virasoro_model(F(-22, 5))],
+                         ids=["H", "F(2/3)", "Vir(-22/5)"])
+def test_partition_count_is_the_basis_size(factory, dual):
+    # the count that serves dim M(n) and the basis it counts read the same
+    # generator weight
+    M = contragredient(factory()) if dual else factory()
+    assert [partition_count(n, M.voa.gen_weight) for n in range(31)] == \
+        [len(M.basis_at(n)) for n in range(31)]
+
+
+def test_graded_character_lists_no_weight_space():
+    """A cold graded character counts dim M(n): it lists no weight space."""
+    partitions.cache_clear()
+    for M in (heisenberg_model(), virasoro_model(F(-22, 5))):
+        torus_character(M, (), 30)
+    assert partitions.cache_info().currsize == 0

@@ -141,6 +141,42 @@ class TestZhuTraces:
             torus_character(H, {(1,): F(1), (): F(1)}, 4)
 
 
+LINEAR_CASES = {"H": heisenberg_model(), "F(2/3)": fock_module(heisenberg_model(), F(2, 3)),
+                "Vir(-22/5)": virasoro_model(F(-22, 5)),
+                "F(2/3)'": contragredient(fock_module(heisenberg_model(), F(2, 3)))}
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.sampled_from(sorted(LINEAR_CASES)), st.integers(2, 4),
+       st.integers(0, 10), st.data())
+@example("F(2/3)'", 3, 10, None)
+def test_combination_is_the_combination_of_traces(name, wt, K, data):
+    # Z is linear: a u + b v with a, b over large coprime denominators sums
+    # on the series' common denominator, checked against Fraction lists
+    M = LINEAR_CASES[name]
+    labels = M.voa.basis_at(wt)
+    if data is None:  # the example: two labels, coefficients of opposite sign
+        (u, v), a, b = labels[:2], F(-999_983, 999_979), F(1_000_000, 999_961)
+    else:
+        u, v = data.draw(st.sampled_from(labels)), data.draw(st.sampled_from(labels))
+        a, b = (data.draw(st.builds(F, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6)))
+                for _ in range(2))
+    vec = {u: a}
+    vec[v] = vec.get(v, F(0)) + b
+    zu, zv = torus_character(M, u, K).coeffs, torus_character(M, v, K).coeffs
+    want = [a * x + b * y for x, y in zip(zu, zv)]
+    assert list(torus_character(M, vec, K).coeffs) == want
+
+
+@pytest.mark.parametrize("label", [(1,), (2,), (3,), (1, 1, 1), (2, 1, 1)])
+@pytest.mark.parametrize("K", [0, 5])
+def test_vanishing_traces_keep_the_window(label, K):
+    # on H (mu = 0) a label with an odd number of parts has trace 0, and
+    # alpha_{-2} 1 adds no term to the recursion; Z is still known on [0, K + 1)
+    s = torus_character(heisenberg_model(), label, K).standard
+    assert (s.series.floor, s.order, list(s.coeffs)) == (0, K + 1, [F(0)] * (K + 1))
+
+
 class TestSew:
     def test_sew_equals_trace(self):
         for module, K in ((H, 8), (VIR, 8), (fock_module(H, F(1, 2)), 6)):
