@@ -10,6 +10,9 @@ Subcommands
     report       seeded deterministic property-suite run
 
 Fixtures and ``--c``/``--mu`` are decoded by ``jsonio``, one decoder per value type.
+``jsonio`` is the one layer this module imports at load time; each subcommand
+imports the layers it calls when it runs, so ``ode solve`` loads no model and
+input that argparse rejects loads no layer but ``jsonio`` and ``series``.
 Output is JSON (schema "voa-blocks/1") or CSV where it makes sense; with
 a fixed configuration and seed, output bytes are identical across runs.
 Exit status: 0 on success, 1 on any failed check, 2 on bad input, with
@@ -52,20 +55,10 @@ import re
 import sys
 from fractions import Fraction
 
-from .blocks import (RationalFunction, UnderdeterminedCap, rational_glue,
-                     strong_residue_check, three_point_block)
-from .coordchange import CoordChange, extract_coeffs, huang_conjugation_check, poly_series
 from .jsonio import (SCHEMA, decode_complex, decode_field, decode_point, decode_rational,
                      decode_series, decode_text, dumps, encode_float,
                      encode_qexpansion, encode_rational, encode_series, list_of,
                      load_fixture, map_of, parse_poly, vector_of)
-from .models import fock_module, heisenberg_model, virasoro_model
-from .odepole import (NumericPath, PoleODE, ResonanceError, formal_solve,
-                      numeric_continue)
-from .schwarzian import cocycle_check, schwarzian, uniformize
-from .series import TruncSeries
-from .sewing import normalize_character, torus_character
-from .virasoro import vir_bracket
 
 __all__ = ["main", "build_parser", "run_report"]
 
@@ -79,6 +72,8 @@ CONTINUE_SEGMENTS_MAX = 3
 
 
 def _build_model(name, c=None, mu=None):
+    from .models import fock_module, heisenberg_model, virasoro_model
+
     if name == "heisenberg":
         return heisenberg_model()
     if name == "virasoro":
@@ -114,6 +109,8 @@ def _emit(args, payload, csv_rows=None) -> None:
 def _series_arg(text, order):
     if order > SERIES_ORDER_MAX:
         raise ValueError(f"--order must be at most {SERIES_ORDER_MAX}")
+    from .coordchange import poly_series
+
     m = re.search(r"[A-Za-z]\w*", text)
     var = m.group(0) if m else "z"
     return poly_series(parse_poly(text, var), var, order)
@@ -129,6 +126,8 @@ def cmd_character(args):
     if args.cap > CHARACTER_CAP_MAX:
         raise ValueError(f"--cap must be at most {CHARACTER_CAP_MAX}")
     module = _model_flags(args)
+    from .sewing import normalize_character, torus_character
+
     s = torus_character(module, (), args.cap)
     q = s.standard
     if args.normalize:
@@ -155,6 +154,8 @@ def cmd_coord_extract(args):
     if count > rho.order - 2:
         raise ValueError("series order too small for requested coefficient count: "
                          f"--count {count} needs --order >= {count + 2}")
+    from .coordchange import extract_coeffs
+
     cs = extract_coeffs(rho, count)
     _emit(args, {"command": "coord extract", "coeffs": [encode_rational(c) for c in cs]})
     return 0
@@ -167,6 +168,8 @@ def cmd_coord_huang(args):
     if args.order > HUANG_ORDER_MAX:
         raise ValueError(f"--order must be at most {HUANG_ORDER_MAX}")
     module = _model_flags(args)
+    from .coordchange import CoordChange, huang_conjugation_check
+
     alpha = CoordChange(parse_poly(args.alpha))
     gen = (module.voa.gen_weight,)
     failures = []
@@ -182,9 +185,13 @@ def cmd_coord_huang(args):
 
 
 def cmd_series_map(args):
-    """``schwarzian`` and ``uniformize``: the map comes from the subparser."""
+    """``schwarzian`` and ``uniformize``: the map is the function of the
+    command's name."""
     f = _series_arg(args.series, args.order)
-    _emit(args, {"command": args.command, "series": encode_series(args.series_map(f))})
+    from .schwarzian import schwarzian, uniformize
+
+    series_map = {"schwarzian": schwarzian, "uniformize": uniformize}[args.command]
+    _emit(args, {"command": args.command, "series": encode_series(series_map(f))})
     return 0
 
 
@@ -197,6 +204,8 @@ def cmd_blocks_three_point(args):
     vector = vector_of(module.voa.gen_weight, FIXTURE_WEIGHT_MAX)
     fx = load_fixture(args.fixture, {"v": vector, "z0": decode_rational,
                                      "w": vector, "wp": vector})
+    from .blocks import three_point_block
+
     val = three_point_block(module, fx["v"], fx["z0"], fx["w"], fx["wp"])
     _emit(args, {"command": "blocks three-point", "value": encode_rational(val)})
     return 0
@@ -222,6 +231,8 @@ def _report_payload(report):
 def _emit_residue(args, command, check, *check_args):
     """Run a residue check and emit its report; a window too short to
     certify the check fails it (exit 1) and names the window."""
+    from .blocks import UnderdeterminedCap
+
     try:
         rep = check(*check_args)
     except UnderdeterminedCap as e:
@@ -234,12 +245,16 @@ def _emit_residue(args, command, check, *check_args):
 def cmd_blocks_glue(args):
     fx = load_fixture(args.fixture, {"at0": decode_series, "atz0": decode_series,
                                      "atinf": decode_series, "z0": decode_rational})
+    from .blocks import rational_glue
+
     return _emit_residue(args, "blocks glue", rational_glue,
                          fx["at0"], fx["atz0"], fx["atinf"], fx["z0"])
 
 
 def cmd_blocks_residue_check(args):
     fx = load_fixture(args.fixture, {"tails": map_of(decode_point, decode_series)})
+    from .blocks import strong_residue_check
+
     return _emit_residue(args, "blocks residue-check", strong_residue_check, fx["tails"])
 
 
@@ -247,6 +262,8 @@ def cmd_ode_solve(args):
     _non_negative(args, "order")
     fx = load_fixture(args.matrix, {"entries": list_of(list_of(decode_series))},
                       {"seeds": map_of(int, list_of(decode_rational))})
+    from .odepole import PoleODE, ResonanceError, formal_solve
+
     try:
         sol = formal_solve(PoleODE(fx["entries"]), fx.get("seeds", {}), args.order)
     except ResonanceError as e:
@@ -260,6 +277,8 @@ def cmd_ode_solve(args):
 def cmd_ode_continue(args):
     if args.steps > CONTINUE_STEPS_MAX:
         raise ValueError(f"--steps must be at most {CONTINUE_STEPS_MAX}")
+    from .odepole import NumericPath, PoleODE, numeric_continue
+
     ode = PoleODE(load_fixture(args.matrix,
                                {"entries": list_of(list_of(decode_series))})["entries"])
     fx = load_fixture(args.path, {"waypoints": list_of(decode_complex),
@@ -291,6 +310,14 @@ def run_report(seed: int) -> dict:
     on failure, a witness: its first failing draw's index and inputs (the
     seed is in the payload), or for the two fixed checks the first failing
     coefficient index."""
+    from .blocks import RationalFunction, rational_glue
+    from .models import heisenberg_model
+    from .odepole import PoleODE, formal_solve
+    from .schwarzian import cocycle_check
+    from .series import TruncSeries
+    from .sewing import torus_character
+    from .virasoro import vir_bracket
+
     rng = random.Random(seed)
     checks = []
 
@@ -397,11 +424,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="voablocks")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, func, **defaults):
+    def common(sp, func):
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--out", default=None)
-        sp.set_defaults(func=func, **defaults)
+        sp.set_defaults(func=func)
         return sp
 
     sp = common(sub.add_parser("character"), cmd_character)
@@ -424,8 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cap", type=int, default=3)
     sp.add_argument("--order", type=int, default=5)
 
-    for name, series_map in (("schwarzian", schwarzian), ("uniformize", uniformize)):
-        sp = common(sub.add_parser(name), cmd_series_map, series_map=series_map)
+    for name in ("schwarzian", "uniformize"):
+        sp = common(sub.add_parser(name), cmd_series_map)
         sp.add_argument("--series", required=True)
         sp.add_argument("--order", type=int, default=8)
 

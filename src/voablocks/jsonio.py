@@ -18,7 +18,6 @@ import reprlib
 import sys
 from fractions import Fraction
 
-from .blocks import INFINITY
 from .series import QExpansion, TruncSeries
 
 __all__ = ["SCHEMA", "encode_rational", "encode_float", "encode_series", "encode_qexpansion",
@@ -81,6 +80,8 @@ def decode_complex(obj) -> complex:
 
 def decode_point(key: str):
     """A marked point of P^1: "inf" or "infinity", else a rational."""
+    from .blocks import INFINITY  # only ``blocks residue-check`` reads points
+
     return INFINITY if key in ("inf", "infinity") else decode_rational(key)
 
 

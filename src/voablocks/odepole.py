@@ -21,7 +21,9 @@ argument: with M the resonance bound, beta = M + 1 dominates
 sum ||Ahat_n|| r1^n, gamma = max(1, alpha beta), and every radius
 r0 < r1/gamma works; we certify r0 = r1/(2 gamma) together with the
 inequality  r1^n ||psihat_n|| <= gamma n^{-1} sum_{j<n} r1^j ||psihat_j||
-on all computed modes beyond M, exactly, the sum kept as a prefix sum.
+on all computed modes beyond M, exactly, on integers: the modes' integer
+numerators, the numerators and denominators of r1 and gamma, and the sum
+kept as a running integer.
 
 Numeric side (the only floating-point code in the package): classical
 fixed-step RK4 transport of psi' = A(q) psi / q along straight segments
@@ -38,7 +40,7 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .linalg import mat_one_norm, mat_vec, solve_linear, vec_one_norm
+from .linalg import mat_one_norm, mat_vec, solve_linear
 from .series import TruncSeries, _integer_form
 
 __all__ = [
@@ -52,7 +54,6 @@ __all__ = [
     "numeric_continue",
 ]
 
-F0 = Fraction(0)
 F1 = Fraction(1)
 
 
@@ -229,11 +230,13 @@ def radius_estimate(ode: PoleODE, r1, alpha=None, majorant=None,
         if majorant is None:
             raise ValueError("supply alpha or a majorant (C, g)")
         C, g = Fraction(majorant[0]), Fraction(majorant[1])
+        bound = C  # C g^n, a running power
         for n in range(ode.order):
             nn = mat_one_norm(ode.coeff_matrix(n))
-            if nn > C * g ** n:
+            if nn > bound:
                 raise ValueError(f"majorant fails at coefficient {n}: "
-                                 f"||Ahat_{n}|| = {nn} > {C * g ** n}")
+                                 f"||Ahat_{n}|| = {nn} > {bound}")
+            bound *= g
         if g * r1 >= 1:
             raise ValueError("majorant gives no finite bound on |q| <= r1")
         alpha = C / (1 - g * r1)
@@ -243,14 +246,21 @@ def radius_estimate(ode: PoleODE, r1, alpha=None, majorant=None,
     r0 = r1 / (2 * gamma)
     growth_checked = 0
     if solution is not None:
-        # weighted[n] = r1^n ||psihat_n||; prefix = sum_{j<n} weighted[j]
-        weighted = [r1 ** n * vec_one_norm(v) for n, v in enumerate(solution.modes)]
-        prefix = sum(weighted[:M + 1], F0)
-        for n in range(M + 1, solution.K + 1):
-            if weighted[n] > gamma * Fraction(1, n) * prefix:
-                raise AssertionError(f"growth inequality fails at n = {n}")
-            growth_checked += 1
-            prefix += weighted[n]
+        # on the integer form: with r1 = p/q, gamma = a/b and ||psihat_n|| =
+        # S_n / den, the inequality at n is b n p^n S_n <= a T_n, where
+        # T_n = sum_{j<n} p^j S_j q^{n-j}, so T_{n+1} = q (T_n + p^n S_n)
+        p, q = r1.numerator, r1.denominator
+        a, b = gamma.numerator, gamma.denominator
+        dim, nums = solution.ode.dim, solution._nums
+        T, pn = 0, 1  # T_n and p^n
+        for n in range(solution.K + 1):
+            w = pn * sum(map(abs, nums[n * dim:(n + 1) * dim]))  # p^n S_n
+            if n > M:
+                if b * n * w > a * T:
+                    raise AssertionError(f"growth inequality fails at n = {n}")
+                growth_checked += 1
+            T = q * (T + w)
+            pn *= p
     return RadiusEstimate(r0, r1, alpha, beta, gamma, M, growth_checked)
 
 

@@ -251,7 +251,9 @@ def _zhu(module: Module, label: tuple, K: int) -> TruncSeries:
                 rep = module.basis_at(w)[0]
                 s[w] = module.gen_apply(wg - 1, rep).get(rep, F0) * t
         z += TruncSeries("q", 0, s)
-    for k in range((n + 1) // 2, (top + n) // 2 + 1):
+    # k from n // 2 + 1: for even n the k = n / 2 term is E_n Z(g[0]u), and
+    # Z(a[0]b) = 0 for all a, b (Zhu 1996)
+    for k in range(n // 2 + 1, (top + n) // 2 + 1):
         p = 2 * k - n
         x = sum(y.scale(_bracket_coeff(wg, p, m)) for m, y in ys.items() if m >= p)  # Z(g[p]u)
         if x:

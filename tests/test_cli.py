@@ -1,6 +1,7 @@
 """Command-line interface: goldens, determinism, provenance, exit codes."""
 
 import hashlib
+import importlib
 import json
 from fractions import Fraction as F
 
@@ -12,6 +13,13 @@ from voablocks.cli import (CHARACTER_CAP_MAX, CONTINUE_SEGMENTS_MAX, CONTINUE_ST
                            SERIES_ORDER_MAX, build_parser, main, run_report)
 from voablocks.jsonio import decode_rational, decode_series, dumps
 from voablocks.models import FockModule, heisenberg_model
+
+
+def layer(name):
+    """The module object of a layer, where a test patches what a subcommand
+    imports when it runs (the string path ``voablocks.schwarzian.<name>``
+    would resolve through the package's function ``schwarzian``)."""
+    return importlib.import_module(f"voablocks.{name}")
 
 
 def run(capsys, *argv):
@@ -309,7 +317,7 @@ class TestReport:
             seen.append((f, g))
             return len(seen) not in (3, 6)
 
-        monkeypatch.setattr("voablocks.cli.cocycle_check", broken)
+        monkeypatch.setattr(layer("schwarzian"), "cocycle_check", broken)
         code, out = run(capsys, "report", "--seed", "5")
         doc = json.loads(out)
         assert code == 1 and doc["passed"] is False
@@ -331,7 +339,7 @@ class TestReport:
             rep.passed = True
             return rep
 
-        monkeypatch.setattr("voablocks.cli.rational_glue", accept)
+        monkeypatch.setattr(layer("blocks"), "rational_glue", accept)
         rep = run_report(3)
         (check,) = [c for c in rep["checks"] if not c["passed"]]
         w = check["witness"]
@@ -471,7 +479,7 @@ class TestMalformedInput:
     def test_continue_path_above_ceiling(self, capsys, tmp_path, monkeypatch):
         def no_transport(*args, **kwargs):
             raise AssertionError("transport ran")
-        monkeypatch.setattr("voablocks.cli.numeric_continue", no_transport)
+        monkeypatch.setattr(layer("odepole"), "numeric_continue", no_transport)
         err = self.check(capsys, *self.continue_fixtures(tmp_path, CONTINUE_SEGMENTS_MAX + 1),
                          "--steps", "50")
         assert str(CONTINUE_SEGMENTS_MAX) in err
@@ -511,7 +519,7 @@ class TestMalformedInput:
     def test_three_point_label_above_ceiling(self, capsys, tmp_path, monkeypatch, key, label):
         def no_block(*args, **kwargs):
             raise AssertionError("block built")
-        monkeypatch.setattr("voablocks.cli.three_point_block", no_block)
+        monkeypatch.setattr(layer("blocks"), "three_point_block", no_block)
         monkeypatch.chdir(tmp_path)
         (tmp_path / "tp.json").write_text(json.dumps(three_point("heisenberg", **{key: {label: 1}})))
         err = self.check(capsys, *THREE_POINT)

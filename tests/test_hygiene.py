@@ -1,6 +1,7 @@
 """Package hygiene: every exported name resolves, no module imports a name
-it never uses, every public function is named somewhere, every defaulted
-parameter is set somewhere, and every demo runs."""
+it never uses, the CLI loads no layer but ``jsonio`` with itself, every
+public function is named somewhere, every defaulted parameter is set
+somewhere, and every demo runs."""
 
 import ast
 import importlib
@@ -62,6 +63,46 @@ def test_no_unused_imports(name):
     # MODULES leaves out __init__, whose imports are the package's re-exports
     path = ROOT / "src" / "voablocks" / f"{name}.py"
     assert unused_imports(path.read_text()) == []
+
+
+def load_time_layers(source: str) -> list:
+    """The package modules a source imports when it loads: relative and
+    ``voablocks`` imports anywhere but inside a function body."""
+    out = set()
+    stack = list(ast.parse(source).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.ImportFrom):
+            if node.level and node.module is None:  # from . import x
+                out.update(alias.name for alias in node.names)
+            elif node.level or node.module.startswith("voablocks."):
+                out.add(node.module.split(".")[-1])
+        elif isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[1] for alias in node.names
+                       if alias.name.startswith("voablocks."))
+        stack.extend(ast.iter_child_nodes(node))
+    return sorted(out)
+
+
+def test_load_time_layer_check_catches_a_leftover():
+    source = ("import sys\n"
+              "from .jsonio import dumps\n"
+              "from . import series\n"
+              "import voablocks.models\n"
+              "if sys.argv:\n"
+              "    from voablocks.blocks import INFINITY\n"
+              "def run():\n"
+              "    from .sewing import torus_character\n"
+              "    return torus_character\n")
+    assert load_time_layers(source) == ["blocks", "jsonio", "models", "series"]
+
+
+def test_cli_loads_no_layer_but_jsonio():
+    # each subcommand imports the layers it calls when it runs
+    source = (ROOT / "src" / "voablocks" / "cli.py").read_text()
+    assert load_time_layers(source) == ["jsonio"]
 
 
 def unnamed_functions(defined: dict, readers: list) -> list:

@@ -2,6 +2,7 @@
 radius certificates, and RK4 continuation."""
 
 import hashlib
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -112,6 +113,103 @@ class TestRadius:
         ode = geometric_ode(10)
         with pytest.raises(ValueError, match="no finite bound"):
             radius_estimate(ode, F(2), majorant=(F(1), F(1)))
+
+
+def fraction_certificate(ode, r1, alpha=None, majorant=None, solution=None):
+    """The certificate of ``radius_estimate`` by its formulas run on Fractions
+    (r1^n, C g^n and the weighted prefix sum rebuilt at every n): the tuple
+    (r0, r1, alpha, beta, gamma, M, growth_checked), or the type and text
+    of the error it raises."""
+    def norm(A):  # max column abs sum
+        return max(sum(abs(row[j]) for row in A) for j in range(len(A)))
+
+    r1 = F(r1)
+    norm0 = norm(ode.coeff_matrix(0))
+    M = -(-norm0.numerator // norm0.denominator)
+    beta = F(M + 1)
+    if alpha is None:
+        C, g = F(majorant[0]), F(majorant[1])
+        for n in range(ode.order):
+            nn = norm(ode.coeff_matrix(n))
+            if nn > C * g ** n:
+                return ValueError, f"majorant fails at coefficient {n}: " \
+                                   f"||Ahat_{n}|| = {nn} > {C * g ** n}"
+        if g * r1 >= 1:
+            return ValueError, "majorant gives no finite bound on |q| <= r1"
+        alpha = C / (1 - g * r1)
+    gamma = max(F(1), F(alpha) * beta)
+    checked = 0
+    if solution is not None:
+        weighted = [r1 ** n * sum(abs(x) for x in v) for n, v in enumerate(solution.modes)]
+        for n in range(M + 1, len(weighted)):
+            if weighted[n] > gamma / n * sum(weighted[:n]):
+                return AssertionError, f"growth inequality fails at n = {n}"
+            checked += 1
+    return r1 / (2 * gamma), r1, F(alpha), beta, gamma, M, checked
+
+
+def random_pole_ode(rng):
+    """A 1 x 1 or 2 x 2 system whose Ahat_0 is [[0]] or [[0, e], [0, d]]
+    with d not a positive integer, so n = 0 is the only resonance, and a
+    seed at n = 0 that solves it."""
+    def frac(lo=-6, hi=6):
+        return F(rng.randint(lo, hi), rng.randint(1, 6))
+
+    order = rng.randint(4, 14)
+    if rng.random() < 0.5:
+        A0, seed = [[F(0)]], [frac(1)]
+    else:
+        d = frac(-14, 14)
+        while d > 0 and d.denominator == 1:
+            d = frac(-14, 14)
+        A0, seed = [[F(0), frac()], [F(0), d]], [frac(1), F(0)]
+    dim = len(A0)
+    entries = [[TruncSeries.from_coeff_map(
+        "q", {0: A0[i][k], **{m: frac() for m in range(1, order)}}, order)
+        for k in range(dim)] for i in range(dim)]
+    ode = PoleODE(entries)
+    return ode, formal_solve(ode, {0: seed}, rng.randint(0, order - 1))
+
+
+class TestRadiusAgainstFractions:
+    """radius_estimate runs the majorant check on a running power of g and
+    the growth check on integers; on 80 derandomized systems its outcome
+    equals the Fraction formulas', fields, count and failing n alike."""
+
+    def outcome(self, *args, **kwargs):
+        try:
+            est = radius_estimate(*args, **kwargs)
+        except (ValueError, AssertionError) as e:
+            return type(e), str(e)
+        return (est.r0, est.r1, est.alpha, est.beta, est.gamma, est.M,
+                est.growth_checked)
+
+    def test_random_systems(self):
+        rng = random.Random(20261019)
+        kinds = []
+        for draw in range(80):
+            ode, sol = random_pole_ode(rng)
+            r1 = F(rng.randint(1, 9), rng.randint(1, 9))
+            if draw % 2:
+                bound = {"majorant": (F(rng.randint(1, 40), rng.randint(1, 4)),
+                                      F(rng.randint(0, 9), rng.randint(1, 9)))}
+            else:
+                bound = {"alpha": F(rng.randint(0, 12), rng.randint(1, 6))}
+            got = self.outcome(ode, r1, solution=sol, **bound)
+            assert got == fraction_certificate(ode, r1, solution=sol, **bound), draw
+            kinds.append(got[0] if got[0] in (ValueError, AssertionError) else got[-1] > 0)
+        # every outcome occurs: a checked pass, a growth failure and a
+        # refused majorant
+        assert {True, AssertionError, ValueError} <= set(kinds)
+
+    def test_failure_after_checked_modes(self):
+        # alpha = 2 on the geometric ODE: M = 0, gamma = 2 and r1 = 3/2, so
+        # (3/2)^n <= (2/n) sum_{j<n} (3/2)^j holds at n = 1, 2 and fails at 3
+        ode = geometric_ode(10)
+        sol = formal_solve(ode, {0: [F(1)]}, 9)
+        got = self.outcome(ode, F(3, 2), alpha=F(2), solution=sol)
+        assert got == (AssertionError, "growth inequality fails at n = 3")
+        assert got == fraction_certificate(ode, F(3, 2), alpha=F(2), solution=sol)
 
 
 class TestNumeric:
