@@ -19,8 +19,7 @@ _EXPORTS = {
     "graded": ("weight_of",),
     "models": ("Module", "HeisenbergVOA", "FockModule", "VirasoroVOA",
                "DualModule", "CapError", "heisenberg_model", "fock_module",
-               "virasoro_model", "contragredient", "mode_matrix",
-               "jacobi_check"),
+               "virasoro_model", "contragredient", "jacobi_check"),
     "virasoro": ("vir_bracket",),
     "coordchange": ("CoordChange", "extract_coeffs", "U_apply",
                     "U_inverse_apply", "gamma_series",

@@ -611,12 +611,9 @@ def propagate_block(phi: BlockFunctional, y, cap: int) -> BlockFunctional:
     finite_count = len(phi.points.finite)
     pts = SpherePoints(phi.points.finite + [y] +
                        ([INFINITY] if phi.points.has_infinity else []))
-    n_args = len(phi.points) + 1
     sections = phi._sections
 
     def evaluate(*args):
-        if len(args) != n_args:
-            raise ValueError("wrong arity")
         v = args[finite_count]
         w_vecs = args[:finite_count] + args[finite_count + 1:]
         vac = v.get((), F0)

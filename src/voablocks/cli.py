@@ -13,8 +13,9 @@ Fixtures and ``--c``/``--mu`` are decoded by ``jsonio``, one decoder per value t
 ``jsonio`` is the one layer this module imports at load time; each subcommand
 imports the layers it calls when it runs, so ``ode solve`` loads no model and
 input that argparse rejects loads no layer but ``jsonio`` and ``series``.
-Output is JSON (schema "voa-blocks/1") or CSV where it makes sense; with
-a fixed configuration and seed, output bytes are identical across runs.
+Output is JSON (schema "voa-blocks/1"); ``character --format csv`` writes
+CSV, and only ``report`` takes a ``--seed`` (default 0).  With a fixed
+configuration and seed, output bytes are identical across runs.
 Exit status: 0 on success, 1 on any failed check, 2 on bad input, with
 one ``error:`` line on stderr, also for input that argparse rejects.
 
@@ -90,15 +91,10 @@ def _model_flags(args):
 
 
 def _emit(args, payload, csv_rows=None) -> None:
-    payload = {"schema": SCHEMA, **payload}
-    if args.seed is not None:
-        payload["seed"] = args.seed
-    if args.format == "csv":
-        if csv_rows is None:
-            raise ValueError("csv output not available for this command")
+    if csv_rows is not None:
         text = "\n".join(",".join(str(x) for x in row) for row in csv_rows) + "\n"
     else:
-        text = dumps(payload) + "\n"
+        text = dumps({"schema": SCHEMA, **payload}) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -135,8 +131,8 @@ def cmd_character(args):
     payload = {"command": "character", "model": module.name,
                "cap": args.cap, "normalized": bool(args.normalize),
                "character": encode_qexpansion(q)}
-    rows = [["n", "coeff"]] + [[i, c] for i, c in enumerate(q.coeffs)]
-    _emit(args, payload, csv_rows=rows)
+    rows = [["n", "coeff"], *enumerate(q.coeffs)] if args.format == "csv" else None
+    _emit(args, payload, rows)
     return 0
 
 
@@ -395,7 +391,7 @@ def run_report(seed: int) -> dict:
 
 
 def cmd_report(args):
-    payload = run_report(args.seed if args.seed is not None else 0)
+    payload = run_report(args.seed)
     _emit(args, payload)
     return 0 if payload["passed"] else 1
 
@@ -425,8 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, func):
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--out", default=None)
         sp.set_defaults(func=func)
         return sp
@@ -437,6 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--c", default=None)
     sp.add_argument("--mu", default=None)
     sp.add_argument("--normalize", action="store_true")
+    sp.add_argument("--format", choices=("json", "csv"), default="json")
 
     csub = sub.add_parser("coord").add_subparsers(dest="subcommand", required=True)
     sp = common(csub.add_parser("extract"), cmd_coord_extract)
@@ -471,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--path", required=True)
     sp.add_argument("--steps", type=int, default=1000)
 
-    common(sub.add_parser("report"), cmd_report)
+    common(sub.add_parser("report"), cmd_report).add_argument("--seed", type=int, default=0)
     return p
 
 

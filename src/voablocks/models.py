@@ -80,8 +80,6 @@ __all__ = [
     "virasoro_model",
     "contragredient",
     "gamma_twist",
-    "ModeOperator",
-    "mode_matrix",
     "JacobiReport",
     "jacobi_check",
 ]
@@ -120,7 +118,7 @@ def partition_count(n: int, min_part: int) -> int:
 
 
 class CapError(Exception):
-    """A computed vector needs weights above the requested cap."""
+    """A sewing order beyond the declared slot caps or the computed coefficients."""
 
 
 class Module:
@@ -448,50 +446,6 @@ def contragredient(module: Module) -> Module:
     if module._dual is None:
         module._dual = DualModule(module)
     return module._dual
-
-
-# ---------------------------------------------------------------------------
-# mode matrices
-
-
-class ModeOperator:
-    """Matrix of Y_W(v)_n between capped weight windows, by basis columns."""
-
-    def __init__(self, module: Module, v, n: int, cap: int, columns: dict):
-        self.module = module
-        self.v = v
-        self.n = n
-        self.cap = cap
-        self.columns = columns  # src label -> image dict
-
-    def apply(self, w: dict) -> dict:
-        out: dict = {}
-        for label, c in w.items():
-            vec_add_into(out, self.columns.get(label, {}), c)
-        return out
-
-    def entries(self):
-        for src, img in self.columns.items():
-            for dst, c in img.items():
-                yield (dst, src, c)
-
-
-def mode_matrix(module: Module, v, n: int, cap: int) -> ModeOperator:
-    """Materialize Y_W(v)_n on all basis labels of weight <= cap.
-
-    Raises CapError when a nonzero image component lands above the cap
-    (never silently truncates).
-    """
-    columns = {}
-    for wt in range(cap + 1):
-        for wl in module.basis_at(wt):
-            img = module.mode_apply(v, n, {wl: F1})  # exact zeros already dropped
-            over = vec_max_weight(img)
-            if over > cap:
-                raise CapError(
-                    f"mode image needs weight {over} > cap {cap} (source {wl}, mode {n})")
-            columns[wl] = img
-    return ModeOperator(module, v, n, cap, columns)
 
 
 # ---------------------------------------------------------------------------

@@ -5,25 +5,25 @@ psi = sum psihat_n q^n satisfy
 
     (n - Ahat_0) psihat_n = sum_{j<n} Ahat_{n-j} psihat_j,
 
-solved order by order from the matrices Ahat_0..Ahat_{order-1} that
-PoleODE builds once; the residual self-check and the radius certificate
-read the same matrices.  The sum on the right, in the recursion and in
-the residual, is one integer dot product per row: PoleODE also keeps each
-row of the Ahat_m over one common denominator, the modes are kept over
-one common denominator (``formal_solve`` extends it as each mode is
-found, and a FormalSolution converts its modes once for every residual),
-and one Fraction is built per row.  At a resonance (n - Ahat_0 singular)
-no mode is ever invented: a seed must be supplied and is verified against
-the recursion.  The convergence certificate mirrors the classical majorant
-argument: with M the resonance bound, beta = M + 1 dominates
-||(n - Ahat_0)^{-1}|| for n > M via the Neumann series
-(n - Ahat_0)^{-1} = n^{-1} sum_j (Ahat_0/n)^j, alpha bounds
+solved order by order.  PoleODE keeps A(q) as its entries and, built from
+them once, as integer rows: each row of Ahat_0..Ahat_{order-1} as integer
+numerators over one denominator.  The sum on the right, in the recursion
+and in the residual, is one integer dot product per row: the modes are
+kept over one common denominator (``formal_solve`` extends it as each mode
+is found, and a FormalSolution converts its modes once for every
+residual), and one Fraction is built per row.  At a resonance
+(n - Ahat_0 singular) no mode is ever invented: a seed must be supplied
+and is verified against the recursion.  The convergence certificate
+mirrors the classical majorant argument: with M the resonance bound,
+beta = M + 1 dominates ||(n - Ahat_0)^{-1}|| for n > M via the Neumann
+series (n - Ahat_0)^{-1} = n^{-1} sum_j (Ahat_0/n)^j, alpha bounds
 sum ||Ahat_n|| r1^n, gamma = max(1, alpha beta), and every radius
 r0 < r1/gamma works; we certify r0 = r1/(2 gamma) together with the
 inequality  r1^n ||psihat_n|| <= gamma n^{-1} sum_{j<n} r1^j ||psihat_j||
-on all computed modes beyond M, exactly, on integers: the modes' integer
-numerators, the numerators and denominators of r1 and gamma, and the sum
-kept as a running integer.
+on all computed modes beyond M, exactly, on integers: the column sums of
+the integer rows, running powers of g, the modes' integer numerators, the
+numerators and denominators of r1 and gamma, and the sum kept as a
+running integer.
 
 Numeric side (the only floating-point code in the package): classical
 fixed-step RK4 transport of psi' = A(q) psi / q along straight segments
@@ -40,7 +40,7 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .linalg import mat_one_norm, mat_vec, solve_linear
+from .linalg import mat_vec, solve_linear
 from .series import TruncSeries, _integer_form
 
 __all__ = [
@@ -78,19 +78,19 @@ class PoleODE:
 
         self.entries = [[entry(e) for e in row] for row in entries]
         self.order = min((e.order for row in self.entries for e in row), default=order or 0)
-        # Ahat_0..Ahat_{order-1}, built once as tuples no caller can corrupt
-        self._coeffs = tuple(tuple(tuple(e.coeff(k) for e in row) for row in self.entries)
-                             for k in range(self.order))
         # per row i, Ahat_m[i][k] flattened over m = order-1 .. 0 (then k) in
         # integer form, so the (j, k) terms of a mode sum are one slice
-        self._rows = tuple(_integer_form([A[i][k] for A in reversed(self._coeffs)
-                                          for k in range(n)]) for i in range(n))
+        self._rows = tuple(_integer_form([e.coeff(m) for m in range(self.order - 1, -1, -1)
+                                          for e in row]) for row in self.entries)
 
-    def coeff_matrix(self, k: int):
-        """Ahat_k, defined for 0 <= k < order (a read-only matrix)."""
+    def _check(self, k: int):
         if not 0 <= k < self.order:
             raise IndexError(f"coefficient {k} outside the common window")
-        return self._coeffs[k]
+
+    def coeff_matrix(self, k: int):
+        """Ahat_k, defined for 0 <= k < order, as fresh read-only tuples."""
+        self._check(k)
+        return tuple(tuple(e.coeff(k) for e in row) for row in self.entries)
 
     def __repr__(self):
         return f"PoleODE(dim={self.dim}, order={self.order})"
@@ -102,7 +102,7 @@ def _mode_sum(ode: PoleODE, nums, den: int, n: int):
     integer dot product over the flattened (j, k) terms, divided once.
     The row from Ahat_n on ends at Ahat_0, so modes beyond n are not read,
     and modes not given count as zero."""
-    ode.coeff_matrix(n)  # range check
+    ode._check(n)
     start = (ode.order - 1 - n) * ode.dim
     return [Fraction(sum(map(mul, row[start:], nums)), d * den) for row, d in ode._rows]
 
@@ -223,20 +223,25 @@ def radius_estimate(ode: PoleODE, r1, alpha=None, majorant=None,
     r1 = Fraction(r1)
     if r1 <= 0:
         raise ValueError("r1 must be positive")
-    norm0 = mat_one_norm(ode.coeff_matrix(0))
-    M = int(norm0) + (0 if norm0 == int(norm0) else 1)  # ceil
+    ode._check(0)
+    # ||Ahat_m|| = norms[m] / L, the max column sum of the integer rows brought
+    # over the one lcm L of their denominators
+    L = lcm(*(d for _, d in ode._rows))
+    cols = [sum(c) for c in zip(*([abs(x) * (L // d) for x in row] for row, d in ode._rows))]
+    dim, order = ode.dim, ode.order
+    norms = [max(cols[(order - 1 - m) * dim:(order - m) * dim], default=0) for m in range(order)]
+    M = -(-norms[0] // L)  # ceil
     beta = Fraction(M + 1)
     if alpha is None:
         if majorant is None:
             raise ValueError("supply alpha or a majorant (C, g)")
         C, g = Fraction(majorant[0]), Fraction(majorant[1])
-        bound = C  # C g^n, a running power
-        for n in range(ode.order):
-            nn = mat_one_norm(ode.coeff_matrix(n))
-            if nn > bound:
-                raise ValueError(f"majorant fails at coefficient {n}: "
-                                 f"||Ahat_{n}|| = {nn} > {bound}")
-            bound *= g
+        bn, bd = C.numerator, C.denominator  # C g^n = bn / bd, running powers
+        for n, nn in enumerate(norms):
+            if nn * bd > bn * L:
+                raise ValueError(f"majorant fails at coefficient {n}: ||Ahat_{n}|| = "
+                                 f"{Fraction(nn, L)} > {Fraction(bn, bd)}")
+            bn, bd = bn * g.numerator, bd * g.denominator
         if g * r1 >= 1:
             raise ValueError("majorant gives no finite bound on |q| <= r1")
         alpha = C / (1 - g * r1)

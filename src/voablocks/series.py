@@ -291,11 +291,6 @@ class TruncSeries:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if _is_scalar(other):
-            return self.scale(Fraction(1, 1) / other)
-        return NotImplemented
-
     def __pow__(self, k: int):
         if not isinstance(k, int):
             raise TypeError("series powers must be integers")
@@ -497,12 +492,6 @@ class QExpansion:
             return other + self
         # smaller offset wins; other shifts up by d
         return QExpansion(self.offset, self.series + other.series.shift(int(d)))
-
-    def __neg__(self):
-        return QExpansion(self.offset, -self.series)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other: "QExpansion") -> "QExpansion":
         """Product on the shorter order; the offsets add."""

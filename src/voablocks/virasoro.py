@@ -8,9 +8,9 @@ provides the per-label L_n images ``_L(n, label)``; the exponential is a
 finite sum because L_n with n > 0 lowers the grading weight by n.  Its
 scalars are rationals only: it sums the terms X^k w / k! on the integer
 accumulator ``graded._IntVectors``, the one the weight blocks use, and
-builds one Fraction per output entry.  ``exp_terms`` is the one X^k w / k!
-loop over a given step; it builds the e^{L_1} of ``models.gamma_twist`` and
-the exp(sum c_n(z) L_n) v of Huang's check, on (label, z-exponent) keys.
+builds one Fraction per output entry.  ``exp_terms``, the X^k w / k! loop
+over a given step on Fraction vectors, builds the e^{L_1} of ``gamma_twist``
+and the exp(sum c_n(z) L_n) v of Huang's check, on (label, z-exponent) keys.
 """
 
 from __future__ import annotations

@@ -49,6 +49,24 @@ class TestRationalFunction:
         with pytest.raises(ZeroDivisionError):
             POLE01.eval(0)
 
+    def test_hash_agrees_with_eq(self):
+        # a pole key 0 is the point Fraction(0), and a + b - b drops the
+        # parts that cancel: each pair is equal, hashes equal and is one
+        # set element
+        a = RationalFunction(poly={1: F(2)}, poles={0: {2: F(3)}})
+        b = RationalFunction(poly={0: F(1, 2)}, poles={0: {1: F(5)}, F(1): {1: F(-1)}})
+        for x, y in ((RationalFunction(poles={0: {1: F(1)}}),
+                      RationalFunction(poles={F(0): {1: F(1)}})),
+                     (a + b - b, a)):
+            assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+        # a glue report is truthy exactly when it passed
+        tails = [POLE01.expand_at(0, 4), POLE01.expand_at(1, 4), POLE01.expand_at_infinity(4)]
+        t = tails[0]
+        bad = TruncSeries(t.var, t.floor, [t.coeffs[0] + 1, *t.coeffs[1:]], t.order)
+        for inputs, passed in ((tails, True), ([bad, *tails[1:]], False)):
+            rep = rational_glue(*inputs, 1)
+            assert rep.passed is passed and bool(rep) is passed
+
 
 class TestGlue:
     def test_constant(self):

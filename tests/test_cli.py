@@ -1,5 +1,6 @@
 """Command-line interface: goldens, determinism, provenance, exit codes."""
 
+import argparse
 import hashlib
 import importlib
 import json
@@ -294,6 +295,9 @@ class TestReport:
         assert out1 == out2
         assert dumps(run_report(7)) == dumps(run_report(7))
 
+    def test_seed_defaults_to_0(self, capsys):
+        assert run(capsys, "report") == run(capsys, "report", "--seed", "0")
+
     def test_seed_recorded(self, capsys):
         code, out = run(capsys, "report", "--seed", "11")
         assert code == 0
@@ -357,6 +361,27 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(dest.read_text())["cap"] == 3
 
 
+def leaf_parsers(parser, path=()):
+    """(subcommand path, parser) of each subcommand that runs."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(path), parser
+    for action in subs:
+        for name, sp in action.choices.items():
+            yield from leaf_parsers(sp, path + (name,))
+
+
+def test_shared_options_only_where_read():
+    # only report reads a seed and only character writes CSV, so no other
+    # subcommand declares --seed or --format; every one takes --out
+    owners = {opt: sorted(path for path, sp in leaf_parsers(build_parser())
+                          if opt in sp._option_string_actions)
+              for opt in ("--seed", "--format", "--out")}
+    assert owners["--seed"] == ["report"]
+    assert owners["--format"] == ["character"]
+    assert len(owners["--out"]) == 11
+
+
 THREE_POINT = ["blocks", "three-point", "--fixture", "tp.json"]
 GLUE = ["blocks", "glue", "--fixture", "glue.json"]
 SERIES = {"var": "q", "floor": 0, "order": 2, "coeffs": [{"num": "0", "den": "1"}] * 2}
@@ -369,15 +394,15 @@ SWEEP = [
     ("character --model heisenberg --cap 0", "--cap must be positive"),
     ("coord extract --series z --order 1", "order 1 too small for the polynomial: "
                                            "degree 1 needs order >= 2"),
-    ("coord extract --series z+z^2 --format csv", "csv output not available"),
+    ("coord extract --series z+z^2 --format csv", "unrecognized arguments: --format"),
     ("coord extract --series 1+z", "rho(0) must be 0"),
     ("coord huang --alpha 1+z", "rho(0) must be 0"),
     ("coord huang --alpha z^2", "rho'(0) must be nonzero"),
     ("schwarzian --series z^2", "f'(0) = 0"),
-    ("schwarzian --series z+z^3 --format csv", "csv output not available"),
+    ("schwarzian --series z+z^3 --format csv", "unrecognized arguments: --format"),
     ("uniformize --series z^3 --order 2", "order 2 too small for the polynomial: "
                                           "degree 3 needs order >= 4"),
-    ("uniformize --series z --format csv", "csv output not available"),
+    ("uniformize --series z --format csv", "unrecognized arguments: --format"),
     ("blocks three-point --fixture missing.json", "missing.json"),
     ("blocks three-point --fixture list.json", "not an object"),
     ("blocks glue --fixture missing.json", "missing.json"),
@@ -388,13 +413,16 @@ SWEEP = [
     ("ode solve --matrix bad.json --order 2", "fixture bad.json"),
     ("ode continue --matrix mat.json --path missing.json", "missing.json"),
     ("ode continue --matrix mat.json --path path.json --steps 0", "steps must be positive"),
-    ("report --format csv", "csv output not available"),
+    ("report --format csv", "unrecognized arguments: --format"),
     ("report --out nodir/report.json", "nodir/report.json"),
     # rejected by argparse itself
     ("character --model heisenberg --cap x", "argument --cap: invalid int value"),
     ("coord extract", "required: --series"),
     ("nosuch", "argument command: invalid choice"),
     ("character --model heisenberg --cap 3 --format xml", "argument --format: invalid choice"),
+    ("coord huang --alpha z --seed 3", "unrecognized arguments: --seed 3"),
+    ("ode solve --matrix mat.json --order 2 --format csv",
+     "unrecognized arguments: --format csv"),
 ]
 SWEEP_FILES = {"bad.json": "not json", "list.json": "[]",
                "mat.json": json.dumps({"entries": [[SERIES]]}),

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from voablocks.graded import vec_add_into, vec_is_zero, weight_of
-from voablocks.models import (CapError, DualModule, contragredient,
-                              fock_module, gamma_twist, heisenberg_model, jacobi_check,
-                              mode_matrix, partition_count, partitions, virasoro_model)
+from voablocks.models import (DualModule, contragredient, fock_module, gamma_twist,
+                              heisenberg_model, jacobi_check, partition_count, partitions,
+                              virasoro_model)
 from voablocks.sewing import torus_character
 from voablocks.virasoro import gbinom
 
@@ -99,18 +99,6 @@ def test_virasoro_relation_cap8(voa):
                     vec_add_into(want, w, central)
                 diff = vec_add_into(dict(got), want, F(-1))
                 assert vec_is_zero(diff), (m, n, label)
-
-
-class TestModeMatrix:
-    def test_cap_error(self):
-        with pytest.raises(CapError):
-            mode_matrix(H, (1,), -3, 2)  # alpha_{-3} raises weight by 3
-
-    def test_matrix_matches_apply(self):
-        op = mode_matrix(H, (1,), 1, 4)
-        assert op.apply({(1,): F(2)}) == {(): F(2)}
-        entries = dict(((d, s), c) for d, s, c in op.entries())
-        assert entries[((), (1,))] == 1
 
 
 class TestContragredient:

@@ -67,6 +67,17 @@ class TestFormal:
         assert ode.coeff_matrix(1)[0][0] == F(1)
         assert formal_solve(ode, {0: [F(1)]}, 6).modes == before
 
+    def test_window_is_checked(self):
+        # indices outside [0, order) fail closed, naming the window, also
+        # where a negative index would read a valid slice
+        ode = geometric_ode(8)
+        sol = formal_solve(ode, {0: [F(1)]}, 6)
+        for call in (lambda: ode.coeff_matrix(8), lambda: sol.residual(-1),
+                     lambda: radius_estimate(PoleODE([[TruncSeries("q", 0, [], 0)]]), 1,
+                                             alpha=0)):
+            with pytest.raises(IndexError, match="outside the common window"):
+                call()
+
     def test_invented_mode_never_appears(self):
         bad = [[F(0), F(1)], [F(0), F(0)]]
         ode = PoleODE([[TruncSeries.const("q", c, 6) for c in row]
