@@ -454,12 +454,12 @@ def hom_block(T: dict, w1: Module, w2: Module, cap: int) -> BlockFunctional:
     v = (wt_v,)
     for wt in range(cap + 1):
         for label in w1.basis_at(wt):
-            col = [(l2, t, weight_of(l2)) for l2, t in T.get(label, {}).items()]
+            col = T.get(label, {})
             for n in range(wt_v + wt - 1 - cap, wt_v + wt):
-                # T Y(v)_n label - Y'(v)_n T label, both read off the blocks
+                # T Y(v)_n label - Y'(v)_n T label: a W1 block row, W2' label images
                 diff = apply_T(w1.mode_block(v, n, wt).get(label, {}))
-                for l2, t, wt2 in col:
-                    img = w2d.mode_block(v, n, wt2).get(l2)
+                for l2, t in col.items():
+                    img = w2d.mode_image(v, n, l2)
                     if img:
                         vec_add_into(diff, img, -t)
                 if not vec_is_zero(diff):
@@ -546,7 +546,7 @@ def _slot_tail(phi: BlockFunctional, i: int, terms, w_vecs, var: str) -> TruncSe
                 wt_w = weight_of(wl)
                 n_min = wt_v + wt_w - 1 - cap  # Y(vector)_n w_i of weight in [0, cap]
                 for n in range(n_min, n_min + cap + 1):
-                    img = module.mode_block(vl, n, wt_w).get(wl)
+                    img = module.mode_image(vl, n, wl)
                     if img:
                         args = list(w_vecs)
                         args[i] = img

@@ -5,15 +5,13 @@ Everything rests on one Gauss-Jordan reduction of the augmented rows
 order, scanning rows top to bottom).  Solving A x = b reads off a solution
 and its free columns, or an inconsistency certificate: the identity block
 y of the first zero row of A with nonzero b, so y A = 0 and y b != 0.
-The inverse of A is the identity block of the reduction of [A | 0 | I].
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["LinSolve", "solve_linear", "mat_mul", "mat_vec", "mat_inverse",
-           "mat_one_norm", "vec_one_norm", "identity_matrix"]
+__all__ = ["LinSolve", "solve_linear", "mat_vec", "identity_matrix"]
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -99,37 +97,7 @@ def _shape(a) -> str:
     return f"{len(a)} x {widths.pop()}" if len(widths) == 1 else f"ragged {len(a)}-row"
 
 
-def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    if any(len(row) != k for row in a) or any(len(row) != m for row in b):
-        raise ValueError(f"cannot multiply a {_shape(a)} matrix by a {_shape(b)} matrix")
-    return [[sum((a[i][t] * b[t][j] for t in range(k)), F0) for j in range(m)]
-            for i in range(n)]
-
-
 def mat_vec(a, v):
     if any(len(row) != len(v) for row in a):
         raise ValueError(f"cannot multiply a {_shape(a)} matrix by a vector of length {len(v)}")
     return [sum((row[j] * v[j] for j in range(len(v))), F0) for row in a]
-
-
-def mat_inverse(a):
-    """Exact inverse; raises ValueError when singular or not square."""
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError(f"cannot invert a {_shape(a)} matrix: it is not square")
-    aug, pivots = _reduce(a, [F0] * n)
-    if len(pivots) != n:
-        raise ValueError("matrix is singular")
-    return [row[n + 1:] for row in aug]
-
-
-def vec_one_norm(v) -> Fraction:
-    return sum((abs(Fraction(x)) for x in v), F0)
-
-
-def mat_one_norm(a) -> Fraction:
-    """Operator norm induced by the vector 1-norm: max column abs sum."""
-    if not a or not a[0]:
-        return F0
-    return max(sum((abs(row[j]) for row in a), F0) for j in range(len(a[0])))

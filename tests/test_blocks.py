@@ -521,8 +521,7 @@ NESTED_GOLDEN = [
 ]
 
 
-def test_nested_propagation_golden():
-    modules = {"heisenberg": H, "virasoro": VIR, "fock": fock_module(H, F(1, 2))}
+def run_nested_golden(modules):
     for name, x, y, u, v, w1, w2, want in NESTED_GOLDEN:
         phi = identity_hom(modules[name], 10)
         a = propagate_eval(propagate_block(phi, y, 4), v, x, [w1, u, w2])
@@ -531,16 +530,43 @@ def test_nested_propagation_golden():
         assert type(a) is F and type(b) is F
 
 
+def test_nested_propagation_golden():
+    run_nested_golden({"heisenberg": H, "virasoro": VIR, "fock": fock_module(H, F(1, 2))})
+
+
+def test_cold_nested_golden_fills_no_contragredient_block():
+    """Cold propagation reads each W' image from base columns: the golden
+    values come out of fresh modules whose contragredients hold per-label
+    images and no weight block."""
+    hm = heisenberg_model()
+    modules = {"heisenberg": hm, "virasoro": virasoro_model(F(1, 2)),
+               "fock": fock_module(hm, F(1, 2))}
+    run_nested_golden(modules)
+    for M in modules.values():
+        dual = contragredient(M)
+        assert dual._blocks == {} and dual._images, M.name
+        assert M._cols and M._gen_T, M.name
+
+
 def memo_snapshot(*modules):
-    """Plain copies of the modules' mode-block memos."""
-    return [{key: {wl: dict(img) for wl, img in blk.items()}
-             for key, blk in m._blocks.items()} for m in modules]
+    """Plain copies of the modules' mode-block, column and per-label image
+    memos, in key order."""
+    return [({key: [(wl, list(img.items())) for wl, img in blk.items()]
+              for key, blk in m._blocks.items()},
+             {key: list(col.items()) for key, col in m._cols.items()},
+             {key: list(img.items()) for key, img in getattr(m, "_images", {}).items()})
+            for m in modules]
 
 
 def assert_memo_matches_fresh(module, fresh):
-    """Every memoized block equals the block a fresh module computes."""
+    """Every memoized block, column and per-label image equals, in key order
+    too, the one a fresh module computes."""
     for (vl, h, wt), blk in module._blocks.items():
         assert blk == fresh.mode_block(vl, h, wt), (vl, h, wt)
+    for (vl, h, t), col in module._cols.items():
+        assert list(col.items()) == list(fresh._column(vl, h, t).items()), (vl, h, t)
+    for (vl, h, wl), img in getattr(module, "_images", {}).items():
+        assert list(img.items()) == list(fresh.mode_image(vl, h, wl).items()), (vl, h, wl)
 
 
 class TestMemoIntegrity:
@@ -562,6 +588,7 @@ class TestMemoIntegrity:
 
         dual, first = work()
         before = memo_snapshot(hm, dual)
+        assert hm._cols and dual._images
         dual_again, second = work()
         # the second identity_hom reads the same contragredient, which is
         # kept on hm; its memo must come out unchanged
@@ -605,6 +632,25 @@ class TestMemoIntegrity:
             propagate_eval(phi, (1,), F(2), [{(1,): F(1)}, {(1,): F(1)}])
         assert hm._blocks
         assert all((7,) not in img for blk in hm._blocks.values() for img in blk.values())
+        assert_memo_matches_fresh(hm, heisenberg_model())
+
+    def test_mutating_evaluator_rejected_on_dual_images(self):
+        # the slot tail at infinity hands the evaluator per-label W' images
+        hm = heisenberg_model()
+        dual = contragredient(hm)
+        w2 = {(1,): F(1)}
+
+        def mutate(u, v):
+            if v is not w2:
+                v[(7,)] = F(1)
+            return F(0)
+
+        phi = BlockFunctional(SpherePoints([F(0), INFINITY]), [hm, dual], [6, 6], mutate)
+        with pytest.raises(TypeError):
+            propagate_eval(phi, (1,), F(2), [{(1,): F(1)}, w2])
+        assert dual._images and dual._blocks == {}
+        assert all((7,) not in img for img in dual._images.values())
+        assert_memo_matches_fresh(dual, contragredient(heisenberg_model()))
         assert_memo_matches_fresh(hm, heisenberg_model())
 
 

@@ -1,4 +1,4 @@
-"""Exact linear algebra: solve, certificates, norms."""
+"""Exact linear algebra: solve, certificates, shape errors."""
 
 import random
 from fractions import Fraction as F
@@ -6,8 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from voablocks.linalg import (identity_matrix, mat_inverse, mat_mul, mat_one_norm,
-                              mat_vec, solve_linear, vec_one_norm)
+from voablocks.linalg import mat_vec, solve_linear
 
 
 def test_random_square_solves():
@@ -23,8 +22,6 @@ def test_random_square_solves():
         if not res.unique:
             continue  # singular draw
         assert res.solution == x
-        inv = mat_inverse(a)
-        assert mat_mul(a, inv) == identity_matrix(n)
         done += 1
 
 
@@ -45,29 +42,16 @@ def test_free_columns():
     assert res.solution == [F(3), F(0)]
 
 
-def test_singular_inverse_raises():
-    with pytest.raises(ValueError):
-        mat_inverse([[F(1), F(2)], [F(2), F(4)]])
-
-
 @pytest.mark.parametrize("call, shapes", [
     (lambda: mat_vec([[F(1), F(2)], [F(3), F(4)]], [F(1)]), ("2 x 2", "length 1")),
     (lambda: mat_vec([[F(1), F(2)], [F(3), F(4)]], [F(1)] * 3), ("2 x 2", "length 3")),
     (lambda: mat_vec([[F(1), F(2)], [F(3)]], [F(1)] * 2), ("ragged 2-row", "length 2")),
-    (lambda: mat_mul([[F(1), F(2)]], [[F(1)]]), ("1 x 2", "1 x 1")),
-    (lambda: mat_mul([[F(1)]], [[F(1), F(2)], [F(3)]]), ("1 x 1", "ragged 2-row")),
-    (lambda: mat_inverse([[F(1), F(2), F(3)], [F(4), F(5), F(6)]]), ("2 x 3", "not square")),
-], ids=["vec-short", "vec-long", "ragged-rows", "mul-inner", "mul-ragged", "inverse-2x3"])
+], ids=["vec-short", "vec-long", "ragged-rows"])
 def test_shape_mismatch_names_both_shapes(call, shapes):
     # a mismatch must not drop columns silently or fail on an index
     with pytest.raises(ValueError) as exc:
         call()
     assert all(s in str(exc.value) for s in shapes)
-
-
-def test_norms():
-    assert vec_one_norm([F(-2), F(1, 2)]) == F(5, 2)
-    assert mat_one_norm([[F(1), F(-3)], [F(-1), F(0)]]) == 3
 
 
 entries = st.one_of(st.just(F(0)), st.builds(F, st.integers(-5, 5), st.integers(1, 3)))
@@ -76,15 +60,6 @@ entries = st.one_of(st.just(F(0)), st.builds(F, st.integers(-5, 5), st.integers(
 def matrices(rows, cols):
     return st.lists(st.lists(entries, min_size=cols, max_size=cols),
                     min_size=rows, max_size=rows)
-
-
-def det(a):
-    """Laplace expansion along the first row: an oracle that shares no code
-    with the elimination."""
-    if not a:
-        return F(1)
-    return sum(((-1) ** j * a[0][j] * det([row[:j] + row[j + 1:] for row in a[1:]])
-                for j in range(len(a))), F(0))
 
 
 @settings(max_examples=100, derandomize=True)
@@ -102,15 +77,3 @@ def test_solve_or_certificate(system):
         assert all(sum((y[i] * a[i][j] for i in range(len(a))), F(0)) == 0
                    for j in range(len(a[0])))
         assert sum((yi * bi for yi, bi in zip(y, b)), F(0)) != 0
-
-
-@settings(max_examples=100, derandomize=True)
-@given(st.integers(1, 4).flatmap(lambda n: matrices(n, n)))
-def test_inverse_or_singular(a):
-    if det(a) == 0:
-        with pytest.raises(ValueError):
-            mat_inverse(a)
-    else:
-        inv = mat_inverse(a)
-        assert mat_mul(a, inv) == identity_matrix(len(a))
-        assert mat_mul(inv, a) == identity_matrix(len(a))

@@ -257,29 +257,67 @@ def test_dual_block_is_twisted_transpose(M, labels):
 BLOCK_GOLDEN = "32703ffcd8a23b1d6b5d4fa2e7991017f1cbd97d1199a35e05e4fd2b16020e1a"
 
 
-def block_golden_text():
-    """One line per mode_block: module, VOA label of weight <= 4, mode -3..5,
-    source weight 0..5, then every image as (target label, value type,
-    value) in key order."""
+def golden_modules():
+    """Fresh H, F_{2/3}, Vir_{-22/5} and Vir_{1/2}, then their contragredients."""
     H0 = heisenberg_model()
     modules = [H0, fock_module(H0, F(2, 3)), virasoro_model(F(-22, 5)),
                virasoro_model(F(1, 2))]
-    modules += [contragredient(M) for M in modules]
+    return modules + [contragredient(M) for M in modules]
+
+
+def block_golden_text(modules, dual_block):
+    """One line per mode_block: module, VOA label of weight <= 4, mode -3..5,
+    source weight 0..5, then every image as (target label, value type,
+    value) in key order.  A contragredient's block is read by
+    ``dual_block(M, vl, n, wt)``."""
     lines = []
     for M in modules:
+        read = dual_block if isinstance(M, DualModule) else type(M).mode_block
         for wt_v in range(5):
             for vl in M.voa.basis_at(wt_v):
                 for wt in range(6):
                     for n in range(-3, 6):
-                        blk = M.mode_block(vl, n, wt)
+                        blk = read(M, vl, n, wt)
                         lines.append(repr((M.name, vl, n, wt, [
                             (wl, [(k, type(c).__name__, c) for k, c in img.items()])
                             for wl, img in blk.items()])))
     return "\n".join(lines)
 
 
+def per_label_block(M, vl, n, wt):
+    """A weight block assembled from per-label images, as slot tails read them."""
+    return {wl: img for wl in M.basis_at(wt) if (img := M.mode_image(vl, n, wl))}
+
+
+def golden_sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_block_golden():
-    assert hashlib.sha256(block_golden_text().encode()).hexdigest() == BLOCK_GOLDEN
+    assert golden_sha(block_golden_text(golden_modules(), DualModule.mode_block)) == BLOCK_GOLDEN
+
+
+def test_block_golden_from_base_columns():
+    """Every contragredient block of the golden, read label by label from
+    base columns on fresh modules, gives the same bytes (values, value types
+    and key order) and fills no contragredient block."""
+    modules = golden_modules()
+    assert golden_sha(block_golden_text(modules, per_label_block)) == BLOCK_GOLDEN
+    duals = modules[4:]
+    assert [Md._blocks for Md in duals] == [{}] * 4
+    assert all(Md._images and Md.base._cols for Md in duals)
+    # (W')' built as its own DualModule: its columns are rows of W' through
+    # the twist, so its per-label images are W's rows
+    hm = heisenberg_model()
+    for M in (hm, fock_module(hm, F(1, 2)), virasoro_model(F(7, 3))):
+        Mdd = DualModule(DualModule(M))
+        for wtv in range(4):
+            for vl in M.voa.basis_at(wtv):
+                for wt in range(5):
+                    for h in range(wtv + wt - 8, wtv + wt):
+                        assert per_label_block(Mdd, vl, h, wt) == M.mode_block(vl, h, wt), \
+                            (M.name, vl, h, wt)
+        assert Mdd._blocks == {} and Mdd.base._blocks == {}
 
 
 # composite VOA labels: Virasoro has none below weight 4
