@@ -456,8 +456,8 @@ def hom_block(T: dict, w1: Module, w2: Module, cap: int) -> BlockFunctional:
         for label in w1.basis_at(wt):
             col = T.get(label, {})
             for n in range(wt_v + wt - 1 - cap, wt_v + wt):
-                # T Y(v)_n label - Y'(v)_n T label: a W1 block row, W2' label images
-                diff = apply_T(w1.mode_block(v, n, wt).get(label, {}))
+                # T Y(v)_n label - Y'(v)_n T label, from one-label images of W1 and W2'
+                diff = apply_T(w1.mode_image(v, n, label) or {})
                 for l2, t in col.items():
                     img = w2d.mode_image(v, n, l2)
                     if img:
@@ -508,7 +508,7 @@ def three_point_block(module: Module, v, z0, w: dict, wp: dict) -> Fraction:
             wt_w = weight_of(wl)
             for d in dual_weights:
                 n = wt_v + wt_w - 1 - d
-                img = module.mode_block(vl, n, wt_w).get(wl)
+                img = module.mode_image(vl, n, wl)
                 if img:  # paired with w' by dual-basis label matching
                     pair = sum((c * wp[label] for label, c in img.items() if label in wp), F0)
                     total += vc * wc * pair * z0 ** (-n - 1)

@@ -45,7 +45,8 @@ sections 5.2-5.3): a term c u w^e of U(gamma_{1/w}) v adds c Y_W(u)_k^t
 with k = e - n - 2 to Y_{W'}(v)_n.  The contragredient has two reads of it,
 chosen by what the caller asks for.  A weight block (``mode_block``, as
 sewing's two-sided check reads) transposes whole base blocks.  One label's
-image (``mode_image``, as a slot tail or ``mode_apply`` reads) is one column
+image (``mode_image``, the one single-label read: slot tails, ``mode_apply``,
+``hom_block``'s intertwiner check and ``three_point_block``) is one column
 of each base block, and ``Module._column`` sums that column by the transposed
 Jacobi recursion on columns of the shorter label and transposed generator
 blocks, so it fills no weight block of either module.  Each read costs what
@@ -287,8 +288,6 @@ class Module:
         wx = weight_of(t) - gw + j + 1
         for l in range(0, weight_of(rest) + s - h):
             b = gbinom(j, l)
-            if not b:
-                continue
             coef = -b if l % 2 else b
             for x, xc in self._gen_transpose(j - l, wx - l).get(t, {}).items():
                 acc.add(col, self._column(rest, h + l, x).items(),
@@ -296,8 +295,6 @@ class Module:
         # second sum: g_l^T applied to the column of u_{j+h-l} at t
         for l in range(0, gw + s):
             b = gbinom(j, l)
-            if not b:
-                continue
             coef = b if (l + j) % 2 else -b
             gt = self._gen_transpose(l, s)
             for y, yc in self._column(rest, j + h - l, t).items():

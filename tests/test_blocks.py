@@ -15,6 +15,7 @@ from voablocks.blocks import (INFINITY, BlockFunctional, IntertwinerError,
                               rational_glue, residue_pairing,
                               strong_residue_check, three_point_block,
                               vertex_block)
+from voablocks.graded import weight_of
 from voablocks.models import (contragredient, fock_module, gamma_twist,
                               heisenberg_model, virasoro_model)
 from voablocks.series import TruncSeries
@@ -546,6 +547,40 @@ def test_cold_nested_golden_fills_no_contragredient_block():
         dual = contragredient(M)
         assert dual._blocks == {} and dual._images, M.name
         assert M._cols and M._gen_T, M.name
+
+
+def three_point_from_blocks(module, v, z0, w, wp):
+    """<Y_W(v, z0) w, w'> summed from whole weight blocks (``mode_block``)."""
+    total = F(0)
+    for vl, vc in v.items():
+        for wl, wc in w.items():
+            for d in {weight_of(label) for label in wp}:
+                n = weight_of(vl) + weight_of(wl) - 1 - d
+                img = module.mode_block(vl, n, weight_of(wl)).get(wl, {})
+                pair = sum((c * wp[label] for label, c in img.items() if label in wp), F(0))
+                total += vc * wc * pair * z0 ** (-n - 1)
+    return total
+
+
+@pytest.mark.parametrize("make, v, w, wp", [
+    (heisenberg_model, {(1,): F(1), (2, 1): F(1, 3)}, {(1,): F(2), (1, 1): F(-1)},
+     {(): F(1), (2,): F(1, 2), (3, 1): F(5)}),
+    (lambda: virasoro_model(F(-22, 5)), {(2,): F(1), (3, 2): F(1, 3)},
+     {(2,): F(2), (2, 2): F(-1)}, {(): F(1), (3,): F(1, 2), (2, 2): F(1), (4, 2): F(5)}),
+    (lambda: fock_module(heisenberg_model(), F(1, 2)), {(1,): F(1), (2, 1): F(1, 3)},
+     {(1,): F(2), (1, 1): F(-1)}, {(): F(1), (2,): F(1, 2), (3, 1): F(5)}),
+], ids=["heisenberg", "virasoro", "fock"])
+def test_contragredient_single_label_reads_fill_no_block(make, v, w, wp):
+    """three_point_block and hom_block's intertwiner check read one W' label
+    at a time: on a fresh contragredient they fill no W' weight block, and the
+    three-point value equals the sum over transposed blocks of another."""
+    M = make()
+    dual = contragredient(M)
+    got = three_point_block(dual, v, F(2, 3), w, wp)
+    assert got == three_point_from_blocks(contragredient(make()), v, F(2, 3), w, wp)
+    assert got and dual._blocks == {}
+    hom_block({label: {label: F(1)} for n in range(4) for label in M.basis_at(n)}, dual, M, 3)
+    assert dual._blocks == {}
 
 
 def memo_snapshot(*modules):

@@ -2,7 +2,6 @@
 
 import argparse
 import hashlib
-import importlib
 import json
 from fractions import Fraction as F
 
@@ -14,13 +13,6 @@ from voablocks.cli import (CHARACTER_CAP_MAX, CONTINUE_SEGMENTS_MAX, CONTINUE_ST
                            SERIES_ORDER_MAX, build_parser, main, run_report)
 from voablocks.jsonio import decode_rational, decode_series, dumps
 from voablocks.models import FockModule, heisenberg_model
-
-
-def layer(name):
-    """The module object of a layer, where a test patches what a subcommand
-    imports when it runs (the string path ``voablocks.schwarzian.<name>``
-    would resolve through the package's function ``schwarzian``)."""
-    return importlib.import_module(f"voablocks.{name}")
 
 
 def run(capsys, *argv):
@@ -264,6 +256,42 @@ class TestOde:
         assert code == 2
         assert capsys.readouterr().err == "error: each seed must have length 1\n"
 
+    @staticmethod
+    def series(*coeffs):
+        # a + b q, known below q^3
+        return {"var": "q", "floor": 0, "order": 3,
+                "coeffs": [{"num": str(c), "den": "1"} for c in (*coeffs, 0)]}
+
+    def solve(self, capsys, tmp_path, entries, seeds):
+        seeds = {n: [{"num": str(x), "den": "1"} for x in v] for n, v in seeds.items()}
+        fx = tmp_path / "mat.json"
+        fx.write_text(json.dumps({"entries": entries, "seeds": seeds}))
+        code = main(["ode", "solve", "--matrix", str(fx), "--order", "2"])
+        cap = capsys.readouterr()
+        assert cap.err == ""
+        return code, json.loads(cap.out)
+
+    @pytest.mark.parametrize("seeds, code", [({}, 1), ({"2": [1]}, 0)],
+                             ids=["unseeded", "seeded"])
+    def test_resonance_needs_a_seed(self, capsys, tmp_path, seeds, code):
+        # A = 2 + q: n - 2 is singular at n = 2
+        got, doc = self.solve(capsys, tmp_path, [[self.series(2, 1)]], seeds)
+        assert got == code
+        if code:
+            assert doc == {"schema": "voa-blocks/1", "command": "ode solve", "resonance": 2,
+                           "error": "resonance at n = 2: (n - Ahat_0) singular "
+                                    "(kernel of dimension 1); seed required"}
+        else:
+            assert [v[0]["num"] for v in doc["modes"]] == ["0", "0", "1"]
+
+    def test_seed_violating_the_recursion(self, capsys, tmp_path):
+        # A0 = diag(0, 1) and A1 = E_10: at n = 1 the seed 0 leaves A1 psi_0 unmatched
+        entries = [[self.series(0, 0), self.series(0, 0)],
+                   [self.series(0, 1), self.series(1, 0)]]
+        code, doc = self.solve(capsys, tmp_path, entries, {"0": [1, 0], "1": [0, 0]})
+        assert code == 1 and doc["resonance"] == 1
+        assert doc["error"] == "resonance at n = 1: seed violates the recursion"
+
     def test_continue_provenance(self, capsys, matrix_fixture, tmp_path):
         path = tmp_path / "path.json"
         path.write_text(json.dumps({"waypoints": [[0.05, 0.0], [0.1, 0.0]],
@@ -321,7 +349,7 @@ class TestReport:
             seen.append((f, g))
             return len(seen) not in (3, 6)
 
-        monkeypatch.setattr(layer("schwarzian"), "cocycle_check", broken)
+        monkeypatch.setattr("voablocks.schwarzian.cocycle_check", broken)
         code, out = run(capsys, "report", "--seed", "5")
         doc = json.loads(out)
         assert code == 1 and doc["passed"] is False
@@ -343,7 +371,7 @@ class TestReport:
             rep.passed = True
             return rep
 
-        monkeypatch.setattr(layer("blocks"), "rational_glue", accept)
+        monkeypatch.setattr("voablocks.blocks.rational_glue", accept)
         rep = run_report(3)
         (check,) = [c for c in rep["checks"] if not c["passed"]]
         w = check["witness"]
@@ -507,7 +535,7 @@ class TestMalformedInput:
     def test_continue_path_above_ceiling(self, capsys, tmp_path, monkeypatch):
         def no_transport(*args, **kwargs):
             raise AssertionError("transport ran")
-        monkeypatch.setattr(layer("odepole"), "numeric_continue", no_transport)
+        monkeypatch.setattr("voablocks.odepole.numeric_continue", no_transport)
         err = self.check(capsys, *self.continue_fixtures(tmp_path, CONTINUE_SEGMENTS_MAX + 1),
                          "--steps", "50")
         assert str(CONTINUE_SEGMENTS_MAX) in err
@@ -547,7 +575,7 @@ class TestMalformedInput:
     def test_three_point_label_above_ceiling(self, capsys, tmp_path, monkeypatch, key, label):
         def no_block(*args, **kwargs):
             raise AssertionError("block built")
-        monkeypatch.setattr(layer("blocks"), "three_point_block", no_block)
+        monkeypatch.setattr("voablocks.blocks.three_point_block", no_block)
         monkeypatch.chdir(tmp_path)
         (tmp_path / "tp.json").write_text(json.dumps(three_point("heisenberg", **{key: {label: 1}})))
         err = self.check(capsys, *THREE_POINT)

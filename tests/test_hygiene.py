@@ -60,7 +60,7 @@ def test_unused_import_check_catches_a_leftover():
 
 @pytest.mark.parametrize("name", MODULES)
 def test_no_unused_imports(name):
-    # MODULES leaves out __init__, whose imports are the package's re-exports
+    # MODULES leaves out __init__, which imports nothing
     path = ROOT / "src" / "voablocks" / f"{name}.py"
     assert unused_imports(path.read_text()) == []
 
