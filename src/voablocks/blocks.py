@@ -245,16 +245,6 @@ class _Witness:
         self.order = order        # pole order m (kind=pole) or degree k
         self.residue = residue
 
-    def product_exponents(self, z0=None):
-        """(m, n) with lambda = zeta^m (zeta - z0)^n dzeta, when expressible."""
-        if self.kind == "infinity":
-            return (self.order, 0)
-        if self.point == 0:
-            return (-self.order, 0)
-        if z0 is not None and self.point == Fraction(z0):
-            return (0, -self.order)
-        return None
-
     def __repr__(self):
         if self.kind == "infinity":
             return f"<lambda = zeta^{self.order} dzeta, residue sum {self.residue}>"
@@ -347,8 +337,10 @@ def strong_residue_check(tails, points=None) -> ResidueReport:
 def rational_glue(exp0: TruncSeries, exp_z0: TruncSeries, exp_inf: TruncSeries,
                   z0) -> ResidueReport:
     """Glue expansions at 0, z0 and infinity into a global rational
-    function, or report the violated pairing zeta^m (zeta - z0)^n dzeta
-    (read it off the witness with ``product_exponents(z0)``)."""
+    function, or report the first violated pairing as the witness: the form
+    (zeta - p)^{-m} dzeta at a pole p (``kind`` "pole", ``point`` p,
+    ``order`` m) or zeta^k dzeta at infinity (``kind`` "infinity",
+    ``order`` k)."""
     z0 = Fraction(z0)
     if z0 == 0:
         raise ValueError("z0 must be nonzero")

@@ -26,9 +26,14 @@ at most ``FIXTURE_WEIGHT_MAX`` (10): the block of v fills the whole weight
 space of w for every suffix of v's label, so the cost grows with both
 weights.  One label of each at the bound takes about 1 s (F_{2/3} with
 v = alpha_{-1}^10 1, the slowest shape; at weight 12 it took 4.6 s, and on
-the Heisenberg VOA v = alpha_{-1}^2 1 against w of weight 40 took 6.9 s),
-and a fixture that lists every label up to the bound in all three vectors
-about 17 s; a heavier label exits 2 before any block is built.
+the Heisenberg VOA v = alpha_{-1}^2 1 against w of weight 40 took 6.9 s);
+a heavier label exits 2 before any block is built.  Each of the three
+vectors holds at most ``FIXTURE_LABELS_MAX`` (16) labels: the block is read
+once per label of v, label of w and weight of w', and a fixture that lists
+all 139 labels up to the weight bound in each vector took 15 s on F_{2/3}.
+At the cap, the 16 longest labels of weight 9 and 10 in v and in w, with
+w' on every weight 0..10, take about 2 s on F_{2/3} (0.45 s on Vir_{7/3}); a
+longer vector exits 2 before any block is built.
 ``--order`` of ``coord extract``, ``schwarzian`` and ``uniformize`` is at
 most ``SERIES_ORDER_MAX`` (100): ``coord extract`` takes seconds there and
 its cost grows about as order^3, so a larger order exits 2 before the
@@ -65,6 +70,7 @@ __all__ = ["main", "build_parser", "run_report"]
 
 CHARACTER_CAP_MAX = 40
 FIXTURE_WEIGHT_MAX = 10
+FIXTURE_LABELS_MAX = 16
 SERIES_ORDER_MAX = 100
 HUANG_CAP_MAX = 6
 HUANG_ORDER_MAX = 12
@@ -200,6 +206,10 @@ def cmd_blocks_three_point(args):
     vector = vector_of(module.voa.gen_weight, FIXTURE_WEIGHT_MAX)
     fx = load_fixture(args.fixture, {"v": vector, "z0": decode_rational,
                                      "w": vector, "wp": vector})
+    for key in ("v", "w", "wp"):
+        if len(fx[key]) > FIXTURE_LABELS_MAX:
+            raise ValueError(f"fixture {args.fixture}: {key}: {len(fx[key])} labels, "
+                             f"must be at most {FIXTURE_LABELS_MAX}")
     from .blocks import three_point_block
 
     val = three_point_block(module, fx["v"], fx["z0"], fx["w"], fx["wp"])

@@ -51,7 +51,7 @@ from operator import mul
 from .graded import vec_add_into, vec_is_zero, vec_max_weight, vec_scale_ltilde0, weight_of
 from .models import Module
 from .series import TruncSeries, _series, series_comp_inverse
-from .virasoro import apply_exp_raising, exp_terms, gbinom
+from .virasoro import apply_exp_raising, gbinom
 
 __all__ = [
     "CoordChange",
@@ -331,8 +331,11 @@ def huang_conjugation_check(alpha: CoordChange, v, w: dict, module: Module,
         return out
 
     coeffs: dict = {}
-    for term in exp_terms(raising, {(label, 0): c for label, c in v.items()}):
+    term, k = {(label, 0): c for label, c in v.items()}, 0
+    while term:  # X^k v / k! with X = raising; finite, as L_n lowers the weight
         vec_add_into(coeffs, term)
+        k += 1
+        term = {key: c / k for key, c in raising(term).items() if c}
     fmaps: dict = {}  # label -> {e: [z^e] of exp(sum c_n L_n) v}
     for (label, e), x in coeffs.items():
         fmaps.setdefault(label, {})[e] = x

@@ -9,11 +9,13 @@ label equality.
 Vectors are plain ``{label: coefficient}`` dicts of rationals: no vector
 holds a series (see the series module notes).
 
-Exact rational sums that build many entries, the weight blocks and the
-contragredient transpose of ``models`` and U(rho) in ``virasoro``, run on
-the one private accumulator ``_IntVectors``: integer numerators over one
-running common denominator, one Fraction per entry at the end (the
-common-denominator representation of ``series.series_mul``).
+Exact rational sums that build many entries run on the one private
+accumulator ``_IntVectors``: integer numerators over one running common
+denominator, one Fraction per entry at the end (the common-denominator
+representation of ``series.series_mul``).  Its users are the weight blocks,
+the base-module columns and the two contragredient reads (a whole block and
+one label's image) in ``models``, and ``virasoro.apply_exp_raising``, which
+sums U(rho) and the contragredient twist.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from math import lcm
 __all__ = [
     "weight_of",
     "vec_add_into",
-    "vec_scale",
     "vec_scale_ltilde0",
     "vec_weight_project",
     "vec_max_weight",
@@ -89,10 +90,6 @@ class _IntVectors:
         if den == 1:  # integer sums: Fraction(n) skips the gcd
             return {t: {k: Fraction(n) for k, n in vec.items()} for t, vec in self.vecs.items()}
         return {t: {k: Fraction(n, den) for k, n in vec.items()} for t, vec in self.vecs.items()}
-
-
-def vec_scale(v: dict, c) -> dict:
-    return {label: a * c for label, a in v.items()}
 
 
 def vec_scale_ltilde0(v: dict, s) -> dict:

@@ -53,10 +53,12 @@ blocks, so it fills no weight block of either module.  Each read costs what
 its caller uses: a cold propagation reads a few labels per weight, and
 building whole blocks from columns would slow the block read.  A column of
 a contragredient block is a base row through the twist, so the same read
-serves ``DualModule(DualModule(W))``.  ``gamma_twist`` builds the twist as
-(w-exponent, vector) terms; it is the one place that applies L_1, and the
-blocks module reuses it at infinity.  Each VOA label's twist is built once
-and kept on the VOA; a vector's twist is the combination of its labels'.
+serves ``DualModule(DualModule(W))``.  ``gamma_twist`` reads the twist off
+e^{L_1} (-1)^{Ltilde0} v, summed by ``virasoro.apply_exp_raising`` (the one
+e^{L_1} of the library), as (w-exponent, vector) terms: the weight-j part of
+a weight-k label sits at w^{k+j}.  The blocks module reuses it at infinity.
+Each VOA label's twist is built once and kept on the VOA; a vector's twist
+is the combination of its labels'.
 Each module has one contragredient, ``contragredient(W)``, built on first
 use and kept on W, so every caller shares one W' memo.  The contragredient
 is involutive, (W')' = W on the same labels, so ``contragredient(W')`` is W
@@ -74,7 +76,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .graded import _IntVectors, vec_add_into, vec_is_zero, vec_max_weight, weight_of
-from .virasoro import exp_terms, gbinom, vir_bracket
+from .virasoro import apply_exp_raising, gbinom, vir_bracket
 
 __all__ = [
     "partitions",
@@ -533,14 +535,17 @@ def gamma_twist(v, module: Module) -> list:
 
 
 def _label_twist(voa: "VOAModel", label: tuple) -> tuple:
-    """The memoized twist of one VOA label: (-1)^k label at w^{2k}, k its
-    weight, then the term L_1^m / m! of e^{w^{-1} L_1} at w^{2k-m}."""
+    """The memoized twist of one VOA label of weight k, read off
+    e^{L_1} (-1)^k label from ``apply_exp_raising``: its weight-j part, the
+    term L_1^{k-j} / (k-j)! of e^{w^{-1} L_1}, sits at w^{k+j}."""
     tw = voa._twists.get(label)
     if tw is None:
         k = weight_of(label)
-        terms = exp_terms(lambda x: voa.L_apply(1, x), {label: -F1 if k % 2 else F1})
+        parts: dict = {}
+        for u, c in apply_exp_raising([1], 1, {label: -1 if k % 2 else 1}, voa).items():
+            parts.setdefault(k + weight_of(u), {})[u] = c
         tw = voa._twists[label] = tuple(
-            (2 * k - m, MappingProxyType(term)) for m, term in enumerate(terms))[::-1]
+            (e, MappingProxyType(parts[e])) for e in sorted(parts))
     return tw
 
 

@@ -140,15 +140,6 @@ class FormalSolution:
         img = _mode_sum(self.ode, self._nums, self._den, n)
         return [n * x - y for x, y in zip(self.modes[n], img)]
 
-    def partial_sum(self, q):
-        """Value of the degree-K partial sum at an exact or float point."""
-        out = [0 * q for _ in range(self.ode.dim)]
-        p = 1
-        for v in self.modes:
-            out = [x + c * p for x, c in zip(out, v)]
-            p = p * q
-        return out
-
     def __repr__(self):
         return f"FormalSolution(K={self.K}, dim={self.ode.dim})"
 

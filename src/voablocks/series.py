@@ -14,8 +14,8 @@ Three flavours:
   sewing identity).
 
 * :class:`QExpansion` -- sum_{n >= 0} a_n q^(lam + n): a rational offset
-  lam plus one TruncSeries in q with floor 0, whose product adds the
-  offsets; the one q-series type of sewn series and characters.
+  lam plus one TruncSeries in q with floor 0; the one q-series type of sewn
+  series and characters.
 
 A TruncSeries holds rationals only: its constructor refuses any
 coefficient that is not an ``int`` or a ``Fraction``.  It is an immutable
@@ -47,7 +47,6 @@ __all__ = [
     "series_mul",
     "series_compose",
     "series_comp_inverse",
-    "series_residue",
 ]
 
 _ZERO = Fraction(0)
@@ -415,13 +414,6 @@ def series_comp_inverse(f: TruncSeries) -> TruncSeries:
     return _series(f.var, 1, [x * (den // d) for x, d in terms], den, f.order)
 
 
-def series_residue(a: TruncSeries):
-    """Coefficient of x^{-1}; errors when -1 lies outside the stored window."""
-    if not (a.floor <= -1 <= a.order - 1):
-        raise IndexError("exponent -1 outside the stored window")
-    return a.coeff(-1)
-
-
 class BivarSeries:
     """Truncated series in two variables: the nonzero monomials
     ``coeffs = {(r, s): c}``, every one with r < orders[0] and s < orders[1].
@@ -474,30 +466,8 @@ class QExpansion:
     def order(self) -> int:
         return self.series.order
 
-    def coeff_at(self, exponent):
-        """Coefficient of q^exponent; zero off offset + Z and below offset."""
-        d = Fraction(exponent) - self.offset
-        return self.series.coeff(int(d)) if d.denominator == 1 else _ZERO
-
     def shift_offset(self, delta) -> "QExpansion":
         return QExpansion(self.offset + Fraction(delta), self.series)
-
-    def __add__(self, other: "QExpansion") -> "QExpansion":
-        if not isinstance(other, QExpansion):
-            return NotImplemented
-        d = other.offset - self.offset
-        if d.denominator != 1:
-            raise ValueError("offsets differ by a non-integer; not addable")
-        if d < 0:
-            return other + self
-        # smaller offset wins; other shifts up by d
-        return QExpansion(self.offset, self.series + other.series.shift(int(d)))
-
-    def __mul__(self, other: "QExpansion") -> "QExpansion":
-        """Product on the shorter order; the offsets add."""
-        if not isinstance(other, QExpansion):
-            return NotImplemented
-        return QExpansion(self.offset + other.offset, series_mul(self.series, other.series))
 
     def __eq__(self, other):
         """Equality on the common window after aligning the offsets."""

@@ -8,9 +8,9 @@ provides the per-label L_n images ``_L(n, label)``; the exponential is a
 finite sum because L_n with n > 0 lowers the grading weight by n.  Its
 scalars are rationals only: it sums the terms X^k w / k! on the integer
 accumulator ``graded._IntVectors``, the one the weight blocks use, and
-builds one Fraction per output entry.  ``exp_terms``, the X^k w / k! loop
-over a given step on Fraction vectors, builds the e^{L_1} of ``gamma_twist``
-and the exp(sum c_n(z) L_n) v of Huang's check, on (label, z-exponent) keys.
+builds one Fraction per output entry.  It is the library's one e^{L_1}:
+``models.gamma_twist`` reads the contragredient twist off e^{L_1} v.  Only
+Huang's check, whose c_n are z-series, sums its own exponential.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .graded import _IntVectors, vec_scale, weight_of
+from .graded import _IntVectors, weight_of
 from .series import _integer_form
 
-__all__ = ["vir_bracket", "exp_terms", "apply_exp_raising", "gbinom"]
+__all__ = ["vir_bracket", "apply_exp_raising", "gbinom"]
 
 
 def vir_bracket(m: int, n: int, c) -> tuple[int, Fraction]:
@@ -41,19 +41,6 @@ def gbinom(j: int, l: int) -> int:
     return -b if l % 2 else b
 
 
-def exp_terms(step, w: dict) -> list:
-    """The terms X^k w / k! of e^X w for k = 0, 1, ... while nonzero, with X
-    given as ``step(vec) -> X vec``.  Exact zeros are dropped, so the list is
-    finite whenever X lowers the grading weight."""
-    terms = []
-    k = 0
-    while w:
-        terms.append(w)
-        k += 1
-        w = {label: c for label, c in vec_scale(step(w), Fraction(1, k)).items() if c}
-    return terms
-
-
 def apply_exp_raising(coeffs, c0, w: dict, module) -> dict:
     """c0^{Ltilde0} . exp(sum_{k>=1} coeffs[k-1] L_k) . w on a graded module.
 
@@ -67,8 +54,8 @@ def apply_exp_raising(coeffs, c0, w: dict, module) -> dict:
     grows to an lcm only when an image needs it.  One Fraction is built
     per output entry, with c0^{wt} folded in once per weight.  Modes are
     the outer loop and labels the inner one, so entries appear, cancel and
-    reappear in the order of ``exp_terms`` over the step
-    sum_i c_i L_apply(i, .).
+    reappear in the order of ``vec_add_into`` summing the terms in turn,
+    each term the step sum_i c_i L_apply(i, .) of the one before.
     """
     for x in (c0, *coeffs, *w.values()):
         if not isinstance(x, (int, Fraction)):

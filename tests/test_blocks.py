@@ -86,7 +86,6 @@ class TestGlue:
         rep = rational_glue(bad, POLE01.expand_at(1, 4),
                             POLE01.expand_at_infinity(4), 1)
         assert not rep.passed
-        assert rep.witness.product_exponents(1) is not None
 
     def test_agrees_with_strong_residue_check(self):
         rng = random.Random(30)
@@ -369,7 +368,57 @@ def test_residue_pairing_matches_closed_form(data):
         assert f"order >= {short[1]} on the first" in str(err.value)
 
 
+def l1_exponential_twist(voa, label) -> list:
+    """U(gamma_{1/w}) of a weight-k label from its definition: the term
+    (-1)^k L_1^m v / m! at w^{2k-m}, each one L_apply(1, .) of the last over
+    m, in ascending w-exponents."""
+    k = weight_of(label)
+    term, terms, m = {label: F(-1 if k % 2 else 1)}, [], 0
+    while term:
+        terms.append((2 * k - m, term))
+        m += 1
+        term = {u: c / m for u, c in voa.L_apply(1, term).items() if c}
+    return terms[::-1]
+
+
+_TWIST_RNG = random.Random(11)
+# the Ising and Lee-Yang charges, a generic one, and two drawn rationals
+TWIST_CHARGES = [F(1, 2), F(-22, 5), F(7, 3)] + [
+    F(_TWIST_RNG.randint(-60, 60), _TWIST_RNG.randint(1, 12)) for _ in range(2)]
+TWIST_MODELS = [heisenberg_model] + [lambda c=c: virasoro_model(c) for c in TWIST_CHARGES]
+TWIST_IDS = ["H"] + [f"Vir_{c}" for c in TWIST_CHARGES]
+
+
 class TestGammaTwist:
+    @pytest.mark.parametrize("make", TWIST_MODELS, ids=TWIST_IDS)
+    def test_every_label_matches_the_l1_exponential(self, make):
+        # values, value types and key order, on a fresh VOA so every twist
+        # is built cold
+        voa = make()
+        for wt in range(9):
+            for label in voa.basis_at(wt):
+                got = [(e, [(u, type(c), c) for u, c in vec.items()])
+                       for e, vec in gamma_twist(label, voa)]
+                want = [(e, [(u, type(c), c) for u, c in vec.items()])
+                        for e, vec in l1_exponential_twist(voa, label)]
+                assert got == want, label
+
+    @pytest.mark.parametrize("make", TWIST_MODELS, ids=TWIST_IDS)
+    def test_a_vector_twists_as_its_labels_combine(self, make):
+        voa = make()
+        rng = random.Random(3)
+        labels = [label for wt in range(7) for label in voa.basis_at(wt)]
+        for _ in range(10):
+            v = {label: rand_frac(rng) for label in rng.sample(labels, 4)}
+            want: dict = {}
+            for label, c in v.items():
+                for e, vec in l1_exponential_twist(voa, label):
+                    part = want.setdefault(e, {})
+                    for u, x in vec.items():
+                        part[u] = part.get(u, 0) + c * x
+            want = {e: {u: x for u, x in vec.items() if x} for e, vec in want.items()}
+            assert gamma_twist(v, voa) == sorted((e, vec) for e, vec in want.items() if vec)
+
     def test_heisenberg_generator(self):
         assert gamma_twist((1,), H) == [(2, {(1,): F(-1)})]
 

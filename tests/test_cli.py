@@ -9,8 +9,8 @@ import pytest
 
 from voablocks.blocks import rational_glue
 from voablocks.cli import (CHARACTER_CAP_MAX, CONTINUE_SEGMENTS_MAX, CONTINUE_STEPS_MAX,
-                           FIXTURE_WEIGHT_MAX, HUANG_CAP_MAX, HUANG_ORDER_MAX,
-                           SERIES_ORDER_MAX, build_parser, main, run_report)
+                           FIXTURE_LABELS_MAX, FIXTURE_WEIGHT_MAX, HUANG_CAP_MAX,
+                           HUANG_ORDER_MAX, SERIES_ORDER_MAX, build_parser, main, run_report)
 from voablocks.jsonio import decode_rational, decode_series, dumps
 from voablocks.models import FockModule, heisenberg_model
 
@@ -463,6 +463,11 @@ def three_point(model, **keys):
     return {"model": model, "v": {"1": 1}, "z0": 2, "w": {"": 1}, "wp": {"": 1}, **keys}
 
 
+# the Heisenberg labels of weight <= 6 (30 of them) as fixture keys
+H_LABELS = [",".join(map(str, label))
+            for wt in range(7) for label in heisenberg_model().basis_at(wt)]
+
+
 def glue(**series_keys):
     one = {"num": "1", "den": "1"}
     tail = {"var": "t", "floor": 0, "order": 1, "coeffs": [one]}
@@ -590,6 +595,27 @@ class TestMalformedInput:
         monkeypatch.chdir(tmp_path)
         vectors = {key: {label: 1} for key in ("v", "w", "wp")}
         (tmp_path / "tp.json").write_text(json.dumps(three_point(model, **extra, **vectors)))
+        code, out = run(capsys, *THREE_POINT)
+        assert code == 0
+        assert json.loads(out)["command"] == "blocks three-point"
+
+    @pytest.mark.parametrize("key", ["v", "w", "wp"])
+    def test_three_point_vector_above_label_cap(self, capsys, tmp_path, monkeypatch, key):
+        def no_block(*args, **kwargs):
+            raise AssertionError("block built")
+        monkeypatch.setattr("voablocks.blocks.three_point_block", no_block)
+        monkeypatch.chdir(tmp_path)
+        vector = {label: 1 for label in H_LABELS[:FIXTURE_LABELS_MAX + 1]}
+        (tmp_path / "tp.json").write_text(json.dumps(three_point("heisenberg", **{key: vector})))
+        err = self.check(capsys, *THREE_POINT)
+        assert f" {key}: {FIXTURE_LABELS_MAX + 1} labels" in err
+        assert f"must be at most {FIXTURE_LABELS_MAX}" in err
+
+    def test_three_point_vectors_at_label_cap_run(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        vector = {label: 1 for label in H_LABELS[:FIXTURE_LABELS_MAX]}
+        vectors = {key: vector for key in ("v", "w", "wp")}
+        (tmp_path / "tp.json").write_text(json.dumps(three_point("heisenberg", **vectors)))
         code, out = run(capsys, *THREE_POINT)
         assert code == 0
         assert json.loads(out)["command"] == "blocks three-point"

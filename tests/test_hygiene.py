@@ -1,7 +1,7 @@
 """Package hygiene: every exported name resolves, no module imports a name
 it never uses, the CLI loads no layer but ``jsonio`` with itself, every
-public function is named somewhere, every defaulted parameter is set
-somewhere, and every demo runs."""
+function is named somewhere, and all but a listed few outside the unit
+tests, every defaulted parameter is set somewhere, and every demo runs."""
 
 import ast
 import importlib
@@ -156,6 +156,59 @@ def test_every_public_function_is_named():
     readers = [p.read_text() for d in ("src", "tests", "demos")
                for p in sorted((ROOT / d).rglob("*.py"))]
     assert unnamed_functions({p.name: p.read_text() for p in src}, readers) == []
+
+
+def library_readers(root: Path) -> list:
+    """The sources that use the library as a program does: the library
+    itself, the demos, the benchmark and the acceptance tests, but no unit
+    test."""
+    paths = [p for d in ("src", "demos", "perfbench") for p in sorted((root / d).rglob("*.py"))]
+    return [p.read_text() for p in paths + [root / "tests" / "test_acceptance.py"]]
+
+
+def test_library_reader_check_catches_a_leftover(tmp_path):
+    files = {"src/voablocks/m.py": "def run():\n    return 1\ndef bench_only():\n    return 2\n"
+                                   "def unit_tested():\n    return 3\n",
+             "demos/d.py": "from voablocks.m import run\nrun()\n",
+             "perfbench/ops.py": "from voablocks.m import bench_only\nbench_only()\n",
+             "tests/test_acceptance.py": "from voablocks.m import run\n",
+             "tests/test_m.py": "from voablocks.m import unit_tested\nunit_tested()\n"}
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    # a function that only a unit test names is reported; one that only the
+    # benchmark names is not
+    defined = {"m.py": files["src/voablocks/m.py"]}
+    assert unnamed_functions(defined, library_readers(tmp_path)) == [("m.py", 5, "unit_tested")]
+
+
+# Functions that no library, demo, benchmark or acceptance code names, and
+# why each stays.
+UNIT_TESTED_ONLY = {
+    # the paper's block of a module map T: W1 -> W2'; identity_hom is its
+    # T = identity case and builds the pairing without the intertwiner check
+    "hom_block",
+    # the sewing series by its definition, a sum over a basis of M(n): the
+    # reference route that torus_character's traces are tested against
+    "sew",
+    # the self-sewable three-point fixture that sew runs on
+    "character_block",
+    # the gamma_xi relation of U(rho), a paper identity checked on its own
+    "gamma_relation_check",
+    # the closed form of U(rho) on the conformal vector through the
+    # Schwarzian, (rho'(0)^2, (c/12) S(rho)(0)): a paper construction
+    "conformal_transition",
+    # _Parser.error: argparse calls it on input it rejects
+    "error",
+}
+
+
+def test_no_library_code_only_unit_tests_call():
+    # a function that only its own unit tests reach is dead code, unless it
+    # is one of the constructions or hooks above
+    src = sorted((ROOT / "src" / "voablocks").glob("*.py"))
+    unnamed = unnamed_functions({p.name: p.read_text() for p in src}, library_readers(ROOT))
+    assert sorted(name for _, _, name in unnamed) == sorted(UNIT_TESTED_ONLY)
 
 
 def unset_defaults(defined: dict, readers: list) -> list:

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from voablocks.series import (BivarSeries, QExpansion, TruncSeries,
-                              series_comp_inverse, series_compose, series_mul,
-                              series_residue)
+                              series_comp_inverse, series_compose, series_mul)
 
 rationals = st.builds(F, st.integers(-30, 30), st.integers(1, 6))
 
@@ -403,13 +402,6 @@ def test_reciprocal_rejects_series_coefficients():
         TruncSeries("z", 0, XS).reciprocal()
 
 
-def test_residue():
-    s = TruncSeries.from_coeff_map("z", {-2: F(5), -1: F(7), 3: F(1)}, 4)
-    assert series_residue(s) == 7
-    with pytest.raises(IndexError):
-        series_residue(poly("z", {0: F(1)}, 3))
-
-
 def test_truncseries_equality_is_unhashable():
     # equality normalizes windows and accepts scalars, so it is not
     # transitive and no hash can agree with it
@@ -420,39 +412,15 @@ def test_truncseries_equality_is_unhashable():
 
 
 class TestQExpansion:
-    def test_add_alignment(self):
-        a = QExpansion(F(0), [F(1), F(1), F(1)])
-        b = QExpansion(F(1), [F(3)])
-        s = a + b
-        assert s.offset == 0
-        assert s.coeff_at(1) == 4 and s.coeff_at(0) == 1
-
-    def test_add_incommensurable_offsets_rejected(self):
-        with pytest.raises(ValueError):
-            QExpansion(F(0), [F(1)]) + QExpansion(F(1, 2), [F(1)])
-
     def test_q_ddq(self):
         s = QExpansion(F(1, 3), [F(1), F(2)])
         d = s.q_ddq()
-        assert d.coeff_at(F(1, 3)) == F(1, 3)
-        assert d.coeff_at(F(4, 3)) == 2 * F(4, 3)
+        # q^(1/3 + n) times 1/3 + n
+        assert d.offset == F(1, 3) and list(d.coeffs) == [F(1, 3), 2 * F(4, 3)]
 
     def test_shift_offset(self):
         s = QExpansion(F(0), [F(1), F(2)]).shift_offset(F(-1, 24))
         assert s.offset == F(-1, 24) and list(s.coeffs) == [1, 2]
-
-    @given(st.lists(rationals, max_size=7), st.lists(rationals, max_size=7),
-           rationals, rationals)
-    def test_product_matches_a_double_loop(self, a, b, la, lb):
-        # oracle: the plain Cauchy product, cut at the shorter order
-        n = min(len(a), len(b))
-        want = [sum((a[i] * b[k - i] for i in range(k + 1)), F(0)) for k in range(n)]
-        p = QExpansion(la, a) * QExpansion(lb, b)
-        assert p.offset == la + lb and p.order == n and list(p.coeffs) == want
-
-    def test_one_minus_q_times_the_geometric_series_is_one(self):
-        p = QExpansion(F(1, 3), [1, -1, 0, 0]) * QExpansion(F(-1, 3), [1] * 6)
-        assert p.offset == 0 and list(p.coeffs) == [1, 0, 0, 0]
 
     @pytest.mark.parametrize("series", [TruncSeries("z", 0, [F(1)]),
                                         TruncSeries("q", 1, [F(1)]),
