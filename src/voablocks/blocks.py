@@ -128,35 +128,12 @@ class RationalFunction:
             if part:
                 self.poles[Fraction(p)] = part
 
-    # -- algebra ------------------------------------------------------
-
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        poly = dict(self.poly)
-        for k, c in other.poly.items():
-            poly[k] = poly.get(k, F0) + c
-        poles = {p: dict(part) for p, part in self.poles.items()}
-        for p, part in other.poles.items():
-            dst = poles.setdefault(p, {})
-            for m, c in part.items():
-                dst[m] = dst.get(m, F0) + c
-        return RationalFunction(poly, poles)
-
-    def scale(self, s) -> "RationalFunction":
-        s = Fraction(s)
-        return RationalFunction({k: c * s for k, c in self.poly.items()},
-                                {p: {m: c * s for m, c in part.items()}
-                                 for p, part in self.poles.items()})
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def is_zero(self) -> bool:
-        return not self.poly and not self.poles
-
     def __eq__(self, other):
+        # the constructor drops zero coefficients, so equal functions have
+        # equal maps
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        return (self - other).is_zero()
+        return self.poly == other.poly and self.poles == other.poles
 
     def __hash__(self):
         return hash((tuple(sorted(self.poly.items())),

@@ -47,10 +47,12 @@ on that system; a longer path exits 2 before any transport runs.
 ``coord extract --count`` needs no bound of its own: it cannot exceed the
 series order, which ``SERIES_ORDER_MAX`` bounds.  ``coord huang`` runs one
 conjugation check per basis label up to ``--cap``, each on a z-window that
-grows with ``--order``, so ``--cap`` is at most ``HUANG_CAP_MAX`` (6) and
-``--order`` at most ``HUANG_ORDER_MAX`` (12): both at the bound take about
-3 s on F_{2/3} and about 2 s on the Heisenberg VOA, and a larger value exits
-2 before any model is built.
+grows with ``--order`` and not with the degree of ``--alpha``: every series
+of a(z) is cut at the window, so a term of a(z) beyond it costs nothing.
+``--cap`` is at most ``HUANG_CAP_MAX`` (6) and ``--order`` at most
+``HUANG_ORDER_MAX`` (12): both at the bound take about 3 s on F_{2/3} and
+about 2 s on the Heisenberg VOA, and a larger value exits 2 before any
+model is built.
 """
 
 from __future__ import annotations

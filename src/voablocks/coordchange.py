@@ -113,11 +113,12 @@ class CoordChange:
         if not poly.get(1):
             raise ValueError("rho'(0) must be nonzero (not in the group)")
         self.poly = poly
-        self.degree = max(poly)
         self._coeffs: list = []  # [c0, ..., c_m], the longest prefix asked for
 
     def series(self, order: int) -> TruncSeries:
-        return poly_series(self.poly, "z", max(order, self.degree + 1))
+        """rho known below z^order: terms of rho at or above z^order are cut,
+        so the window does not grow with rho's degree."""
+        return TruncSeries.from_coeff_map("z", self.poly, order)
 
     def inverse_series(self, order: int) -> TruncSeries:
         return series_comp_inverse(self.series(order))

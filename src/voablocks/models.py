@@ -51,9 +51,8 @@ of each base block, and ``Module._column`` sums that column by the transposed
 Jacobi recursion on columns of the shorter label and transposed generator
 blocks, so it fills no weight block of either module.  Each read costs what
 its caller uses: a cold propagation reads a few labels per weight, and
-building whole blocks from columns would slow the block read.  A column of
-a contragredient block is a base row through the twist, so the same read
-serves ``DualModule(DualModule(W))``.  ``gamma_twist`` reads the twist off
+building whole blocks from columns would slow the block read, as it runs
+both recursions on the base.  ``gamma_twist`` reads the twist off
 e^{L_1} (-1)^{Ltilde0} v, summed by ``virasoro.apply_exp_raising`` (the one
 e^{L_1} of the library), as (w-exponent, vector) terms: the weight-j part of
 a weight-k label sits at w^{k+j}.  The blocks module reuses it at infinity.
@@ -62,7 +61,8 @@ is the combination of its labels'.
 Each module has one contragredient, ``contragredient(W)``, built on first
 use and kept on W, so every caller shares one W' memo.  The contragredient
 is involutive, (W')' = W on the same labels, so ``contragredient(W')`` is W
-itself and no double transpose is ever filled.
+itself, no double transpose is ever filled, and ``DualModule(W')`` raises
+``ValueError``.
 
 Blocks, their images, the columns and the twist vectors are stored as
 read-only mappings, so a caller that mutates a returned image cannot corrupt
@@ -139,7 +139,7 @@ class Module:
 
     The basis labels of weight n are the partitions of n into parts >= the
     generator's weight (``basis_at``).  Subclasses provide ``gen_apply`` (or
-    override ``_block`` and ``_column_sum``), and may override ``_L_image``.
+    override ``_block`` and ``mode_image``), and may override ``_L_image``.
     ``mode_block`` memoizes the blocks per (v label, h, weight), and
     ``mode_image`` reads one label's image, which ``mode_apply`` sums;
     ``_column`` memoizes block columns per (v label, h, target label); ``_L``
@@ -460,6 +460,9 @@ class DualModule(Module):
     single-label images from base columns."""
 
     def __init__(self, base: Module):
+        if isinstance(base, DualModule):
+            raise ValueError(f"{base.name} is a contragredient: contragredient({base.name}) "
+                             f"is {base.base.name}")
         super().__init__()
         self.base = base
         self._dual = base
@@ -472,30 +475,20 @@ class DualModule(Module):
         """Y_{W'}(v)_h of one label without a weight block: the twist term
         c u w^e adds c times column wl of the base block Y_W(u)_{e-h-2}, in
         base ``basis_at`` order as ``_block`` adds it, so the image equals
-        that block's row in values, value types and key order."""
+        that block's row in values, value types and key order.  The terms
+        are summed on one accumulator ``graded._IntVectors``."""
         key = (vl, h, wl)
         img = self._images.get(key)
         if img is None:
-            img = self._images[key] = MappingProxyType(
-                self._twisted_sum(vl, h, wl, self.base._column))
+            out: dict = {}
+            acc = _IntVectors({wl: out})
+            for e, lv in reversed(gamma_twist(vl, self)):
+                for ul, uc in lv.items():
+                    col = self.base._column(ul, e - h - 2, wl)
+                    if col:
+                        acc.add(out, col.items(), uc.numerator, uc.denominator)
+            img = self._images[key] = MappingProxyType(acc.fractions()[wl])
         return img
-
-    def _column_sum(self, vl: tuple, h: int, t: tuple, s: int) -> dict:
-        """A column of a contragredient block is a base row through the
-        twist: the term c u w^e adds c Y_W(u)_{e-h-2} t."""
-        return self._twisted_sum(vl, h, t, self.base.mode_image)
-
-    def _twisted_sum(self, vl: tuple, h: int, label: tuple, read) -> dict:
-        """sum c read(u, e - h - 2, label) over the twist terms c u w^e of v,
-        summed on one accumulator ``graded._IntVectors``."""
-        out: dict = {}
-        acc = _IntVectors({label: out})
-        for e, lv in reversed(gamma_twist(vl, self)):
-            for ul, uc in lv.items():
-                vec = read(ul, e - h - 2, label)
-                if vec:
-                    acc.add(out, vec.items(), uc.numerator, uc.denominator)
-        return acc.fractions()[label]
 
     def _block(self, vl: tuple, h: int, wt: int) -> dict:
         """Transpose of base blocks through U(gamma_{1/w}): the twist term at

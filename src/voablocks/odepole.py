@@ -16,10 +16,11 @@ residual), and one Fraction is built per row.  At a resonance
 and is verified against the recursion.  The convergence certificate
 mirrors the classical majorant argument: with M the resonance bound,
 beta = M + 1 dominates ||(n - Ahat_0)^{-1}|| for n > M via the Neumann
-series (n - Ahat_0)^{-1} = n^{-1} sum_j (Ahat_0/n)^j, alpha bounds
-sum ||Ahat_n|| r1^n, gamma = max(1, alpha beta), and every radius
-r0 < r1/gamma works; we certify r0 = r1/(2 gamma) together with the
-inequality  r1^n ||psihat_n|| <= gamma n^{-1} sum_{j<n} r1^j ||psihat_j||
+series (n - Ahat_0)^{-1} = n^{-1} sum_j (Ahat_0/n)^j, alpha = C / (1 - g r1)
+bounds sum ||Ahat_n|| r1^n for a geometric majorant ||Ahat_n|| <= C g^n,
+gamma = max(1, alpha beta), and every radius r0 < r1/gamma works; we
+certify r0 = r1/(2 gamma) together with the inequality
+r1^n ||psihat_n|| <= gamma n^{-1} sum_{j<n} r1^j ||psihat_j||
 on all computed modes beyond M, exactly, on integers: the column sums of
 the integer rows, running powers of g, the modes' integer numerators, the
 numerators and denominators of r1 and gamma, and the sum kept as a
@@ -61,7 +62,7 @@ class PoleODE:
     """q d/dq psi = A(q) psi with A an N x N matrix of q-series that are
     holomorphic at 0 (entry floors >= 0)."""
 
-    def __init__(self, entries, order: int | None = None):
+    def __init__(self, entries):
         n = len(entries)
         if any(len(row) != n for row in entries):
             raise ValueError("A must be square")
@@ -69,15 +70,13 @@ class PoleODE:
 
         def entry(e):
             if not isinstance(e, TruncSeries):
-                if order is None:
-                    raise ValueError("scalar entries need an explicit order")
-                e = TruncSeries.const("q", Fraction(e), order)
+                raise ValueError(f"an entry must be a q-series, not {e!r}")
             if e.floor < 0:
                 raise ValueError("entries must be holomorphic at q = 0")
             return e
 
         self.entries = [[entry(e) for e in row] for row in entries]
-        self.order = min((e.order for row in self.entries for e in row), default=order or 0)
+        self.order = min((e.order for row in self.entries for e in row), default=0)
         # per row i, Ahat_m[i][k] flattened over m = order-1 .. 0 (then k) in
         # integer form, so the (j, k) terms of a mode sum are one slice
         self._rows = tuple(_integer_form([e.coeff(m) for m in range(self.order - 1, -1, -1)
@@ -197,16 +196,15 @@ class RadiusEstimate:
                 f"beta={self.beta}, gamma={self.gamma}, M={self.M})")
 
 
-def radius_estimate(ode: PoleODE, r1, alpha=None, majorant=None,
+def radius_estimate(ode: PoleODE, r1, majorant,
                     solution: FormalSolution | None = None) -> RadiusEstimate:
     """Certify a convergence radius r0 for formal solutions.
 
-    ``alpha`` bounds sum_n ||Ahat_n|| r1^n; it may be supplied directly or
-    derived from a declared geometric majorant (C, g) with
-    ||Ahat_n|| <= C g^n — the declaration is verified against every
-    computed coefficient (sound up to the truncation order) and requires
-    g r1 < 1, giving alpha = C / (1 - g r1).  When a FormalSolution is
-    passed, the growth inequality
+    alpha, the bound on sum_n ||Ahat_n|| r1^n, is derived from a declared
+    geometric majorant (C, g) with ||Ahat_n|| <= C g^n — the declaration is
+    verified against every computed coefficient (sound up to the truncation
+    order) and requires g r1 < 1, giving alpha = C / (1 - g r1).  When a
+    FormalSolution is passed, the growth inequality
 
         r1^n ||psihat_n|| <= gamma n^{-1} sum_{j<n} r1^j ||psihat_j||
 
@@ -223,21 +221,16 @@ def radius_estimate(ode: PoleODE, r1, alpha=None, majorant=None,
     norms = [max(cols[(order - 1 - m) * dim:(order - m) * dim], default=0) for m in range(order)]
     M = -(-norms[0] // L)  # ceil
     beta = Fraction(M + 1)
-    if alpha is None:
-        if majorant is None:
-            raise ValueError("supply alpha or a majorant (C, g)")
-        C, g = Fraction(majorant[0]), Fraction(majorant[1])
-        bn, bd = C.numerator, C.denominator  # C g^n = bn / bd, running powers
-        for n, nn in enumerate(norms):
-            if nn * bd > bn * L:
-                raise ValueError(f"majorant fails at coefficient {n}: ||Ahat_{n}|| = "
-                                 f"{Fraction(nn, L)} > {Fraction(bn, bd)}")
-            bn, bd = bn * g.numerator, bd * g.denominator
-        if g * r1 >= 1:
-            raise ValueError("majorant gives no finite bound on |q| <= r1")
-        alpha = C / (1 - g * r1)
-    else:
-        alpha = Fraction(alpha)
+    C, g = Fraction(majorant[0]), Fraction(majorant[1])
+    bn, bd = C.numerator, C.denominator  # C g^n = bn / bd, running powers
+    for n, nn in enumerate(norms):
+        if nn * bd > bn * L:
+            raise ValueError(f"majorant fails at coefficient {n}: ||Ahat_{n}|| = "
+                             f"{Fraction(nn, L)} > {Fraction(bn, bd)}")
+        bn, bd = bn * g.numerator, bd * g.denominator
+    if g * r1 >= 1:
+        raise ValueError("majorant gives no finite bound on |q| <= r1")
+    alpha = C / (1 - g * r1)
     gamma = max(F1, alpha * beta)
     r0 = r1 / (2 * gamma)
     growth_checked = 0

@@ -17,15 +17,17 @@ Three flavours:
   lam plus one TruncSeries in q with floor 0; the one q-series type of sewn
   series and characters.
 
-A TruncSeries holds rationals only: its constructor refuses any
-coefficient that is not an ``int`` or a ``Fraction``.  It is an immutable
-tuple of integer numerators over one positive denominator, in lowest terms
+A TruncSeries holds rationals only: its constructor refuses any coefficient
+that is not an ``int`` or a ``Fraction``.  It adds, subtracts and compares
+with series only; a rational scales it through ``scale`` or ``*``, and the
+int 0 that ``sum`` starts from leaves it as it is.  It is an immutable tuple
+of integer numerators over one positive denominator, in lowest terms
 (gcd(den, *nums) == 1), the content/primitive-part form of exact polynomial
 arithmetic.  ``coeffs`` is a read-only tuple view of the rationals.  Both
 forms are made on demand, once: a series built from rationals keeps the
 tuple it was given as its view and makes its integer form when a kernel
-first needs it; a kernel output is born integer and makes its Fractions
-only when they are read.  The ring operations, :func:`series_mul`,
+first needs it; a kernel output is born integer and makes its Fractions only
+when they are read.  The ring operations, :func:`series_mul`,
 :meth:`TruncSeries.reciprocal` and :func:`series_compose` run on the
 integers and reduce once per result; :func:`series_comp_inverse` is built
 from ``reciprocal`` and ``series_mul``.  The z-series c_n of Huang's
@@ -202,17 +204,13 @@ class TruncSeries:
         return not self.is_zero()
 
     def __eq__(self, other) -> bool:
-        if _is_scalar(other):
-            if self.order <= 0:
-                return NotImplemented
-            other = TruncSeries.const(self.var, other, self.order)
         if not isinstance(other, TruncSeries):
             return NotImplemented
         a, b = self.normalize(), other.normalize()
         return (a.var, a.floor, a.order, a._ints()) == (b.var, b.floor, b.order, b._ints())
 
-    # Equality with scalars and across windows is not transitive, so no
-    # hash can agree with it.
+    # Equality normalizes both sides and compares their integer forms; no
+    # set or dict is keyed by a series, so no hash repeats that work.
     __hash__ = None
 
     def __repr__(self):
@@ -237,18 +235,10 @@ class TruncSeries:
             raise ValueError(f"variable mismatch: {self.var!r} vs {other.var!r}")
 
     def _plus(self, other, sign: int):
-        """self + sign * other, for a rational or a series other."""
-        if _is_scalar(other):
-            if other == 0:
-                return self
-            if 0 >= self.order:
-                raise IndexError("constant term beyond truncation order")
-            nums, den = self._ints()
-            floor = min(self.floor, 0)
-            d = lcm(den, other.denominator)
-            acc = _on_window(nums, self.floor, floor, self.order, d // den)
-            acc[-floor] += sign * other.numerator * (d // other.denominator)
-            return _series(self.var, floor, acc, d, self.order)
+        """self + sign * other for a series other; the int 0 that ``sum``
+        starts from leaves self as it is."""
+        if isinstance(other, int) and other == 0:
+            return self
         if not isinstance(other, TruncSeries):
             return NotImplemented
         self._check_var(other)

@@ -6,7 +6,8 @@ dual-basis insertion weighted by q:
 
     (sew psi)(w_bullet) = sum_n  psi(w_bullet (x) P(n)|> (x) <|) q^n,
 
-where P(n)|> (x) <| = sum_a m(n,a) (x) dual m(n,a).  A SewnSeries keeps
+where P(n)|> (x) <| = sum_a m(n,a) (x) dual m(n,a), summed by ``sew`` for
+n = 0..K, the order of its ``SewableBlock``.  A SewnSeries keeps
 one QExpansion, the standard series in the L0 grading (offset Delta_M);
 the Ltilde0 grading has the same coefficients at offset 0.  Self-sewing
 the 3-pointed sphere (1, 0, infinity) yields the torus character: the
@@ -19,7 +20,8 @@ factors 2 pi i, writes Z of a label v = g_{-n} u through the square-bracket
 modes of the generator g, the scalar o(g) on each M(w) (mu on F_mu, L_0 on
 Vir_c) and the q-series E_2k(q) = -B_2k/(2k)! + (2/(2k-1)!) sum sigma_{2k-1}(n)
 q^n times traces of labels of lower weight, down to Z(vacuum)_n = dim M(n),
-which ``models.partition_count`` counts without listing a weight space.
+which ``models.partition_count`` counts without listing a weight space;
+o(g) is read on the one label (w,) of M(w), or () at w = 0.
 Each Z is a ``TruncSeries`` in q, integer numerators over one denominator:
 the linear combinations are its ``scale`` and ``+``, each reduced once, and
 each E_2k Z product is one ``series_mul``.  Z is memoized per (module,
@@ -74,6 +76,8 @@ class SewableBlock:
         mp = phi.modules[-1]
         if not isinstance(mp, DualModule) or mp.base is not phi.modules[-2]:
             raise ValueError("last two slots must be M and its contragredient")
+        if K < 0:
+            raise ValueError(f"order K = {K} must be >= 0")
         if phi.caps[-1] < K or phi.caps[-2] < K:
             raise CapError(f"sewing cap {K} exceeds the declared slot caps")
         self.phi = phi
@@ -105,19 +109,12 @@ class SewnSeries:
         return f"SewnSeries(delta={self.delta}, coeffs={list(self.coeffs)})"
 
 
-def sew(psi: SewableBlock, w_vecs, K: int | None = None) -> SewnSeries:
+def sew(psi: SewableBlock, w_vecs) -> SewnSeries:
     """Evaluate the sewing series on the fixed outer insertions w_vecs:
-    coefficient n is psi(w (x) P(n)|> (x) <|), for n = 0..K; K < 0 raises
-    ValueError."""
-    if K is None:
-        K = psi.K
-    if K < 0:
-        raise ValueError(f"order K = {K} must be >= 0")
-    if K > psi.K:
-        raise CapError(f"requested order {K} above the sewable cap {psi.K}")
+    coefficient n is psi(w (x) P(n)|> (x) <|), for n = 0..psi.K."""
     module = psi.module
     coeffs = []
-    for n in range(K + 1):
+    for n in range(psi.K + 1):
         total = F0
         for label in module.basis_at(n):
             total += psi.phi(*w_vecs, {label: F1}, {label: F1})
@@ -247,8 +244,8 @@ def _zhu(module: Module, label: tuple, K: int) -> TruncSeries:
     if n == 1:  # tr o(g) o(u) on M(w): o(g) is the scalar s_w, read on one label
         s = [F0] * (K + 1)
         for w, t in enumerate(_trace(module, u, K).coeffs):
-            if t:
-                rep = module.basis_at(w)[0]
+            if t:  # M(w) is nonzero, so it holds the label (w,), or () at w = 0
+                rep = (w,) if w else ()
                 s[w] = module.gen_apply(wg - 1, rep).get(rep, F0) * t
         z += TruncSeries("q", 0, s)
     # k from n // 2 + 1: for even n the k = n / 2 term is E_n Z(g[0]u), and

@@ -48,14 +48,15 @@ def apply_exp_raising(coeffs, c0, w: dict, module) -> dict:
     c0, every c_n and every value of w must be rationals (int or
     Fraction); any other scalar raises ValueError naming it.  The terms
     X^k w / k! are summed as integer numerators over one running common
-    denominator on the accumulator ``graded._IntVectors``: the L_i image
-    of a term is summed label by label from the module's memoized
-    read-only per-label ``_L``, as ``L_apply`` does, and its denominator
-    grows to an lcm only when an image needs it.  One Fraction is built
-    per output entry, with c0^{wt} folded in once per weight.  Modes are
-    the outer loop and labels the inner one, so entries appear, cancel and
-    reappear in the order of ``vec_add_into`` summing the terms in turn,
-    each term the step sum_i c_i L_apply(i, .) of the one before.
+    denominator on the accumulator ``graded._IntVectors``: each step
+    adds c_i n times the module's memoized read-only image ``_L(i, label)``
+    of every (mode i, label) pair straight into the next term, whose
+    denominator grows to an lcm only when an image needs it.  One Fraction
+    is built per output entry, with c0^{wt} folded in once per weight.
+    Modes are the outer loop and labels the inner one, so a term's entries
+    appear, cancel and reappear in the order of ``vec_add_into`` adding the
+    (mode, label) images in that one pass, and the output's in the order of
+    adding the terms in turn.
     """
     for x in (c0, *coeffs, *w.values()):
         if not isinstance(x, (int, Fraction)):
@@ -70,12 +71,11 @@ def apply_exp_raising(coeffs, c0, w: dict, module) -> dict:
     while term:
         k += 1
         nxt = _IntVectors({0: {}})  # dc X of the term's numerators
+        img = nxt.vecs[0]
         for i, c in modes:
-            part = _IntVectors({0: {}})  # L_i of the term's numerators
             for label, n in term.items():
-                part.add(part.vecs[0], module._L(i, label).items(), n, 1)
-            nxt.add(nxt.vecs[0], part.vecs[0].items(), c, part.den)
-        term, tden = nxt.vecs[0], tden * nxt.den * dc * k
+                nxt.add(img, module._L(i, label).items(), c * n, 1)
+        term, tden = img, tden * nxt.den * dc * k
         out.add(out.vecs[0], term.items(), 1, tden)
     p, q = c0.numerator, c0.denominator
     powers: dict = {}

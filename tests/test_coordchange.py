@@ -295,6 +295,17 @@ def test_U_inverse_roundtrip():
         assert vec_is_zero(diff)
 
 
+def test_series_window_does_not_grow_with_the_degree():
+    # rho is read below the order asked for: a degree-4000 rho gives, and
+    # inverts, a series on the caller's window, and its term beyond that
+    # window changes no U(rho)^{-1} of a vector of lower weight
+    rho, low = CoordChange({1: F(2), 3: F(1, 3), 4000: F(1)}), CoordChange({1: F(2), 3: F(1, 3)})
+    assert rho.series(12) == low.series(12)
+    assert rho.inverse_series(8).order == 8
+    w = {(2, 1): F(1), (1, 1, 1): F(-1, 2)}
+    assert U_inverse_apply(rho, w, H) == U_inverse_apply(low, w, H)
+
+
 def test_scaling_is_graded_dilation():
     # rho(z) = a z acts as a^{Ltilde0}
     for a in (F(2), F(-1, 3), F(5, 7)):

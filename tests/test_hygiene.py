@@ -1,7 +1,8 @@
 """Package hygiene: every exported name resolves, no module imports a name
 it never uses, the CLI loads no layer but ``jsonio`` with itself, every
 function is named somewhere, and all but a listed few outside the unit
-tests, every defaulted parameter is set somewhere, and every demo runs."""
+tests, every defaulted parameter is set outside the unit tests, and every
+demo runs."""
 
 import ast
 import importlib
@@ -269,12 +270,26 @@ def test_unset_default_check_catches_a_leftover():
     assert unset_defaults({"m.py": source}, [source, caller]) == []
 
 
+def test_unset_default_check_reads_library_readers_only(tmp_path):
+    files = {"src/voablocks/m.py": "def run(x, var='z', order=3, scale=1):\n    return x\n",
+             "demos/d.py": "from voablocks.m import run\nrun(1, 'w')\n",
+             "perfbench/ops.py": "from voablocks.m import run\nrun(1, order=5)\n",
+             "tests/test_acceptance.py": "from voablocks.m import run\n",
+             "tests/test_m.py": "from voablocks.m import run\nrun(1, scale=2)\n"}
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    # a default that only a unit test sets is reported; one that only the
+    # benchmark sets is not
+    defined = {"m.py": files["src/voablocks/m.py"]}
+    assert unset_defaults(defined, library_readers(tmp_path)) == [("m.py", 1, "run", "scale")]
+
+
 def test_every_default_parameter_is_set():
-    # a default that no library, test or demo call overrides is a fixed value
+    # a default that no library, demo, benchmark or acceptance call
+    # overrides is a fixed value: a knob that only unit tests turn
     src = sorted((ROOT / "src" / "voablocks").glob("*.py"))
-    readers = [p.read_text() for d in ("src", "tests", "demos")
-               for p in sorted((ROOT / d).rglob("*.py"))]
-    assert unset_defaults({p.name: p.read_text() for p in src}, readers) == []
+    assert unset_defaults({p.name: p.read_text() for p in src}, library_readers(ROOT)) == []
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])

@@ -103,18 +103,24 @@ def test_virasoro_relation_cap8(voa):
 
 class TestContragredient:
     def test_double_dual_is_original(self):
-        # oracle: the double transpose (W')' built as its own DualModule,
-        # block by block against W for every VOA label of weight <= 4
+        # oracle: the double transpose (W')', the test-local twisted
+        # transpose of W' read label by label, block by block against W for
+        # every VOA label of weight <= 4
         hm = heisenberg_model()
         for M in (hm, fock_module(hm, F(1, 2)), fock_module(hm, F(2, 3)),
                   virasoro_model(F(1, 2)), virasoro_model(F(7, 3))):
-            Mdd = DualModule(DualModule(M))
+            Md = contragredient(M)
             for wtv in range(5):
                 for vl in M.voa.basis_at(wtv):
                     for wt in range(6):
                         for h in range(wtv + wt - 10, wtv + wt):
-                            assert Mdd.mode_block(vl, h, wt) == M.mode_block(vl, h, wt), \
-                                (M.name, vl, h, wt)
+                            want = {wl: dict(img) for wl, img in M.mode_block(vl, h, wt).items()}
+                            assert twisted_transpose(Md, vl, h, wt) == want, (M.name, vl, h, wt)
+
+    def test_dual_of_a_contragredient_refused(self):
+        Md = contragredient(fock_module(H, F(1, 2)))
+        with pytest.raises(ValueError, match=r"contragredient\(fock\(1/2\)'\) is fock\(1/2\)$"):
+            DualModule(Md)
 
     def test_one_contragredient_per_module(self):
         for M in (H, VIR, fock_module(H, F(1, 2))):
@@ -306,18 +312,6 @@ def test_block_golden_from_base_columns():
     duals = modules[4:]
     assert [Md._blocks for Md in duals] == [{}] * 4
     assert all(Md._images and Md.base._cols for Md in duals)
-    # (W')' built as its own DualModule: its columns are rows of W' through
-    # the twist, so its per-label images are W's rows
-    hm = heisenberg_model()
-    for M in (hm, fock_module(hm, F(1, 2)), virasoro_model(F(7, 3))):
-        Mdd = DualModule(DualModule(M))
-        for wtv in range(4):
-            for vl in M.voa.basis_at(wtv):
-                for wt in range(5):
-                    for h in range(wtv + wt - 8, wtv + wt):
-                        assert per_label_block(Mdd, vl, h, wt) == M.mode_block(vl, h, wt), \
-                            (M.name, vl, h, wt)
-        assert Mdd._blocks == {} and Mdd.base._blocks == {}
 
 
 # composite VOA labels: Virasoro has none below weight 4

@@ -22,7 +22,7 @@ def geometric_ode(order):
 
 class TestFormal:
     def test_constant_solution(self):
-        ode = PoleODE([[0]], order=8)
+        ode = PoleODE([[TruncSeries.const("q", F(0), 8)]])
         sol = formal_solve(ode, {0: [F(3)]}, 6)
         assert sol.modes == [[F(3)]] + [[F(0)]] * 6
 
@@ -43,7 +43,7 @@ class TestFormal:
 
     def test_resonance_reported_and_seeded(self):
         # Ahat_0 = 2 makes n = 2 resonant
-        ode = PoleODE([[2]], order=8)
+        ode = PoleODE([[TruncSeries.const("q", F(2), 8)]])
         with pytest.raises(ResonanceError) as ei:
             formal_solve(ode, {0: [F(0)]}, 5)
         assert ei.value.n == 2
@@ -74,7 +74,7 @@ class TestFormal:
         sol = formal_solve(ode, {0: [F(1)]}, 6)
         for call in (lambda: ode.coeff_matrix(8), lambda: sol.residual(-1),
                      lambda: radius_estimate(PoleODE([[TruncSeries("q", 0, [], 0)]]), 1,
-                                             alpha=0)):
+                                             majorant=(1, 1))):
             with pytest.raises(IndexError, match="outside the common window"):
                 call()
 
@@ -88,9 +88,10 @@ class TestFormal:
 
 class TestRadius:
     def test_trivial_ode(self):
-        ode = PoleODE([[0]], order=8)
-        est = radius_estimate(ode, F(1), alpha=F(0))
-        assert (est.M, est.beta, est.gamma, est.r0) == (0, 1, 1, F(1, 2))
+        # the majorant (0, 0) gives alpha = 0
+        ode = PoleODE([[TruncSeries.const("q", F(0), 8)]])
+        est = radius_estimate(ode, F(1), majorant=(F(0), F(0)))
+        assert (est.alpha, est.M, est.beta, est.gamma, est.r0) == (0, 0, 1, 1, F(1, 2))
 
     def test_geometric_with_majorant(self):
         ode = geometric_ode(12)
@@ -105,8 +106,9 @@ class TestRadius:
                         TruncSeries.const("q", F(1), 6)],
                        [TruncSeries.const("q", F(0), 6),
                         TruncSeries.const("q", F(0), 6)]])
-        est = radius_estimate(ode, F(1), alpha=F(1))
-        assert est.M == 1 and est.beta == 2
+        # ||Ahat_0|| = 1 and Ahat_n = 0 beyond: the majorant (1, 0) gives alpha = 1
+        est = radius_estimate(ode, F(1), majorant=(F(1), F(0)))
+        assert est.alpha == 1 and est.M == 1 and est.beta == 2
 
     def test_false_majorant_rejected(self):
         ode = geometric_ode(10)
@@ -114,11 +116,13 @@ class TestRadius:
             radius_estimate(ode, F(1, 2), majorant=(F(1), F(1, 2)))
 
     def test_growth_inequality_failure_names_n(self):
-        # psihat_n = 1, M = 0, gamma = 1: at n = 1, r1 * 1 = 2 > 1 * 1
-        ode = geometric_ode(8)
-        sol = formal_solve(ode, {0: [F(1)]}, 6)
+        # the modes of 1/(1-q), psihat_n = 1, against the zero system, whose
+        # majorant (0, 0) gives alpha = 0, M = 0 and gamma = 1: at n = 1,
+        # r1 * 1 = 2 > 1 * 1
+        sol = formal_solve(geometric_ode(8), {0: [F(1)]}, 6)
+        zero = PoleODE([[TruncSeries.const("q", F(0), 8)]])
         with pytest.raises(AssertionError, match=r"fails at n = 1$"):
-            radius_estimate(ode, F(2), alpha=F(0), solution=sol)
+            radius_estimate(zero, F(2), majorant=(F(0), F(0)), solution=sol)
 
     def test_unbounded_majorant_rejected(self):
         ode = geometric_ode(10)
@@ -126,7 +130,7 @@ class TestRadius:
             radius_estimate(ode, F(2), majorant=(F(1), F(1)))
 
 
-def fraction_certificate(ode, r1, alpha=None, majorant=None, solution=None):
+def fraction_certificate(ode, r1, majorant, solution=None):
     """The certificate of ``radius_estimate`` by its formulas run on Fractions
     (r1^n, C g^n and the weighted prefix sum rebuilt at every n): the tuple
     (r0, r1, alpha, beta, gamma, M, growth_checked), or the type and text
@@ -138,17 +142,16 @@ def fraction_certificate(ode, r1, alpha=None, majorant=None, solution=None):
     norm0 = norm(ode.coeff_matrix(0))
     M = -(-norm0.numerator // norm0.denominator)
     beta = F(M + 1)
-    if alpha is None:
-        C, g = F(majorant[0]), F(majorant[1])
-        for n in range(ode.order):
-            nn = norm(ode.coeff_matrix(n))
-            if nn > C * g ** n:
-                return ValueError, f"majorant fails at coefficient {n}: " \
-                                   f"||Ahat_{n}|| = {nn} > {C * g ** n}"
-        if g * r1 >= 1:
-            return ValueError, "majorant gives no finite bound on |q| <= r1"
-        alpha = C / (1 - g * r1)
-    gamma = max(F(1), F(alpha) * beta)
+    C, g = F(majorant[0]), F(majorant[1])
+    for n in range(ode.order):
+        nn = norm(ode.coeff_matrix(n))
+        if nn > C * g ** n:
+            return ValueError, f"majorant fails at coefficient {n}: " \
+                               f"||Ahat_{n}|| = {nn} > {C * g ** n}"
+    if g * r1 >= 1:
+        return ValueError, "majorant gives no finite bound on |q| <= r1"
+    alpha = C / (1 - g * r1)
+    gamma = max(F(1), alpha * beta)
     checked = 0
     if solution is not None:
         weighted = [r1 ** n * sum(abs(x) for x in v) for n, v in enumerate(solution.modes)]
@@ -156,7 +159,7 @@ def fraction_certificate(ode, r1, alpha=None, majorant=None, solution=None):
             if weighted[n] > gamma / n * sum(weighted[:n]):
                 return AssertionError, f"growth inequality fails at n = {n}"
             checked += 1
-    return r1 / (2 * gamma), r1, F(alpha), beta, gamma, M, checked
+    return r1 / (2 * gamma), r1, alpha, beta, gamma, M, checked
 
 
 def random_pole_ode(rng):
@@ -200,27 +203,33 @@ class TestRadiusAgainstFractions:
         kinds = []
         for draw in range(80):
             ode, sol = random_pole_ode(rng)
-            r1 = F(rng.randint(1, 9), rng.randint(1, 9))
             if draw % 2:
-                bound = {"majorant": (F(rng.randint(1, 40), rng.randint(1, 4)),
-                                      F(rng.randint(0, 9), rng.randint(1, 9)))}
+                C = F(rng.randint(1, 40), rng.randint(1, 4))
             else:
-                bound = {"alpha": F(rng.randint(0, 12), rng.randint(1, 6))}
-            got = self.outcome(ode, r1, solution=sol, **bound)
-            assert got == fraction_certificate(ode, r1, solution=sol, **bound), draw
+                # a solution's modes satisfy the growth inequality of any
+                # majorant of their own system; against the zero system of
+                # the same size, which every majorant bounds, a small C can
+                # fail it
+                ode = PoleODE([[TruncSeries.const("q", F(0), ode.order)] * ode.dim] * ode.dim)
+                C = F(rng.randint(0, 4), rng.randint(1, 4))
+            r1 = F(rng.randint(1, 9), rng.randint(1, 9))
+            majorant = (C, F(rng.randint(0, 9), rng.randint(1, 9)))
+            got = self.outcome(ode, r1, majorant, solution=sol)
+            assert got == fraction_certificate(ode, r1, majorant, solution=sol), draw
             kinds.append(got[0] if got[0] in (ValueError, AssertionError) else got[-1] > 0)
         # every outcome occurs: a checked pass, a growth failure and a
         # refused majorant
         assert {True, AssertionError, ValueError} <= set(kinds)
 
     def test_failure_after_checked_modes(self):
-        # alpha = 2 on the geometric ODE: M = 0, gamma = 2 and r1 = 3/2, so
+        # the modes of 1/(1-q), psihat_n = 1, against the zero system, whose
+        # majorant (2, 0) gives alpha = 2: M = 0, gamma = 2 and r1 = 3/2, so
         # (3/2)^n <= (2/n) sum_{j<n} (3/2)^j holds at n = 1, 2 and fails at 3
-        ode = geometric_ode(10)
-        sol = formal_solve(ode, {0: [F(1)]}, 9)
-        got = self.outcome(ode, F(3, 2), alpha=F(2), solution=sol)
+        sol = formal_solve(geometric_ode(10), {0: [F(1)]}, 9)
+        zero = PoleODE([[TruncSeries.const("q", F(0), 10)]])
+        got = self.outcome(zero, F(3, 2), (F(2), F(0)), solution=sol)
         assert got == (AssertionError, "growth inequality fails at n = 3")
-        assert got == fraction_certificate(ode, F(3, 2), alpha=F(2), solution=sol)
+        assert got == fraction_certificate(zero, F(3, 2), (F(2), F(0)), solution=sol)
 
 
 class TestNumeric:
@@ -316,6 +325,10 @@ class TestDenseGolden:
     def test_inexact_entries_rejected(self):
         with pytest.raises(ValueError, match="an int or a Fraction, not 0.5"):
             PoleODE([[TruncSeries("q", 0, [0.5, F(1)])]])
+
+    def test_scalar_entry_rejected(self):
+        with pytest.raises(ValueError, match="a q-series, not Fraction\\(2, 1\\)"):
+            PoleODE([[F(2)]])
 
     def test_mode_of_wrong_length_rejected(self):
         ode = dense_ode(self.K)

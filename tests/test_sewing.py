@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from voablocks.blocks import identity_hom, propagate_block
-from voablocks.models import (CapError, contragredient, fock_module,
+from voablocks.models import (CapError, Module, contragredient, fock_module,
                               heisenberg_model, virasoro_model)
 from voablocks.series import BivarSeries, QExpansion
 from voablocks.sewing import (SewableBlock, SewnSeries, character_block,
@@ -140,6 +140,26 @@ class TestZhuTraces:
         with pytest.raises(ValueError, match="homogeneous"):
             torus_character(H, {(1,): F(1), (): F(1)}, 4)
 
+    def test_no_weight_space_is_listed(self, monkeypatch):
+        # o(g) is read on the label (w,) of M(w), or () at w = 0, and the
+        # vacuum trace counts partitions: the L_0 traces of fresh H, F_mu and
+        # Vir_c equal their oracles with basis_at refusing every call
+        K, mu = 30, F(2, 3)
+        p, p2 = [partition_count(n) for n in range(K + 1)], \
+            [partition_count(n, min_part=2) for n in range(K + 1)]
+        cases = [(heisenberg_model, {(1, 1): F(1, 2)}, [n * p[n] for n in range(K + 1)]),
+                 (lambda: fock_module(heisenberg_model(), mu), {(1, 1): F(1, 2)},
+                  [(n + mu * mu / 2) * p[n] for n in range(K + 1)]),
+                 (lambda: virasoro_model(F(-22, 5)), {(2,): F(1)},
+                  [n * p2[n] for n in range(K + 1)])]
+
+        def refuse(self, n):
+            raise AssertionError(f"basis_at({n}) called")
+
+        monkeypatch.setattr(Module, "basis_at", refuse)
+        for factory, v, want in cases:
+            assert list(torus_character(factory(), v, K).coeffs) == want
+
 
 LINEAR_CASES = {"H": heisenberg_model(), "F(2/3)": fock_module(heisenberg_model(), F(2, 3)),
                 "Vir(-22/5)": virasoro_model(F(-22, 5)),
@@ -190,14 +210,14 @@ class TestSew:
         assert got == torus_character(VIR, (2,), 6)
 
     def test_cap_guard(self):
-        blk = character_block(H, 4)
-        with pytest.raises(CapError):
-            sew(blk, [{(): F(1)}], K=6)
+        phi = character_block(H, 4).phi
+        with pytest.raises(CapError, match="sewing cap 6 exceeds the declared slot caps"):
+            SewableBlock(phi, 6)
 
     def test_negative_order_rejected(self):
-        blk = character_block(H, 4)
-        with pytest.raises(ValueError, match="order K = -1"):
-            sew(blk, [{(): F(1)}], K=-1)
+        phi = character_block(H, 4).phi
+        with pytest.raises(ValueError, match="order K = -1 must be >= 0"):
+            SewableBlock(phi, -1)
 
     def test_pairing_slots_validated(self):
         phi = identity_hom(H, 4)
