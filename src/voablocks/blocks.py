@@ -28,7 +28,10 @@ is twisted by U(gamma_{1/w}) = e^{w^{-1} L_1} (-w^2)^{Ltilde0}, the
 T: W1 -> W2' intertwines; ``identity_hom`` is the label pairing of W and W'.
 The residue action of v on slot i is one series, the slot tail
 sum_n phi(..., Y(v)_n w_i, ...) var^{-n-1} over the modes the slot cap can
-see, so the slot caps set every window.  Propagation glues these tails and
+see, so the slot caps set every window.  A tail skips each mode whose image
+weight phi declares it does not read (``BlockFunctional.reads``); only
+``identity_hom`` declares one, the weights of the other slot's labels, and
+every other functional reads all.  Propagation glues these tails and
 ``block_property_check`` sums their residues against a global form g dzeta.
 """
 
@@ -372,9 +375,15 @@ class BlockFunctional:
     ``evaluate`` receives one label -> coefficient mapping per slot.  The
     mappings may be read-only: the slot tails pass a module's memoized mode
     images uncopied, so an evaluator reads its arguments and never mutates
-    them (an attempt raises TypeError)."""
+    them (an attempt raises TypeError).
 
-    def __init__(self, points: SpherePoints, modules, caps, evaluate, name=""):
+    ``reads(i, w_vecs)``, if given, returns the weights at which slot i's
+    evaluator can be nonzero while the other slots hold ``w_vecs``: a
+    homogeneous vector of any other weight in slot i evaluates to 0.  The set
+    may be larger than needed, never smaller; a slot tail computes no mode
+    image of a weight outside it.  None means every weight."""
+
+    def __init__(self, points: SpherePoints, modules, caps, evaluate, name="", reads=None):
         if len(modules) != len(points) or len(caps) != len(points):
             raise ValueError("one module and one cap per marked point")
         self.points = points
@@ -382,6 +391,7 @@ class BlockFunctional:
         self.caps = list(caps)
         self.evaluate = evaluate
         self.name = name
+        self.reads = reads
         self._sections: dict = {}  # label tuple -> glued section, see propagate_block
 
     def __call__(self, *w_vecs) -> Fraction:
@@ -453,13 +463,17 @@ def identity_hom(module: Module, cap: int) -> BlockFunctional:
     (P^1; 0, infinity): dual-basis label matching over the labels of weight
     <= cap.  This is ``hom_block`` for T = identity, which intertwines by the
     definition of the contragredient action, so no check runs and no mode
-    block is filled."""
+    block is filled.  Slot i reads only the weights of the other slot's
+    labels up to the cap."""
 
     def evaluate(u, v) -> Fraction:
         return sum((c * v[l] for l, c in u.items() if l in v and weight_of(l) <= cap), F0)
 
+    def reads(i, w_vecs) -> set:
+        return {wt for wt in map(weight_of, w_vecs[1 - i]) if wt <= cap}
+
     return BlockFunctional(SpherePoints([F0, INFINITY]), [module, contragredient(module)],
-                           [cap, cap], evaluate, name="hom")
+                           [cap, cap], evaluate, name="hom", reads=reads)
 
 
 def three_point_block(module: Module, v, z0, w: dict, wp: dict) -> Fraction:
@@ -502,10 +516,13 @@ def _slot_tail(phi: BlockFunctional, i: int, terms, w_vecs, var: str) -> TruncSe
     given as (shift, vector) terms: [(0, v)] at a finite point, and
     gamma_twist(v, ...) at infinity.  The coefficient of var^{shift-n-1}
     collects phi(..., Y(vector)_n w_i, ...), certified for the modes the
-    slot cap can see."""
+    slot cap can see.  A mode whose image weight phi does not read
+    (``BlockFunctional.reads``) is skipped: its image could only pair to 0,
+    and the window is the same either way."""
     module = phi.modules[i]
     cap = phi.caps[i]
     w_i = w_vecs[i]
+    weights = phi.reads(i, w_vecs) if phi.reads else None
     cmap: dict = {}
     order = None
     for shift, vec in terms:
@@ -515,6 +532,8 @@ def _slot_tail(phi: BlockFunctional, i: int, terms, w_vecs, var: str) -> TruncSe
                 wt_w = weight_of(wl)
                 n_min = wt_v + wt_w - 1 - cap  # Y(vector)_n w_i of weight in [0, cap]
                 for n in range(n_min, n_min + cap + 1):
+                    if weights is not None and wt_v + wt_w - 1 - n not in weights:
+                        continue
                     img = module.mode_image(vl, n, wl)
                     if img:
                         args = list(w_vecs)
@@ -570,8 +589,9 @@ def propagate_block(phi: BlockFunctional, y, cap: int) -> BlockFunctional:
     (inserted after the finite marked points, before INFINITY).
 
     The evaluator is multilinear: it splits (v, w_1, ..., w_k) into basis
-    label tuples and sums c_v c_w1 ... c_wk times the tuple's propagated
-    section at y; the vacuum part of v contributes phi itself.  A section
+    label tuples of nonzero coefficients and sums c_v c_w1 ... c_wk times
+    the tuple's propagated section at y; the vacuum part of v contributes
+    phi itself.  A section
     depends on phi and the labels, never on y, so each one is glued once and
     kept in ``phi._sections``, which serves every point phi is propagated
     to.  The memo stays private: the evaluator returns only values."""
@@ -587,10 +607,11 @@ def propagate_block(phi: BlockFunctional, y, cap: int) -> BlockFunctional:
         w_vecs = args[:finite_count] + args[finite_count + 1:]
         vac = v.get((), F0)
         total = vac * phi(*w_vecs) if vac else F0
+        w_terms = [[(wl, wc) for wl, wc in w.items() if wc] for w in w_vecs]
         for vl, vc in v.items():
             if not vl or not vc:
                 continue
-            for combo in product(*(w.items() for w in w_vecs)):
+            for combo in product(*w_terms):
                 key = (vl,) + tuple(wl for wl, _ in combo)
                 section = sections.get(key)
                 if section is None:

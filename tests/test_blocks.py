@@ -7,6 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import voablocks.blocks as blocks_module
 from voablocks.blocks import (INFINITY, BlockFunctional, IntertwinerError,
                               RationalFunction, SpherePoints,
                               UnderdeterminedCap, block_property_check,
@@ -824,6 +825,103 @@ class TestSectionMemo:
                     part[k] = part.get(k, F(0)) + c * a
         assert gamma_twist(v, warm) == sorted((e, {k: a for k, a in vec.items() if a})
                                               for e, vec in want.items())
+
+
+def record_tail_reads(monkeypatch, phi):
+    """Record every mode image that a slot tail of phi asks of phi's own
+    modules, as (image weight, weights of the other slot's labels); tails of
+    blocks propagated from phi ask images too, and are not recorded."""
+    asked = []
+    slot = []  # the innermost slot tail: (i, w_vecs) for phi, None for another
+    real = blocks_module._slot_tail
+
+    def slot_tail(psi, i, terms, w_vecs, var):
+        slot.append((i, w_vecs) if psi is phi else None)
+        try:
+            return real(psi, i, terms, w_vecs, var)
+        finally:
+            slot.pop()
+
+    for m in phi.modules:
+        def mode_image(vl, h, wl, m=m, read=m.mode_image):
+            if slot and slot[-1] is not None:
+                i, w_vecs = slot[-1]
+                assert m is phi.modules[i]
+                asked.append((weight_of(vl) + weight_of(wl) - h - 1,
+                              {weight_of(label) for label in w_vecs[1 - i]}))
+            return read(vl, h, wl)
+        m.mode_image = mode_image
+    monkeypatch.setattr(blocks_module, "_slot_tail", slot_tail)
+    return asked
+
+
+def unskipped(phi):
+    """phi as a functional that declares no read weights."""
+    return BlockFunctional(phi.points, phi.modules, phi.caps, phi.evaluate)
+
+
+def series_parts(s):
+    return s.var, s.floor, s.order, list(s.coeffs)
+
+
+class TestSlotTailReads:
+    """identity_hom declares the weights each slot pairs, and its slot tails
+    compute no mode image of another weight; tails, sections and values are
+    those of the same functional with every mode computed."""
+
+    @pytest.mark.parametrize("make, u, v, w1, w2", [
+        (heisenberg_model, {(1,): F(1)}, {(2,): F(1), (1,): F(-3)},
+         {(1,): F(2), (2,): F(1)}, {(1,): F(1), (1, 1): F(3)}),
+        (lambda: fock_module(heisenberg_model(), F(1, 2)), {(1, 1): F(1, 2)}, {(1,): F(1)},
+         {(): F(1), (2,): F(3)}, {(1,): F(1), (2,): F(-2)}),
+        (lambda: virasoro_model(F(7, 3)), {(2,): F(1)}, {(2,): F(2)},
+         {(): F(1), (2,): F(1)}, {(2,): F(1), (3,): F(1, 2)}),
+    ], ids=["heisenberg", "fock", "virasoro"])
+    def test_cold_nested_asks_only_read_weights(self, monkeypatch, make, u, v, w1, w2):
+        phi = identity_hom(make(), 10)
+        asked = record_tail_reads(monkeypatch, phi)
+        a = propagate_eval(propagate_block(phi, F(3), 4), v, F(2), [w1, u, w2])
+        b = propagate_eval(propagate_block(phi, F(2), 4), u, F(3), [w1, v, w2])
+        assert asked
+        assert all(wt in weights for wt, weights in asked)
+        monkeypatch.undo()
+        ref = unskipped(identity_hom(make(), 10))
+        want = propagate_eval(propagate_block(ref, F(3), 4), v, F(2), [w1, u, w2])
+        assert a == b == want != 0
+
+    @pytest.mark.parametrize("module, cap", [
+        (heisenberg_model(), 6), (fock_module(heisenberg_model(), F(2, 3)), 8),
+        (virasoro_model(F(-22, 5)), 7),
+    ], ids=["heisenberg", "fock", "virasoro"])
+    def test_tails_equal_the_unskipped_tails(self, module, cap):
+        rng = random.Random(3407)
+        phi = identity_hom(module, cap)
+        ref = unskipped(phi)
+        v_labels = [l for wt in range(4) for l in module.voa.basis_at(wt)]
+        # labels up to two weights above the cap, which the pairing ignores
+        w_labels = [l for wt in range(cap + 3) for l in module.basis_at(wt)]
+        nonzero = 0
+        for _ in range(12):
+            v = rand_vector(rng, v_labels, rng.randint(1, 3))
+            w_vecs = [rand_vector(rng, w_labels, rng.randint(1, 3)) for _ in range(2)]
+            got = blocks_module._tails(phi, v, w_vecs)
+            want = blocks_module._tails(ref, v, w_vecs)
+            assert list(got) == [F(0), INFINITY]
+            for p in got:
+                assert series_parts(got[p]) == series_parts(want[p]), (p, v, w_vecs)
+                nonzero += not got[p].is_zero()
+        assert nonzero
+
+    def test_zero_coefficients_glue_nothing(self):
+        phi = identity_hom(heisenberg_model(), 10)
+        py = propagate_block(phi, F(2), 4)
+        w1 = {(1,): F(2)}
+        w2 = {(2,): F(1)}
+        value = py(w1, {(1,): F(1)}, w2)
+        entries = len(phi._sections)
+        padded = py({(1,): F(2), (2,): F(0)}, {(1,): F(1)}, {(2,): F(1), (1, 1): F(0)})
+        assert padded == value
+        assert len(phi._sections) == entries
 
 
 class TestBlockProperty:

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction as F
 from math import factorial
 
@@ -256,6 +257,44 @@ def test_dual_block_is_twisted_transpose(M, labels):
             for h in range(wtv - 3, wtv + d + 1):
                 got = {wl: dict(img) for wl, img in Md.mode_block(vl, h, d).items()}
                 assert got == twisted_transpose(M, vl, h, d), (vl, h, d)
+
+
+def invariant_norm(label):
+    """<e_lambda, e_lambda> = (-1)^{l(lambda)} z_lambda for the invariant form
+    of the Heisenberg VOA and its Fock modules on the partition basis, where
+    z_lambda = prod_k k^{m_k} m_k!: alpha_n has adjoint -alpha_{-n}, and
+    distinct partitions are orthogonal."""
+    z = 1
+    for k, m in Counter(label).items():
+        z *= k ** m * factorial(m)
+    return -z if len(label) % 2 else z
+
+
+@pytest.mark.parametrize("make", [
+    lambda hm: (hm, hm),
+    lambda hm: (fock_module(hm, F(1, 2)), fock_module(hm, F(-1, 2))),
+], ids=["heisenberg", "fock"])
+def test_contragredient_is_the_invariant_form_image(make):
+    """The invariant bilinear form (Frenkel-Huang-Lepowsky 1993, 5.2-5.3;
+    H. Li 1994) identifies H' with H and F_mu' with F_{-mu}, label by label
+    up to the norms G_lambda: Y_{M'}(v)_h e_lambda is Y(v)_h e_lambda on the
+    twin with each entry mu scaled by G_mu / G_lambda.  The oracle uses no
+    twist; it covers v of weight <= 4, lambda of weight 0-6 and h from -3 to
+    wt v + wt lambda, the single-label reads of a slot tail at infinity."""
+    M, twin = make(heisenberg_model())
+    dual = contragredient(M)
+    nonzero = 0
+    for wtv in range(5):
+        for vl in M.voa.basis_at(wtv):
+            for wt in range(7):
+                for wl in M.basis_at(wt):
+                    g = invariant_norm(wl)
+                    for h in range(-3, wtv + wt + 1):
+                        want = {mu: c * F(invariant_norm(mu), g)
+                                for mu, c in (twin.mode_image(vl, h, wl) or {}).items()}
+                        assert dict(dual.mode_image(vl, h, wl) or {}) == want, (vl, h, wl)
+                        nonzero += bool(want)
+    assert nonzero > 1000
 
 
 # sha256 of ``block_golden_text()``, captured before the weight blocks were
