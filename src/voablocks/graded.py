@@ -12,10 +12,10 @@ holds a series (see the series module notes).
 Exact rational sums that build many entries run on the one private
 accumulator ``_IntVectors``: integer numerators over one running common
 denominator, one Fraction per entry at the end (the common-denominator
-representation of ``series.series_mul``).  Its users are the weight blocks,
-the base-module columns and the two contragredient reads (a whole block and
-one label's image) in ``models``, and ``virasoro.apply_exp_raising``, which
-sums U(rho) and the contragredient twist.
+representation of ``series.series_mul``).  Its users are the weight blocks
+in ``models`` (the Jacobi recursion and the contragredient transpose) and
+``virasoro.apply_exp_raising``, which sums U(rho) and the contragredient
+twist.
 """
 
 from __future__ import annotations

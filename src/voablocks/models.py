@@ -42,20 +42,14 @@ vector.
 A contragredient block is the transpose of base blocks through the twist
 U(gamma_{1/w}) = e^{w^{-1} L_1} (-w^2)^{Ltilde0} (Frenkel-Huang-Lepowsky,
 sections 5.2-5.3): a term c u w^e of U(gamma_{1/w}) v adds c Y_W(u)_k^t
-with k = e - n - 2 to Y_{W'}(v)_n.  The contragredient has two reads of it,
-chosen by what the caller asks for.  A weight block (``mode_block``, as
-sewing's two-sided check reads) transposes whole base blocks.  One label's
-image (``mode_image``, the one single-label read: slot tails, ``mode_apply``,
-``hom_block``'s intertwiner check and ``three_point_block``) is one column
-of each base block, and ``Module._column`` sums that column by the transposed
-Jacobi recursion on columns of the shorter label and transposed generator
-blocks, so it fills no weight block of either module.  Each read costs what
-its caller uses: a cold propagation reads a few labels per weight, and
-building whole blocks from columns would slow the block read, as it runs
-both recursions on the base.  ``gamma_twist`` reads the twist off
-e^{L_1} (-1)^{Ltilde0} v, summed by ``virasoro.apply_exp_raising`` (the one
-e^{L_1} of the library), as (w-exponent, vector) terms: the weight-j part of
-a weight-k label sits at w^{k+j}.  The blocks module reuses it at infinity.
+with k = e - n - 2 to Y_{W'}(v)_n.  ``DualModule._block`` transposes whole
+base blocks, and one label's image (``mode_image``: slot tails,
+``mode_apply``, ``hom_block``'s intertwiner check and ``three_point_block``)
+is the row of the memoized block, as on every module.  ``gamma_twist`` reads
+the twist off e^{L_1} (-1)^{Ltilde0} v, summed by
+``virasoro.apply_exp_raising`` (the one e^{L_1} of the library), as
+(w-exponent, vector) terms: the weight-j part of a weight-k label sits at
+w^{k+j}.  The blocks module reuses it at infinity.
 Each VOA label's twist is built once and kept on the VOA; a vector's twist
 is the combination of its labels'.
 Each module has one contragredient, ``contragredient(W)``, built on first
@@ -64,9 +58,9 @@ is involutive, (W')' = W on the same labels, so ``contragredient(W')`` is W
 itself, no double transpose is ever filled, and ``DualModule(W')`` raises
 ``ValueError``.
 
-Blocks, their images, the columns and the twist vectors are stored as
-read-only mappings, so a caller that mutates a returned image cannot corrupt
-later results.
+Blocks, their images and the twist vectors are stored as read-only
+mappings, so a caller that mutates a returned image cannot corrupt later
+results.
 """
 
 from __future__ import annotations
@@ -139,10 +133,9 @@ class Module:
 
     The basis labels of weight n are the partitions of n into parts >= the
     generator's weight (``basis_at``).  Subclasses provide ``gen_apply`` (or
-    override ``_block`` and ``mode_image``), and may override ``_L_image``.
-    ``mode_block`` memoizes the blocks per (v label, h, weight), and
-    ``mode_image`` reads one label's image, which ``mode_apply`` sums;
-    ``_column`` memoizes block columns per (v label, h, target label); ``_L``
+    override ``_block``), and may override ``_L_image``.  ``mode_block``
+    memoizes the blocks per (v label, h, weight), and ``mode_image`` reads
+    one label's image from its block, which ``mode_apply`` sums; ``_L``
     memoizes the L_n image per (n, label) and ``L_apply`` reads it.  Vectors
     are label -> coefficient dicts.
     """
@@ -153,8 +146,6 @@ class Module:
 
     def __init__(self):
         self._blocks: dict = {}
-        self._cols: dict = {}  # (v label, h, target label) -> read-only column of a block
-        self._gen_T: dict = {}  # (k, source weight) -> transposed generator block
         self._L_cache: dict = {}  # (n, label) -> read-only L_n image
         self._traces: dict = {}  # label -> torus trace Z as a q-series TruncSeries (sewing)
         self._dual: Module | None = None
@@ -186,8 +177,7 @@ class Module:
 
     def mode_image(self, vl: tuple, h: int, wl: tuple):
         """Y_W(v)_h of one basis label, for v a VOA label: the read-only
-        image, falsy when it is zero.  Read from the weight block here; a
-        contragredient reads it from columns of its base (``DualModule``)."""
+        image, falsy when it is zero, read from the memoized weight block."""
         return self.mode_block(vl, h, weight_of(wl)).get(wl)
 
     def mode_block(self, vl: tuple, h: int, wt: int) -> MappingProxyType:
@@ -249,74 +239,6 @@ class Module:
                     if t:
                         acc.add(img, t.items(), coef * gc.numerator, gc.denominator)
         return acc.fractions()
-
-    def _column(self, vl: tuple, h: int, t: tuple) -> MappingProxyType:
-        """Column t of the block Y_W(v)_h: {w: coefficient of t in Y_W(v)_h w}
-        over the basis labels w of source weight wt(t) - wt(v) + h + 1, read-only,
-        in ``basis_at`` order and memoized per (v label, h, t)."""
-        key = (vl, h, t)
-        col = self._cols.get(key)
-        if col is None:
-            s = weight_of(t) - weight_of(vl) + h + 1
-            col = self._column_sum(vl, h, t, s) if s >= 0 else {}
-            col = self._cols[key] = MappingProxyType(
-                {w: col[w] for w in self.basis_at(s) if w in col} if col else col)
-        return col
-
-    def _column_sum(self, vl: tuple, h: int, t: tuple, s: int) -> dict:
-        """The column by the transposed Jacobi recursion, on the l-ranges of
-        ``_block``:
-
-            Y(v)_h^T = sum_l (-1)^l C(j,l) u_{h+l}^T g_{j-l}^T
-                     - sum_l (-1)^{l+j} C(j,l) g_l^T u_{j+h-l}^T
-
-        with the scaled transposed generator as the base case.  It reads
-        columns of the shorter u and transposed generator blocks only, never
-        a weight block, and sums on the accumulator ``graded._IntVectors``."""
-        if not vl:
-            return {t: F1} if h == -1 else {}
-        j, rest = self.voa.peel(vl)
-        if not rest:
-            k = -1 - j
-            b = gbinom(h, k)
-            b = -b if k % 2 else b
-            gt = self._gen_transpose(h - k, s).get(t) if b else None
-            return {w: b * c for w, c in gt.items()} if gt else {}
-        col: dict = {}
-        acc = _IntVectors({t: col})
-        gw = self.voa.gen_weight
-        # first sum: the column of u_{h+l} at each x with g_{j-l} x reaching
-        # t; x has weight wx - l >= 0 on the whole range
-        wx = weight_of(t) - gw + j + 1
-        for l in range(0, weight_of(rest) + s - h):
-            b = gbinom(j, l)
-            coef = -b if l % 2 else b
-            for x, xc in self._gen_transpose(j - l, wx - l).get(t, {}).items():
-                acc.add(col, self._column(rest, h + l, x).items(),
-                        coef * xc.numerator, xc.denominator)
-        # second sum: g_l^T applied to the column of u_{j+h-l} at t
-        for l in range(0, gw + s):
-            b = gbinom(j, l)
-            coef = b if (l + j) % 2 else -b
-            gt = self._gen_transpose(l, s)
-            for y, yc in self._column(rest, j + h - l, t).items():
-                g = gt.get(y)
-                if g:
-                    acc.add(col, g.items(), coef * yc.numerator, yc.denominator)
-        return acc.fractions()[t]
-
-    def _gen_transpose(self, k: int, wt: int) -> dict:
-        """The generator mode Y_W(g)_k on the basis labels of weight wt,
-        transposed from ``gen_apply``: {target: {source: coefficient}},
-        memoized per (k, wt)."""
-        key = (k, wt)
-        gt = self._gen_T.get(key)
-        if gt is None:
-            gt = self._gen_T[key] = {}
-            for w in self.basis_at(wt):
-                for x, c in self.gen_apply(k, w).items():
-                    gt.setdefault(x, {})[w] = c
-        return gt
 
     def _L(self, n: int, label: tuple) -> MappingProxyType:
         """L_n of one basis label, memoized as a read-only image of
@@ -456,8 +378,7 @@ class VirasoroVOA(VOAModel):
 
 class DualModule(Module):
     """Contragredient module on the same labels, modes via the transpose
-    through the finite twist ``gamma_twist``: weight blocks from base blocks,
-    single-label images from base columns."""
+    of base blocks through the finite twist ``gamma_twist``."""
 
     def __init__(self, base: Module):
         if isinstance(base, DualModule):
@@ -469,26 +390,6 @@ class DualModule(Module):
         self.voa = base.voa
         self.delta = base.delta
         self.name = base.name + "'"
-        self._images: dict = {}  # (v label, h, label) -> read-only image
-
-    def mode_image(self, vl: tuple, h: int, wl: tuple) -> MappingProxyType:
-        """Y_{W'}(v)_h of one label without a weight block: the twist term
-        c u w^e adds c times column wl of the base block Y_W(u)_{e-h-2}, in
-        base ``basis_at`` order as ``_block`` adds it, so the image equals
-        that block's row in values, value types and key order.  The terms
-        are summed on one accumulator ``graded._IntVectors``."""
-        key = (vl, h, wl)
-        img = self._images.get(key)
-        if img is None:
-            out: dict = {}
-            acc = _IntVectors({wl: out})
-            for e, lv in reversed(gamma_twist(vl, self)):
-                for ul, uc in lv.items():
-                    col = self.base._column(ul, e - h - 2, wl)
-                    if col:
-                        acc.add(out, col.items(), uc.numerator, uc.denominator)
-            img = self._images[key] = MappingProxyType(acc.fractions()[wl])
-        return img
 
     def _block(self, vl: tuple, h: int, wt: int) -> dict:
         """Transpose of base blocks through U(gamma_{1/w}): the twist term at

@@ -64,6 +64,8 @@ class PoleODE:
 
     def __init__(self, entries):
         n = len(entries)
+        if not n:
+            raise ValueError("A must be at least 1 x 1, not 0 x 0")
         if any(len(row) != n for row in entries):
             raise ValueError("A must be square")
         self.dim = n
@@ -76,7 +78,7 @@ class PoleODE:
             return e
 
         self.entries = [[entry(e) for e in row] for row in entries]
-        self.order = min((e.order for row in self.entries for e in row), default=0)
+        self.order = min(e.order for row in self.entries for e in row)
         # per row i, Ahat_m[i][k] flattened over m = order-1 .. 0 (then k) in
         # integer form, so the (j, k) terms of a mode sum are one slice
         self._rows = tuple(_integer_form([e.coeff(m) for m in range(self.order - 1, -1, -1)
@@ -318,6 +320,9 @@ def numeric_continue(ode: PoleODE, psi_start, path, steps: int = 1000):
         path = NumericPath(path)
     if steps < 1:
         raise ValueError("steps must be positive")
+    if ode.order < 1:
+        raise ValueError(f"A(q) is known to order {ode.order}; numeric continuation "
+                         f"needs order >= 1")
     coarse = _rk4_transport(ode, path, psi_start, steps)
     fine = _rk4_transport(ode, path, psi_start, 2 * steps)
     err = max(abs(x - y) for x, y in zip(coarse, fine)) / 15.0

@@ -586,18 +586,23 @@ def test_nested_propagation_golden():
     run_nested_golden({"heisenberg": H, "virasoro": VIR, "fock": fock_module(H, F(1, 2))})
 
 
-def test_cold_nested_golden_fills_no_contragredient_block():
-    """Cold propagation reads each W' image from base columns: the golden
-    values come out of fresh modules whose contragredients hold per-label
-    images and no weight block."""
+def fresh_golden_modules():
     hm = heisenberg_model()
-    modules = {"heisenberg": hm, "virasoro": virasoro_model(F(1, 2)),
-               "fock": fock_module(hm, F(1, 2))}
+    return {"heisenberg": hm, "virasoro": virasoro_model(F(1, 2)),
+            "fock": fock_module(hm, F(1, 2))}
+
+
+def test_cold_nested_golden_on_fresh_modules():
+    """The golden values come out of fresh modules too, and every W' block
+    that the cold propagation memoized equals the one a fresh module
+    computes."""
+    modules = fresh_golden_modules()
     run_nested_golden(modules)
-    for M in modules.values():
+    fresh = fresh_golden_modules()
+    for name, M in modules.items():
         dual = contragredient(M)
-        assert dual._blocks == {} and dual._images, M.name
-        assert M._cols and M._gen_T, M.name
+        assert dual._blocks, name
+        assert_memo_matches_fresh(dual, contragredient(fresh[name]))
 
 
 def three_point_from_blocks(module, v, z0, w, wp):
@@ -621,38 +626,34 @@ def three_point_from_blocks(module, v, z0, w, wp):
     (lambda: fock_module(heisenberg_model(), F(1, 2)), {(1,): F(1), (2, 1): F(1, 3)},
      {(1,): F(2), (1, 1): F(-1)}, {(): F(1), (2,): F(1, 2), (3, 1): F(5)}),
 ], ids=["heisenberg", "virasoro", "fock"])
-def test_contragredient_single_label_reads_fill_no_block(make, v, w, wp):
+def test_contragredient_single_label_reads_match_blocks(make, v, w, wp):
     """three_point_block and hom_block's intertwiner check read one W' label
-    at a time: on a fresh contragredient they fill no W' weight block, and the
-    three-point value equals the sum over transposed blocks of another."""
+    at a time: the three-point value equals the sum over transposed blocks of
+    another contragredient, and the W' blocks the reads memoized equal those
+    of a fresh module."""
     M = make()
     dual = contragredient(M)
     got = three_point_block(dual, v, F(2, 3), w, wp)
     assert got == three_point_from_blocks(contragredient(make()), v, F(2, 3), w, wp)
-    assert got and dual._blocks == {}
+    assert got
     hom_block({label: {label: F(1)} for n in range(4) for label in M.basis_at(n)}, dual, M, 3)
-    assert dual._blocks == {}
+    assert_memo_matches_fresh(dual, contragredient(make()))
 
 
 def memo_snapshot(*modules):
-    """Plain copies of the modules' mode-block, column and per-label image
-    memos, in key order."""
-    return [({key: [(wl, list(img.items())) for wl, img in blk.items()]
-              for key, blk in m._blocks.items()},
-             {key: list(col.items()) for key, col in m._cols.items()},
-             {key: list(img.items()) for key, img in getattr(m, "_images", {}).items()})
+    """Plain copies of the modules' mode-block memos, in key order."""
+    return [{key: [(wl, list(img.items())) for wl, img in blk.items()]
+             for key, blk in m._blocks.items()}
             for m in modules]
 
 
 def assert_memo_matches_fresh(module, fresh):
-    """Every memoized block, column and per-label image equals, in key order
-    too, the one a fresh module computes."""
+    """Every memoized block equals, in key order too, the one a fresh module
+    computes."""
     for (vl, h, wt), blk in module._blocks.items():
-        assert blk == fresh.mode_block(vl, h, wt), (vl, h, wt)
-    for (vl, h, t), col in module._cols.items():
-        assert list(col.items()) == list(fresh._column(vl, h, t).items()), (vl, h, t)
-    for (vl, h, wl), img in getattr(module, "_images", {}).items():
-        assert list(img.items()) == list(fresh.mode_image(vl, h, wl).items()), (vl, h, wl)
+        got = [(wl, list(img.items())) for wl, img in blk.items()]
+        want = [(wl, list(img.items())) for wl, img in fresh.mode_block(vl, h, wt).items()]
+        assert got == want, (vl, h, wt)
 
 
 class TestMemoIntegrity:
@@ -674,7 +675,7 @@ class TestMemoIntegrity:
 
         dual, first = work()
         before = memo_snapshot(hm, dual)
-        assert hm._cols and dual._images
+        assert hm._blocks and dual._blocks
         dual_again, second = work()
         # the second identity_hom reads the same contragredient, which is
         # kept on hm; its memo must come out unchanged
@@ -734,8 +735,8 @@ class TestMemoIntegrity:
         phi = BlockFunctional(SpherePoints([F(0), INFINITY]), [hm, dual], [6, 6], mutate)
         with pytest.raises(TypeError):
             propagate_eval(phi, (1,), F(2), [{(1,): F(1)}, w2])
-        assert dual._images and dual._blocks == {}
-        assert all((7,) not in img for img in dual._images.values())
+        assert dual._blocks
+        assert all((7,) not in img for blk in dual._blocks.values() for img in blk.values())
         assert_memo_matches_fresh(dual, contragredient(heisenberg_model()))
         assert_memo_matches_fresh(hm, heisenberg_model())
 

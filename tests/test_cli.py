@@ -703,6 +703,27 @@ class TestMalformedInput:
         self.check(capsys, "ode", "continue", "--matrix", str(fx),
                    "--path", str(path), "--steps", "50")
 
+    def test_continue_refuses_an_empty_window(self, capsys, tmp_path):
+        # entries of order 0: no coefficient of A(q) is known to integrate
+        fx = tmp_path / "mat.json"
+        fx.write_text(json.dumps({"entries": [[
+            {"var": "q", "floor": 0, "order": 0, "coeffs": []}]]}))
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps({"waypoints": [[0.05, 0.0], [0.1, 0.0]],
+                                    "start": [[1.0, 0.0]]}))
+        err = self.check(capsys, "ode", "continue", "--matrix", str(fx),
+                         "--path", str(path), "--steps", "50")
+        assert "order >= 1" in err
+
+    @pytest.mark.parametrize("command", ["solve", "continue"])
+    def test_ode_refuses_a_0_by_0_system(self, capsys, tmp_path, command):
+        mat, path = tmp_path / "mat.json", tmp_path / "path.json"
+        mat.write_text(json.dumps({"entries": []}))
+        path.write_text(json.dumps({"waypoints": [[0.05, 0.0], [0.1, 0.0]], "start": []}))
+        rest = ["--order", "0"] if command == "solve" else ["--path", str(path)]
+        err = self.check(capsys, "ode", command, "--matrix", str(mat), *rest)
+        assert err == "error: A must be at least 1 x 1, not 0 x 0\n"
+
     def test_ode_waypoint_not_a_pair(self, capsys, tmp_path):
         self.continue_path(capsys, tmp_path,
                            {"waypoints": [[0.1]], "start": [[1.0, 0.0]]})
