@@ -162,42 +162,22 @@ class RationalFunction:
         for k, c in self.poly.items():
             for j in range(0, min(k, max(order - 1, 0)) + 1):
                 cmap[j] = cmap.get(j, F0) + c * gbinom(k, j) * p ** (k - j)
+        terms = []
         for p2, part in self.poles.items():
-            if p2 == p:
-                continue
-            d = p - p2
-            for m, c in part.items():
-                # (t + d)^{-m} = sum_e C(-m, e) d^{-m-e} t^e; the running term
-                # t_{e+1} = t_e (-m-e) / ((e+1) d) is kept as integer factors
-                # binom = C(-m, e), num / den = c d^{-m-e}
-                binom = 1
-                num = c.numerator * d.denominator ** m
-                den = c.denominator * d.numerator ** m
-                for e in range(0, order):
-                    cmap[e] = cmap.get(e, F0) + Fraction(binom * num, den)
-                    binom = binom * (-m - e) // (e + 1)
-                    num *= d.denominator
-                    den *= d.numerator
-        cmap = {e: c for e, c in cmap.items() if c and e < order}
-        return TruncSeries.from_coeff_map(var, cmap, order)
+            if p2 != p:
+                # (t + d)^{-m} = d^{-m} (1 - r t)^{-m} with d = p - p2 and r = -1/d
+                d = p - p2
+                terms += [(c.numerator * d.denominator ** m, c.denominator * d.numerator ** m,
+                           -d.denominator, d.numerator, m, 0) for m, c in part.items()]
+        return _expansion(cmap, terms, order, var)
 
     def expand_at_infinity(self, order: int, var: str = "w") -> TruncSeries:
         """Laurent expansion in w = 1/zeta."""
         cmap = {-k: c for k, c in self.poly.items()}
-        for p, part in self.poles.items():
-            for m, c in part.items():
-                # (1/w - p)^{-m} = w^m (1 - p w)^{-m}
-                #               = sum_e C(-m, e) (-p)^e w^{m+e}; the running
-                # term t_{e+1} = t_e (m+e) p / (e+1) is kept as integer factors
-                # binom = C(-m, e) (-1)^e, num / den = c p^e
-                binom, num, den = 1, c.numerator, c.denominator
-                for e in range(0, order - m):
-                    cmap[e + m] = cmap.get(e + m, F0) + Fraction(binom * num, den)
-                    binom = binom * (m + e) // (e + 1)
-                    num *= p.numerator
-                    den *= p.denominator
-        cmap = {e: c for e, c in cmap.items() if c and e < order}
-        return TruncSeries.from_coeff_map(var, cmap, order)
+        # (1/w - p)^{-m} = w^m (1 - p w)^{-m}
+        return _expansion(cmap, [(c.numerator, c.denominator, p.numerator, p.denominator, m, m)
+                                 for p, part in self.poles.items() for m, c in part.items()],
+                          order, var)
 
     def expand_at_point(self, p, order: int, var: str | None = None) -> TruncSeries:
         if p is INFINITY:
@@ -206,6 +186,23 @@ class RationalFunction:
 
     def __repr__(self):
         return f"RationalFunction(poly={self.poly}, poles={self.poles})"
+
+
+def _expansion(cmap: dict, terms, order: int, var: str) -> TruncSeries:
+    """The series known below var^order of cmap plus the pole terms
+    num/den (1 - r x)^{-m} x^shift, given as (num, den, r_num, r_den, m,
+    shift) in ints.  The x^{shift+e} coefficient of a term,
+    C(m+e-1, e) r^e num/den, is kept as integer factors from one e to the
+    next: no Fraction is formed but the one added to cmap."""
+    for num, den, rn, rd, m, shift in terms:
+        binom = 1
+        for e in range(0, order - shift):
+            cmap[e + shift] = cmap.get(e + shift, F0) + Fraction(binom * num, den)
+            binom = binom * (m + e) // (e + 1)
+            num *= rn
+            den *= rd
+    cmap = {e: c for e, c in cmap.items() if c and e < order}
+    return TruncSeries.from_coeff_map(var, cmap, order)
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +249,14 @@ def _form_expansion(g: RationalFunction, p, order: int) -> TruncSeries:
     return g.expand_at(p, order)
 
 
-def strong_residue_check(tails, points=None) -> ResidueReport:
+def strong_residue_check(tails) -> ResidueReport:
     """Test the residue criterion for the declared tails; on pass, return
     the glued global meromorphic function as the section.
 
     ``tails`` maps each marked point (rational or INFINITY) to a
     TruncSeries in its local coordinate; the configuration must include
-    INFINITY.  A global function with poles only at the marked points is
+    INFINITY, which is visited last, after the finite points in the order
+    of ``tails``.  A global function with poles only at the marked points is
     the sum of its principal parts, so the only candidate section f takes
     the pole parts of the finite tails and the polynomial part (constant
     included) of the tail at infinity.  The tails glue iff each one agrees
@@ -275,13 +273,10 @@ def strong_residue_check(tails, points=None) -> ResidueReport:
     UnderdeterminedCap names the short window.  Tails that are all zero
     glue to the zero section without re-expansion.
     """
-    if points is None:
-        points = SpherePoints([p for p in tails if p is not INFINITY] +
-                              ([INFINITY] if INFINITY in tails else []))
-    if not points.has_infinity:
+    if INFINITY not in tails:
         raise ValueError("configurations must include the point at infinity")
-    if set(tails) != set(points):
-        raise ValueError("tails and marked points disagree")
+    finite = [p for p in tails if p is not INFINITY]
+    points = finite + [INFINITY]
     for p in points:
         need = 1 if p is INFINITY else 0
         if tails[p].order < need:
@@ -290,7 +285,7 @@ def strong_residue_check(tails, points=None) -> ResidueReport:
                 f"the residue check needs order >= {need}")
 
     poles = {p: {m: tails[p].coeff(-m) for m in range(1, 1 - tails[p].floor)}
-             for p in points.finite}
+             for p in finite}
     at_inf = tails[INFINITY]
     poly = {k: at_inf.coeff(-k) for k in range(0, 1 - at_inf.floor)}
     section = RationalFunction(poly, poles)
@@ -324,9 +319,7 @@ def rational_glue(exp0: TruncSeries, exp_z0: TruncSeries, exp_inf: TruncSeries,
     z0 = Fraction(z0)
     if z0 == 0:
         raise ValueError("z0 must be nonzero")
-    tails = {F0: exp0, z0: exp_z0, INFINITY: exp_inf}
-    points = SpherePoints([F0, z0, INFINITY])
-    return strong_residue_check(tails, points)
+    return strong_residue_check({F0: exp0, z0: exp_z0, INFINITY: exp_inf})
 
 
 def residue_pairing(sigma: dict, t: RationalFunction) -> Fraction:
@@ -558,9 +551,7 @@ def _tails(phi: BlockFunctional, v: dict, w_vecs) -> dict:
 
 
 def _propagated_section(phi: BlockFunctional, v: dict, w_vecs) -> RationalFunction:
-    if not phi.points.has_infinity:
-        raise ValueError("block configurations must include infinity")
-    report = strong_residue_check(_tails(phi, v, w_vecs), phi.points)
+    report = strong_residue_check(_tails(phi, v, w_vecs))
     if not report.passed:
         raise AssertionError(
             f"propagated tails failed to glue; witness {report.witness}")

@@ -25,20 +25,24 @@ vectors and runs on integer numerators (see ``virasoro.apply_exp_raising``).
 The conjugation check U(a) Y(v,z) U(a)^{-1} = Y(U(rho_z) v, a(z)), with
 rho_z(t) = a(t+z) - a(z), needs the c_n of rho_z as z-series: they come
 from the recursion of ``extract_coeffs`` run on a plain list of z-series,
-and exp(sum c_n(z) L_n) v is summed on rational coefficients keyed by
-(label, z-exponent), then gathered into one z-series per label and times
-c0(z)^{wt} once per weight.
+and exp(sum c_n(z) L_n) v is held as one z-series per label from its first
+term on: each step of X^k v / k! is a ``series_mul`` by c_n(z) scaled by
+the L_n images of the label, and each label's series is multiplied by
+c0(z)^{wt}, one power per weight.  Both sides of the check are {label: z-series} maps of the
+check's own; they never reach a ``vec_*`` helper or ``apply_exp_raising``
+(which refuses z-series), so no graded vector holds a series.
 
 The check's z-window is derived from its inputs.  Both sides are compared
 on z^e for -(wt v + wt w) <= e < K.  The right side sums
 f_u(z) a(z)^{-n-1} u_n w.  When rho_z's coefficients are known below z^A,
 1/a(z) is known below z^{A-2} and a(z)^{-m} below z^{A-1-m}, with floor
 -m.  Since m = n + 1 is at most wt v + wt w, A = K + wt v + wt w + 1 is
-the smallest window that reaches z^{K-1}.  The coefficients f_u of
-U(rho_z) v are known below z^A too, but [z^e] a(z)^{-m} f_u(z) for e < K
-reads f_u only up to z^{K-1+m} <= z^{A-2}: f_u is summed below z^{A-1}
-only, and a(z)^{-m} f_u(z) is still known below z^{A-1-m}.  Each product
-still checks its window and raises naming the window it needed.
+the smallest window that reaches z^{K-1}.  The c_n(z) are known below z^A
+too, but [z^e] a(z)^{-m} f_u(z) for e < K reads the coefficients f_u of
+U(rho_z) v only up to z^{K-1+m} <= z^{A-2}: v's labels start as constants
+known below z^{A-1}, ``series_mul`` keeps that window through every step,
+and a(z)^{-m} f_u(z) is still known below z^{A-1-m}.  Each product still
+checks its window and raises naming the window it needed.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from operator import mul
 
 from .graded import vec_add_into, vec_is_zero, vec_max_weight, vec_scale_ltilde0, weight_of
 from .models import Module
-from .series import TruncSeries, _series, series_comp_inverse
+from .series import TruncSeries, _series, series_comp_inverse, series_mul
 from .virasoro import apply_exp_raising, gbinom
 
 __all__ = [
@@ -290,10 +294,10 @@ def huang_conjugation_check(alpha: CoordChange, v, w: dict, module: Module,
 
     rho_z(t) = a(t+z) - a(z) is expanded with z-series coefficients; the
     right-hand side substitutes a(z) into the mode expansion of the
-    transformed vector.  Both sides are collected as one map
-    {(label, z-exponent): coefficient} of the nonzero coefficients on the
-    window and compared with ==.  The series run on the z-window
-    A = z_order + wt v + wt w + 1, derived in the module docstring.
+    transformed vector.  Each side is collected as one z-series per label,
+    known below z^{z_order}; the labels whose series is zero are dropped and
+    the two {label: series} maps compared with ==.  The series run on the
+    z-window A = z_order + wt v + wt w + 1, derived in the module docstring.
     """
     if isinstance(v, tuple):
         v = {v: F1}
@@ -304,10 +308,11 @@ def huang_conjugation_check(alpha: CoordChange, v, w: dict, module: Module,
 
     # ---- left side: mode-by-mode conjugation, exact rational vectors
     ainv_w = U_inverse_apply(alpha, w, module)
-    lhs = {(label, -n - 1): c
-           for n in range(-K, Wv + Ww)
-           for label, c in U_apply(alpha, module.mode_apply(v, n, ainv_w), module).items()
-           if c}
+    lhs_maps: dict = {}  # label -> {z-exponent: coefficient}
+    for n in range(-K, Wv + Ww):
+        for label, c in U_apply(alpha, module.mode_apply(v, n, ainv_w), module).items():
+            lhs_maps.setdefault(label, {})[-n - 1] = c
+    lhs = {label: TruncSeries.from_coeff_map("z", cmap, K) for label, cmap in lhs_maps.items()}
 
     # ---- right side
     # rho_z(t) = a(t+z) - a(z): t-coefficient j is sum_k a_k C(k,j) z^{k-j}
@@ -316,43 +321,35 @@ def huang_conjugation_check(alpha: CoordChange, v, w: dict, module: Module,
         cmap = {k - j: alpha.poly[k] * gbinom(k, j) for k in alpha.poly if k >= j}
         tcoeffs.append(TruncSeries.from_coeff_map("z", cmap, A))
     cs = _exp_factorization(tcoeffs, tcoeffs[0].reciprocal())
-    # exp(sum c_n(z) L_n) v on rational coefficients keyed by (label, e),
-    # e below window - 1 (the module docstring says why f_u stops there);
-    # c0(z)^{wt}, taken once per weight, is multiplied into each label's series
+    # exp(sum c_n(z) L_n) v as one z-series per label, v's labels known
+    # below z^{window - 1} (the module docstring says why f_u stops there)
     window = min(c.order for c in cs)
-
-    def raising(vec: dict) -> dict:
-        out: dict = {}
-        for n, cn in enumerate(cs[1:], start=1):
-            known = cn.coeffs
-            for (label, e), x in vec.items():
-                for u, y in module.voa._L(n, label).items():
-                    for j in range(cn.floor, window - 1 - e):
-                        out[u, e + j] = out.get((u, e + j), F0) + x * y * known[j - cn.floor]
-        return out
-
-    coeffs: dict = {}
-    term, k = {(label, 0): c for label, c in v.items()}, 0
-    while term:  # X^k v / k! with X = raising; finite, as L_n lowers the weight
-        vec_add_into(coeffs, term)
+    fs: dict = {}
+    term, k = {label: TruncSeries.from_coeff_map("z", {0: c}, window - 1)
+               for label, c in v.items() if c}, 0
+    while term:  # X^k v / k! with X = sum c_n(z) L_n; finite, as L_n lowers the weight
+        for label, s in term.items():
+            fs[label] = s + fs.get(label, 0)
         k += 1
-        term = {key: c / k for key, c in raising(term).items() if c}
-    fmaps: dict = {}  # label -> {e: [z^e] of exp(sum c_n L_n) v}
-    for (label, e), x in coeffs.items():
-        fmaps.setdefault(label, {})[e] = x
+        nxt: dict = {}
+        for n, cn in enumerate(cs[1:], start=1):
+            for label, s in term.items():
+                images = module.voa._L(n, label)
+                if images:
+                    p = series_mul(s, cn)
+                    for u, y in images.items():
+                        nxt[u] = p.scale(y / k) + nxt.get(u, 0)
+        term = {u: s for u, s in nxt.items() if s}
 
     a_series = alpha.series(A)
     powers: dict = {}  # n -> a(z)^{-n-1}, filled on first use
     c0_powers: dict = {}  # wt -> c0(z)^{wt}
     rhs: dict = {}
-    for ul, cmap in fmaps.items():
+    for ul, f in fs.items():
         wt = weight_of(ul)
         if wt not in c0_powers:
             c0_powers[wt] = cs[0] ** wt
-        if cmap.keys() == {0}:  # a constant (a top-weight label of v): no series_mul
-            fu = c0_powers[wt] * cmap[0]
-        else:
-            fu = TruncSeries.from_coeff_map("z", cmap, window - 1) * c0_powers[wt]
+        fu = f * c0_powers[wt]
         for n in range(-K, wt + Ww):
             t = module.mode_apply(ul, n, w)
             if not t:
@@ -364,9 +361,9 @@ def huang_conjugation_check(alpha: CoordChange, v, w: dict, module: Module,
                 raise ValueError(f"z-window {A} too small: a(z)^{-n - 1} f_u(z) is known "
                                  f"below z^{zser.order}, the check reads z^{K - 1} and "
                                  f"needs z-window >= {A + K - zser.order}")
-            zc = zser.coeffs
+            zser = zser.truncate(K)
             for label, c in t.items():
-                for e in range(zser.floor, K):
-                    rhs[label, e] = rhs.get((label, e), F0) + c * zc[e - zser.floor]
-    rhs = {key: c for key, c in rhs.items() if c}
+                rhs[label] = zser.scale(c) + rhs.get(label, 0)
+    # a label whose series cancels on the window is absent from the other side
+    lhs, rhs = ({u: s for u, s in side.items() if s} for side in (lhs, rhs))
     return HuangReport(lhs == rhs, (-(Wv + Ww), K))

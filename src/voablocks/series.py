@@ -32,8 +32,9 @@ when they are read.  The ring operations, :func:`series_mul`,
 integers and reduce once per result; :func:`series_comp_inverse` is built
 from ``reciprocal`` and ``series_mul``.  The z-series c_n of Huang's
 conjugation check live in a plain list (``coordchange._exp_factorization``),
-and its U(rho_z) v is kept as rational coefficients keyed by
-(label, z-exponent).
+and its U(rho_z) v and both sides of its comparison are {label: z-series}
+maps of the check's own, built by ``series_mul`` and ``scale``; no graded
+vector holds a series.
 """
 
 from __future__ import annotations

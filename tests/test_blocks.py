@@ -132,10 +132,9 @@ class TestStrongResidue:
         g = RationalFunction(poly={1: F(3)}, poles={0: {2: F(-1), 1: F(1, 2)}})
         at_inf = g.expand_at_infinity(5)
         want = strong_residue_check({F(0): g.expand_at(0, 3), INFINITY: at_inf})
-        for points in (None, SpherePoints([0, INFINITY])):
-            rep = strong_residue_check({0: g.expand_at(0, 3), INFINITY: at_inf}, points)
-            assert rep.passed and rep.section == want.section == g
-            assert rep.conditions == want.conditions
+        rep = strong_residue_check({0: g.expand_at(0, 3), INFINITY: at_inf})
+        assert rep.passed and rep.section == want.section == g
+        assert rep.conditions == want.conditions
 
     def test_zero_tails(self):
         rep = strong_residue_check({F(0): TruncSeries.zero("t", 3),
@@ -221,7 +220,7 @@ def test_glue_by_principal_parts(data):
     points = pts + [INFINITY]
     orders = [data.draw(st.integers(0, 6)) for _ in pts] + [data.draw(st.integers(1, 7))]
     tails = {p: oracle_tail(f, p, o) for p, o in zip(points, orders)}
-    rep = strong_residue_check(tails, SpherePoints(points))
+    rep = strong_residue_check(tails)
     assert rep.passed and rep.section == f
     assert rep.conditions == sum(orders) - 1
 
@@ -236,7 +235,7 @@ def test_glue_by_principal_parts(data):
     cmap = {k: t.coeff(k) for k in range(t.floor, t.order)}
     cmap[e] = cmap.get(e, F(0)) + delta
     tails[p] = TruncSeries.from_coeff_map(t.var, cmap, t.order)
-    rep = strong_residue_check(tails, SpherePoints(points))
+    rep = strong_residue_check(tails)
     w = rep.witness
     assert not rep.passed
     assert (w.kind, w.point, w.order, w.residue) == (

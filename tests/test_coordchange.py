@@ -355,6 +355,13 @@ class TestHuang:
         alpha = CoordChange({1: F(1), 2: F(1, 2)})
         rep = huang_conjugation_check(alpha, (2,), {(2,): F(1)}, VIR, 4)
         assert rep
+        # on Vir_{-22/5} at K = 1 a label's z-series on one side can sum to
+        # zero while the other side has no such label: both sides compare
+        # after their zero series are dropped
+        vir = virasoro_model(F(-22, 5))
+        for poly, v, w in (({1: F(2), 3: F(1)}, {(3,): F(1)}, {(3,): F(2)}),
+                           ({1: F(1, 2), 3: F(1)}, {(3,): F(-1)}, {(): F(2)})):
+            assert huang_conjugation_check(CoordChange(poly), v, w, vir, 1), (poly, v, w)
 
     @pytest.mark.parametrize("broken", [DoubledL1, DoubledAlpha2], ids=lambda c: c.__name__)
     def test_fails_on_a_broken_module(self, broken):
