@@ -23,26 +23,30 @@ polynomial, so c_n does not depend on how many coefficients were requested.
 There is one scalar ring, the rationals: U(rho) takes rational c_n and
 vectors and runs on integer numerators (see ``virasoro.apply_exp_raising``).
 The conjugation check U(a) Y(v,z) U(a)^{-1} = Y(U(rho_z) v, a(z)), with
-rho_z(t) = a(t+z) - a(z), needs the c_n of rho_z as z-series: they come
-from the recursion of ``extract_coeffs`` run on a plain list of z-series,
-and exp(sum c_n(z) L_n) v is held as one z-series per label from its first
+rho_z(t) = a(t+z) - a(z), runs in its intertwining form
+U(a) Y(v,z) w = Y(U(rho_z) v, a(z)) U(a) w, so U(a) is never inverted.
+It needs the c_n of rho_z as z-series: they come from the recursion of
+``extract_coeffs`` run on a plain list of z-series, and
+exp(sum c_n(z) L_n) v is held as one z-series per label from its first
 term on: each step of X^k v / k! is a ``series_mul`` by c_n(z) scaled by
 the L_n images of the label, and each label's series is multiplied by
-c0(z)^{wt}, one power per weight.  Both sides of the check are {label: z-series} maps of the
-check's own; they never reach a ``vec_*`` helper or ``apply_exp_raising``
-(which refuses z-series), so no graded vector holds a series.
+c0(z)^{wt}, one power per weight.  Both sides of the check are
+{label: z-series} maps of the check's own; they never reach a ``vec_*``
+helper or ``apply_exp_raising`` (which refuses z-series), so no graded
+vector holds a series.
 
 The check's z-window is derived from its inputs.  Both sides are compared
 on z^e for -(wt v + wt w) <= e < K.  The right side sums
-f_u(z) a(z)^{-n-1} u_n w.  When rho_z's coefficients are known below z^A,
-1/a(z) is known below z^{A-2} and a(z)^{-m} below z^{A-1-m}, with floor
--m.  Since m = n + 1 is at most wt v + wt w, A = K + wt v + wt w + 1 is
-the smallest window that reaches z^{K-1}.  The c_n(z) are known below z^A
-too, but [z^e] a(z)^{-m} f_u(z) for e < K reads the coefficients f_u of
-U(rho_z) v only up to z^{K-1+m} <= z^{A-2}: v's labels start as constants
-known below z^{A-1}, ``series_mul`` keeps that window through every step,
-and a(z)^{-m} f_u(z) is still known below z^{A-1-m}.  Each product still
-checks its window and raises naming the window it needed.
+f_u(z) a(z)^{-n-1} u_n U(a) w, and U(a) w has no weight above wt w.  When
+rho_z's coefficients are known below z^A, 1/a(z) is known below z^{A-2}
+and a(z)^{-m} below z^{A-1-m}, with floor -m.  Since m = n + 1 is at most
+wt v + wt w, A = K + wt v + wt w + 1 is the smallest window that reaches
+z^{K-1}.  The c_n(z) are known below z^A too, but [z^e] a(z)^{-m} f_u(z)
+for e < K reads the coefficients f_u of U(rho_z) v only up to
+z^{K-1+m} <= z^{A-2}: v's labels start as constants known below z^{A-1},
+``series_mul`` keeps that window through every step, and a(z)^{-m} f_u(z)
+is still known below z^{A-1-m}.  Each product still checks its window and
+raises naming the window it needed.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from operator import mul
 
 from .graded import vec_add_into, vec_is_zero, vec_max_weight, vec_scale_ltilde0, weight_of
 from .models import Module
-from .series import TruncSeries, _series, series_comp_inverse, series_mul
+from .series import TruncSeries, _series, series_mul
 from .virasoro import apply_exp_raising, gbinom
 
 __all__ = [
@@ -64,7 +68,6 @@ __all__ = [
     "gamma_series",
     "extract_coeffs",
     "U_apply",
-    "U_inverse_apply",
     "gamma_relation_check",
     "huang_conjugation_check",
 ]
@@ -123,9 +126,6 @@ class CoordChange:
         """rho known below z^order: terms of rho at or above z^order are cut,
         so the window does not grow with rho's degree."""
         return TruncSeries.from_coeff_map("z", self.poly, order)
-
-    def inverse_series(self, order: int) -> TruncSeries:
-        return series_comp_inverse(self.series(order))
 
     def coeffs(self, count: int) -> list:
         """[c0, c1, ..., c_count] of the exponential factorization, as a
@@ -234,40 +234,31 @@ def _exp_factorization(r: list, inv_a1) -> list:
     return cs
 
 
-def gamma_series(xi, order: int) -> TruncSeries:
-    """gamma_xi(z) = 1/(xi+z) - 1/xi = sum_{k>=1} (-1)^k xi^{-k-1} z^k."""
+def gamma_series(xi, order: int) -> CoordChange:
+    """gamma_xi(z) = 1/(xi+z) - 1/xi = sum_{k>=1} (-1)^k xi^{-k-1} z^k, cut
+    below z^order: the CoordChange whose c_0, ..., c_{order-2} are those of
+    gamma_xi."""
     xi = Fraction(xi)
     if xi == 0:
         raise ValueError("xi must be nonzero")
-    cmap = {k: Fraction((-1) ** k) / xi ** (k + 1) for k in range(1, order)}
-    return TruncSeries.from_coeff_map("z", cmap, order)
+    return CoordChange({k: Fraction((-1) ** k) / xi ** (k + 1) for k in range(1, order)})
 
 
-def U_apply(rho, w: dict, module: Module) -> dict:
-    """U(rho) w = c0^{Ltilde0} exp(sum_{n>0} c_n L_n) w for rho a CoordChange
-    or a truncated series.  A vector of top weight W needs c_0, ..., c_W: a
-    CoordChange extends its prefix, and a series must have order >= W + 2."""
+def U_apply(rho: CoordChange, w: dict, module: Module) -> dict:
+    """U(rho) w = c0^{Ltilde0} exp(sum_{n>0} c_n L_n) w.  A vector of top
+    weight W needs c_0, ..., c_W, which rho extends its prefix to."""
     W = vec_max_weight(w)
     if W < 0:
         return {}
-    if isinstance(rho, CoordChange):
-        cs = rho.coeffs(W)
-    elif rho.order - 2 < W:
-        raise ValueError(f"series order {rho.order} too small for weight {W}")
-    else:
-        cs = extract_coeffs(rho, W)
+    cs = rho.coeffs(W)
     return apply_exp_raising(cs[1:], cs[0], w, module)
-
-
-def U_inverse_apply(rho: CoordChange, w: dict, module: Module) -> dict:
-    W = vec_max_weight(w)
-    return U_apply(rho.inverse_series(W + 2), w, module)
 
 
 def gamma_relation_check(xi, w: dict, module: Module) -> bool:
     """U(gamma_xi) xi^{Ltilde0} w == xi^{-Ltilde0} U(gamma_1) w, exactly."""
     xi = Fraction(xi)
-    order = vec_max_weight(w) + 2  # U_apply needs order >= W + 2 at top weight W
+    # U_apply reads c_0, ..., c_W at top weight W; gamma_xi keeps z^1 even for w = 0
+    order = max(vec_max_weight(w), 0) + 2
     lhs = U_apply(gamma_series(xi, order), vec_scale_ltilde0(w, xi), module)
     rhs = vec_scale_ltilde0(U_apply(gamma_series(F1, order), w, module), F1 / xi)
     diff = vec_add_into(dict(lhs), rhs, Fraction(-1))
@@ -289,15 +280,20 @@ class HuangReport:
 
 def huang_conjugation_check(alpha: CoordChange, v, w: dict, module: Module,
                             z_order: int) -> HuangReport:
-    """Exact check of U(a) Y(v,z) U(a)^{-1} w = Y(U(rho_z) v, a(z)) w in
-    W((z)) on the window [-(wt v + wt w), z_order).
+    """Exact check of U(a) Y(v,z) w = Y(U(rho_z) v, a(z)) U(a) w in W((z))
+    on the window [-(wt v + wt w), z_order).
 
+    This is Huang's law U(a) Y(v,z) U(a)^{-1} = Y(U(rho_z) v, a(z)) on the
+    vector U(a) w, and no inverse is built.  U(a) is invertible on each
+    weight filtration and does not raise weight, so a sweep over every
+    label up to a weight checks the same law in either form.
     rho_z(t) = a(t+z) - a(z) is expanded with z-series coefficients; the
     right-hand side substitutes a(z) into the mode expansion of the
-    transformed vector.  Each side is collected as one z-series per label,
-    known below z^{z_order}; the labels whose series is zero are dropped and
-    the two {label: series} maps compared with ==.  The series run on the
-    z-window A = z_order + wt v + wt w + 1, derived in the module docstring.
+    transformed vector and applies it to U(a) w.  Each side is collected as
+    one z-series per label, known below z^{z_order}; the labels whose
+    series is zero are dropped and the two {label: series} maps compared
+    with ==.  The series run on the z-window A = z_order + wt v + wt w + 1,
+    derived in the module docstring.
     """
     if isinstance(v, tuple):
         v = {v: F1}
@@ -306,11 +302,10 @@ def huang_conjugation_check(alpha: CoordChange, v, w: dict, module: Module,
     K = z_order
     A = K + Wv + Ww + 1
 
-    # ---- left side: mode-by-mode conjugation, exact rational vectors
-    ainv_w = U_inverse_apply(alpha, w, module)
+    # ---- left side: U(a) applied mode by mode, exact rational vectors
     lhs_maps: dict = {}  # label -> {z-exponent: coefficient}
     for n in range(-K, Wv + Ww):
-        for label, c in U_apply(alpha, module.mode_apply(v, n, ainv_w), module).items():
+        for label, c in U_apply(alpha, module.mode_apply(v, n, w), module).items():
             lhs_maps.setdefault(label, {})[-n - 1] = c
     lhs = {label: TruncSeries.from_coeff_map("z", cmap, K) for label, cmap in lhs_maps.items()}
 
@@ -342,6 +337,7 @@ def huang_conjugation_check(alpha: CoordChange, v, w: dict, module: Module,
         term = {u: s for u, s in nxt.items() if s}
 
     a_series = alpha.series(A)
+    aw = U_apply(alpha, w, module)  # of top weight <= wt w: U(a) does not raise weight
     powers: dict = {}  # n -> a(z)^{-n-1}, filled on first use
     c0_powers: dict = {}  # wt -> c0(z)^{wt}
     rhs: dict = {}
@@ -351,7 +347,7 @@ def huang_conjugation_check(alpha: CoordChange, v, w: dict, module: Module,
             c0_powers[wt] = cs[0] ** wt
         fu = f * c0_powers[wt]
         for n in range(-K, wt + Ww):
-            t = module.mode_apply(ul, n, w)
+            t = module.mode_apply(ul, n, aw)
             if not t:
                 continue
             if n not in powers:

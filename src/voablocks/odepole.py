@@ -206,11 +206,15 @@ def radius_estimate(ode: PoleODE, r1, majorant,
     geometric majorant (C, g) with ||Ahat_n|| <= C g^n — the declaration is
     verified against every computed coefficient (sound up to the truncation
     order) and requires g r1 < 1, giving alpha = C / (1 - g r1).  When a
-    FormalSolution is passed, the growth inequality
+    FormalSolution of ``ode`` is passed, the growth inequality
 
         r1^n ||psihat_n|| <= gamma n^{-1} sum_{j<n} r1^j ||psihat_j||
 
-    is checked exactly for every computed n > M."""
+    is checked exactly for every computed n > M (``_growth_checked``); a
+    solution of another PoleODE is refused before any check runs."""
+    if solution is not None and solution.ode is not ode:
+        raise ValueError("solution is a formal solution of another PoleODE, "
+                         "not of the one whose radius is estimated")
     r1 = Fraction(r1)
     if r1 <= 0:
         raise ValueError("r1 must be positive")
@@ -235,24 +239,31 @@ def radius_estimate(ode: PoleODE, r1, majorant,
     alpha = C / (1 - g * r1)
     gamma = max(F1, alpha * beta)
     r0 = r1 / (2 * gamma)
-    growth_checked = 0
-    if solution is not None:
-        # on the integer form: with r1 = p/q, gamma = a/b and ||psihat_n|| =
-        # S_n / den, the inequality at n is b n p^n S_n <= a T_n, where
-        # T_n = sum_{j<n} p^j S_j q^{n-j}, so T_{n+1} = q (T_n + p^n S_n)
-        p, q = r1.numerator, r1.denominator
-        a, b = gamma.numerator, gamma.denominator
-        dim, nums = solution.ode.dim, solution._nums
-        T, pn = 0, 1  # T_n and p^n
-        for n in range(solution.K + 1):
-            w = pn * sum(map(abs, nums[n * dim:(n + 1) * dim]))  # p^n S_n
-            if n > M:
-                if b * n * w > a * T:
-                    raise AssertionError(f"growth inequality fails at n = {n}")
-                growth_checked += 1
-            T = q * (T + w)
-            pn *= p
+    growth_checked = 0 if solution is None else _growth_checked(solution, r1, gamma, M)
     return RadiusEstimate(r0, r1, alpha, beta, gamma, M, growth_checked)
+
+
+def _growth_checked(solution: FormalSolution, r1: Fraction, gamma: Fraction, M: int) -> int:
+    """The number of modes n > M of ``solution`` checked against the growth
+    inequality of ``radius_estimate``; the first n that fails it raises
+    AssertionError naming n.  A solution of the ODE whose majorant gave
+    gamma and M passes at every n, by the majorant argument."""
+    # on the integer form: with r1 = p/q, gamma = a/b and ||psihat_n|| =
+    # S_n / den, the inequality at n is b n p^n S_n <= a T_n, where
+    # T_n = sum_{j<n} p^j S_j q^{n-j}, so T_{n+1} = q (T_n + p^n S_n)
+    p, q = r1.numerator, r1.denominator
+    a, b = gamma.numerator, gamma.denominator
+    dim, nums = solution.ode.dim, solution._nums
+    checked, T, pn = 0, 0, 1  # T_n and p^n
+    for n in range(solution.K + 1):
+        w = pn * sum(map(abs, nums[n * dim:(n + 1) * dim]))  # p^n S_n
+        if n > M:
+            if b * n * w > a * T:
+                raise AssertionError(f"growth inequality fails at n = {n}")
+            checked += 1
+        T = q * (T + w)
+        pn *= p
+    return checked
 
 
 class NumericPath:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import comb
 
 from .graded import _IntVectors, weight_of
-from .series import _integer_form
+from .series import _integer_form, _is_scalar
 
 __all__ = ["vir_bracket", "apply_exp_raising", "gbinom"]
 
@@ -59,7 +59,7 @@ def apply_exp_raising(coeffs, c0, w: dict, module) -> dict:
     adding the terms in turn.
     """
     for x in (c0, *coeffs, *w.values()):
-        if not isinstance(x, (int, Fraction)):
+        if not _is_scalar(x):
             raise ValueError(f"U(rho) needs rational scalars, not {x!r}")
     if c0 == 0:
         raise ValueError("c0 = 0 is not a coordinate change")

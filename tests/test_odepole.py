@@ -8,8 +8,8 @@ from fractions import Fraction as F
 import pytest
 
 from voablocks.odepole import (FormalSolution, NumericPath, PoleODE,
-                               ResonanceError, formal_solve, numeric_continue,
-                               radius_estimate)
+                               ResonanceError, _growth_checked, formal_solve,
+                               numeric_continue, radius_estimate)
 from voablocks.series import TruncSeries
 
 
@@ -116,13 +116,24 @@ class TestRadius:
             radius_estimate(ode, F(1, 2), majorant=(F(1), F(1, 2)))
 
     def test_growth_inequality_failure_names_n(self):
-        # the modes of 1/(1-q), psihat_n = 1, against the zero system, whose
-        # majorant (0, 0) gives alpha = 0, M = 0 and gamma = 1: at n = 1,
-        # r1 * 1 = 2 > 1 * 1
+        # the modes of 1/(1-q), psihat_n = 1, against the certificate of the
+        # zero system, whose majorant (0, 0) gives alpha = 0, M = 0 and
+        # gamma = 1: at n = 1, r1 * 1 = 2 > 1 * 1
         sol = formal_solve(geometric_ode(8), {0: [F(1)]}, 6)
         zero = PoleODE([[TruncSeries.const("q", F(0), 8)]])
+        est = radius_estimate(zero, F(2), majorant=(F(0), F(0)))
         with pytest.raises(AssertionError, match=r"fails at n = 1$"):
-            radius_estimate(zero, F(2), majorant=(F(0), F(0)), solution=sol)
+            _growth_checked(sol, est.r1, est.gamma, est.M)
+
+    def test_solution_of_another_ode_refused(self):
+        # the modes of 1/(1-q) pass the growth check of the certificate of
+        # q psi' = (5q/(1-q)) psi, so only the mismatch itself shows; it is
+        # refused before r1 or the majorant is looked at
+        five = PoleODE([[TruncSeries.from_coeff_map("q", {k: F(5) for k in range(1, 12)}, 12)]])
+        sol = formal_solve(geometric_ode(12), {0: [F(1)]}, 10)
+        for r1, majorant in ((F(1, 2), (5, 1)), (F(-1), (0, 0))):
+            with pytest.raises(ValueError, match="^solution is a formal solution of another PoleODE"):
+                radius_estimate(five, r1, majorant, solution=sol)
 
     def test_unbounded_majorant_rejected(self):
         ode = geometric_ode(10)
@@ -190,13 +201,17 @@ class TestRadiusAgainstFractions:
     the growth check on integers; on 80 derandomized systems its outcome
     equals the Fraction formulas', fields, count and failing n alike."""
 
-    def outcome(self, *args, **kwargs):
+    def outcome(self, ode, r1, majorant, solution):
+        # radius_estimate refuses a solution of another system, so such
+        # modes are checked against the certificate of ``ode`` directly
+        own = solution.ode is ode
         try:
-            est = radius_estimate(*args, **kwargs)
+            est = radius_estimate(ode, r1, majorant, solution=solution if own else None)
+            checked = est.growth_checked if own else \
+                _growth_checked(solution, est.r1, est.gamma, est.M)
         except (ValueError, AssertionError) as e:
             return type(e), str(e)
-        return (est.r0, est.r1, est.alpha, est.beta, est.gamma, est.M,
-                est.growth_checked)
+        return (est.r0, est.r1, est.alpha, est.beta, est.gamma, est.M, checked)
 
     def test_random_systems(self):
         rng = random.Random(20261019)
