@@ -19,6 +19,10 @@ of integer numerators) over an int denominator.
 A ``CoordChange`` keeps one prefix [c0, ..., c_m] of these coefficients
 and extends it only when a longer one is asked for: rho is an exact
 polynomial, so c_n does not depend on how many coefficients were requested.
+Its constructor refuses what ``extract_coeffs`` checks for outside input,
+so it runs the recursion on its own coefficients directly.  The group law
+composes rho1 o rho2 with ``poly_compose``, one ``series_compose`` call on
+that kernel's domain: p2(0) = 0 and no pole in either polynomial.
 
 There is one scalar ring, the rationals: U(rho) takes rational c_n and
 vectors and runs on integer numerators (see ``virasoro.apply_exp_raising``).
@@ -58,7 +62,7 @@ from operator import mul
 
 from .graded import vec_add_into, vec_is_zero, vec_max_weight, vec_scale_ltilde0, weight_of
 from .models import Module
-from .series import TruncSeries, _series, series_mul
+from .series import TruncSeries, _series, series_compose, series_mul
 from .virasoro import apply_exp_raising, gbinom
 
 __all__ = [
@@ -86,24 +90,18 @@ def poly_series(cmap: dict, var: str, order: int) -> TruncSeries:
 
 
 def poly_compose(p1: dict, p2: dict) -> dict:
-    """Exact composition of polynomials given as exponent->coefficient maps."""
-    out: dict = {}
-    for k, c in p1.items():
-        # p2^k by repeated convolution
-        power = {0: F1}
-        for _ in range(k):
-            nxt: dict = {}
-            for e1, c1 in power.items():
-                for e2, c2 in p2.items():
-                    nxt[e1 + e2] = nxt.get(e1 + e2, F0) + c1 * c2
-            power = nxt
-        for e, cc in power.items():
-            v = out.get(e, F0) + c * cc
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
-    return out
+    """p1(p2(z)) for polynomials given as exponent -> rational maps, as the
+    map of its nonzero coefficients (Fractions).
+
+    The domain is that of ``series_compose``: p2(0) = 0 and no nonzero
+    term of negative exponent in either map; input outside it raises
+    ValueError.  Both are composed as series known below z^(d1 d2 + 1),
+    d_i the largest exponent of p_i (below z^1 if d1 d2 < 0), so the
+    result is exact."""
+    order = max(max(p1, default=0) * max(p2, default=0), 0) + 1
+    s = series_compose(TruncSeries.from_coeff_map("z", p1, order),
+                       TruncSeries.from_coeff_map("z", p2, order))
+    return {e: c for e, c in enumerate(s.coeffs, s.floor) if c}
 
 
 class CoordChange:
@@ -132,8 +130,11 @@ class CoordChange:
         fresh list.  c_n depends only on the coefficients of rho up to
         z^{n+1}, and rho is exact, so one prefix serves every count: it is
         re-extracted only when a longer one is asked for."""
-        if not 0 <= count < len(self._coeffs):
-            self._coeffs = extract_coeffs(self.series(count + 2), count)
+        if count < 0:
+            raise ValueError(f"coefficient count must be >= 0, got {count}")
+        if count >= len(self._coeffs):
+            self._coeffs = _exp_factorization(
+                [self.poly.get(j, F0) for j in range(1, count + 2)], F1 / self.poly[1])
         return self._coeffs[:count + 1]
 
     def __repr__(self):
@@ -158,8 +159,6 @@ def extract_coeffs(rho: TruncSeries, count: int) -> list:
     for e in range(rho.floor, 0):
         if rho.coeff(e):
             raise ValueError(f"rho has a pole at 0: its z^{e} coefficient is nonzero")
-    if rho.floor > 1:
-        raise ValueError("rho'(0) = 0: not a coordinate change")
     a1 = rho.coeff(1)
     if not a1:
         raise ValueError("rho'(0) = 0: not a coordinate change")

@@ -60,7 +60,8 @@ _RATIONAL_TYPES = {int, Fraction}
 
 
 def _is_scalar(x) -> bool:
-    return isinstance(x, (int, Fraction))
+    """An exact type test: ``bool`` is refused though it subclasses int."""
+    return type(x) in _RATIONAL_TYPES
 
 
 def _integer_form(cs):
@@ -121,7 +122,7 @@ class TruncSeries:
         if order < floor:
             raise ValueError("order < floor")
         if not _RATIONAL_TYPES.issuperset(map(type, coeffs)):
-            bad = next(c for c in coeffs if type(c) not in _RATIONAL_TYPES)
+            bad = next(c for c in coeffs if not _is_scalar(c))
             raise ValueError(f"a series coefficient must be an int or a Fraction, not {bad!r}")
         self.var = var
         self.floor = floor
@@ -231,10 +232,6 @@ class TruncSeries:
 
     # -- ring operations ------------------------------------------------
 
-    def _check_var(self, other: "TruncSeries"):
-        if self.var != other.var:
-            raise ValueError(f"variable mismatch: {self.var!r} vs {other.var!r}")
-
     def _plus(self, other, sign: int):
         """self + sign * other for a series other; the int 0 that ``sum``
         starts from leaves self as it is."""
@@ -242,7 +239,8 @@ class TruncSeries:
             return self
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        self._check_var(other)
+        if self.var != other.var:
+            raise ValueError(f"variable mismatch: {self.var!r} vs {other.var!r}")
         floor = min(self.floor, other.floor)
         order = min(self.order, other.order)
         (na, da), (nb, db) = self._ints(), other._ints()
@@ -276,7 +274,6 @@ class TruncSeries:
             return self.scale(other)
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        self._check_var(other)
         return series_mul(self, other)
 
     __rmul__ = __mul__

@@ -498,6 +498,15 @@ class TestMalformedInput:
             "z0": one}))
         self.check(capsys, "blocks", "glue", "--fixture", str(fx))
 
+    @pytest.mark.parametrize("argv, message", [
+        (("coord", "extract", "--series", ""), "empty polynomial"),
+        (("coord", "extract", "--series", "z^"), "cannot parse polynomial near '^'"),
+        (("coord", "extract", "--series", "z+*"), "cannot parse polynomial near '+*'"),
+        (("coord", "huang", "--alpha", "z+w"), "mixed variables 'z' and 'w'"),
+    ], ids=["empty", "dangling-caret", "sign-without-term", "mixed-variables"])
+    def test_polynomial_refused(self, capsys, argv, message):
+        assert self.check(capsys, *argv) == f"error: {message}\n"
+
     def test_ode_entry_not_a_series(self, capsys, tmp_path):
         fx = tmp_path / "bad_ode.json"
         fx.write_text(json.dumps({"entries": [["x"]]}))

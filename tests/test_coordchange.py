@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from voablocks.coordchange import (CoordChange, U_apply, extract_coeffs,
                                    gamma_relation_check, gamma_series,
-                                   huang_conjugation_check)
+                                   huang_conjugation_check, poly_compose)
 from voablocks.graded import vec_add_into, vec_is_zero, weight_of
 from voablocks.models import (FockModule, contragredient, fock_module, heisenberg_model,
                                virasoro_model)
@@ -76,6 +76,18 @@ class TestExtract:
         assert CoordChange({-2: 0, 0: F(0), 1: 2}).coeffs(1) == [F(2), F(0)]
         assert extract_coeffs(TruncSeries("z", -2, [0, F(0), 0, 3, 1]), 1) == [F(3), F(1, 3)]
 
+    def test_zero_derivative_refused(self):
+        with pytest.raises(ValueError, match=r"rho'\(0\) = 0: not a coordinate change"):
+            extract_coeffs(TruncSeries.from_coeff_map("z", {2: 1}, 5), 2)
+
+    def test_window_too_small_refused(self):
+        with pytest.raises(ValueError, match="series window too small to see rho'"):
+            extract_coeffs(TruncSeries("z", 0, [0]), 0)
+
+    def test_negative_coeff_count_refused(self):
+        with pytest.raises(ValueError, match="coefficient count must be >= 0, got -1$"):
+            CoordChange({1: F(1), 2: F(1)}).coeffs(-1)
+
     def test_short_order_names_the_order_needed(self):
         rho = CoordChange({1: F(2), 2: F(-1, 3), 4: F(1)}).series(8)
         assert len(extract_coeffs(rho, 6)) == 7  # count + 2 = order: the largest count
@@ -96,6 +108,43 @@ def test_coeffs_prefix_any_request_order(rest, a1, counts):
         got[:] = [F(99)] * len(got)
     for n in counts:
         assert rho.coeffs(n) == extract_coeffs(rho.series(n + 2), n), n
+
+
+def evaluate(poly, x):
+    return sum((c * x ** k for k, c in poly.items()), F(0))
+
+
+@settings(max_examples=40, derandomize=True)
+@given(st.dictionaries(st.integers(0, 5), st.builds(F, st.integers(-6, 6), st.integers(1, 4))),
+       st.dictionaries(st.integers(1, 5), st.builds(F, st.integers(-6, 6), st.integers(1, 4))),
+       st.lists(st.builds(F, st.integers(-9, 9), st.integers(1, 5)), min_size=3, max_size=3))
+def test_poly_compose_against_evaluation(p1, p2, xs):
+    # p1(p2(x)) at rational points: the oracle evaluates and convolves nothing;
+    # the result has degree <= d1 d2, so agreeing at the d1 d2 + 1 points
+    # 0..d1 d2 as well makes it p1 o p2 exactly
+    comp = poly_compose(p1, p2)
+    assert all(type(c) is F and c for c in comp.values())
+    for x in xs:
+        assert evaluate(comp, x) == evaluate(p1, evaluate(p2, x)), x
+    degree = max((k for k, c in p1.items() if c), default=0) * \
+        max((k for k, c in p2.items() if c), default=0)
+    assert max(comp, default=0) <= degree
+    for x in range(degree + 1):
+        assert evaluate(comp, F(x)) == evaluate(p1, evaluate(p2, F(x))), x
+
+
+@pytest.mark.parametrize("p1, p2", [({-1: 1}, {1: 2}), ({1: 1}, {0: 1, 1: 1}),
+                                    ({2: 1}, {-1: 1, 1: 1})])
+def test_poly_compose_refuses_out_of_domain(p1, p2):
+    # a pole in p1, p2(0) != 0 and a pole in p2
+    with pytest.raises(ValueError, match="composition needs"):
+        poly_compose(p1, p2)
+
+
+def test_poly_compose_zero_terms_below_z0_allowed():
+    # zero entries at negative exponents set no degree: p2 = 0 leaves p1(0)
+    assert poly_compose({0: 3, 5: 1}, {-1: 0}) == {0: F(3)}
+    assert poly_compose({-1: 0}, {3: 1}) == {}
 
 
 def flow_series(c0, a, m, order):

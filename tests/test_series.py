@@ -6,8 +6,10 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from voablocks.models import heisenberg_model
 from voablocks.series import (BivarSeries, QExpansion, TruncSeries,
                               series_comp_inverse, series_compose, series_mul)
+from voablocks.virasoro import apply_exp_raising
 
 rationals = st.builds(F, st.integers(-30, 30), st.integers(1, 6))
 
@@ -355,11 +357,27 @@ def test_constructor_refuses_non_rational_coefficients():
     # a series holds integer numerators over one denominator, so every
     # coefficient is an int or a Fraction; anything else, a series in
     # another variable included, is refused before any kernel sees it
-    for bad in (0.5, 1j, "1/2", TruncSeries("x", 0, [F(1), F(2)]), None):
+    for bad in (0.5, 1j, "1/2", TruncSeries("x", 0, [F(1), F(2)]), None, True):
         with pytest.raises(ValueError, match="must be an int or a Fraction"):
             TruncSeries("z", 0, [F(1), bad, 2])
         with pytest.raises(ValueError, match="must be an int or a Fraction"):
             TruncSeries.from_coeff_map("z", {0: F(1), 3: bad}, 5)
+
+
+def test_bool_is_no_rational_scalar():
+    # the constructor's exact-type test holds for scalars and U(rho)'s inputs
+    # too: True is an int by isinstance but no rational here
+    with pytest.raises(ValueError, match="scales by an int or a Fraction, not True"):
+        TruncSeries("z", 0, [1]).scale(True)
+    with pytest.raises(ValueError, match="needs rational scalars, not True"):
+        apply_exp_raising([True], 1, {(): F(1)}, heisenberg_model())
+
+
+@pytest.mark.parametrize("op", [lambda a, b: a + b, lambda a, b: a * b], ids=["+", "*"])
+def test_variable_mismatch_refused(op):
+    z, q = TruncSeries.const("z", 1, 3), TruncSeries.const("q", 1, 3)
+    with pytest.raises(ValueError, match="variable mismatch: 'z' vs 'q'"):
+        op(z, q)
 
 
 XS = [TruncSeries("x", 0, [F(1), F(2)]), TruncSeries("x", 0, [F(3), F(0)])]
