@@ -6,6 +6,8 @@ Core identity: every rho factors as
     rho(z) = c0 * exp(sum_{n>0} c_n z^{n+1} d/dz) z,
 
 and the representation is U(rho) = c0^{Ltilde0} exp(sum_{n>0} c_n L_n).
+In particular s^{Ltilde0} is U of the scaling z -> s z, which is how the
+gamma_xi relation check applies it.
 The c_n are extracted in one pass over the exponents of z: the terms
 V^k z / k! of the Lie series, V = sum c_m z^{m+1} d/dz, obey a recurrence
 in k, and c_n enters the z^{n+1} coefficient only through the k = 1 term.
@@ -19,8 +21,10 @@ of integer numerators) over an int denominator.
 A ``CoordChange`` keeps one prefix [c0, ..., c_m] of these coefficients
 and extends it only when a longer one is asked for: rho is an exact
 polynomial, so c_n does not depend on how many coefficients were requested.
-Its constructor refuses what ``extract_coeffs`` checks for outside input,
-so it runs the recursion on its own coefficients directly.  The group law
+Its constructor is the one gate of the group: it refuses a coefficient
+that is not an int or a Fraction, a pole at 0 (zero terms below z^1 are
+allowed), rho(0) != 0 and rho'(0) = 0, and ``extract_coeffs`` reads a series
+through it.  The group law
 composes rho1 o rho2 with ``poly_compose``, one ``series_compose`` call on
 that kernel's domain: p2(0) = 0 and no pole in either polynomial.
 
@@ -60,9 +64,9 @@ from functools import lru_cache
 from math import lcm
 from operator import mul
 
-from .graded import vec_add_into, vec_is_zero, vec_max_weight, vec_scale_ltilde0, weight_of
+from .graded import vec_add_into, vec_is_zero, vec_max_weight, weight_of
 from .models import Module
-from .series import TruncSeries, _series, series_compose, series_mul
+from .series import TruncSeries, _is_scalar, _series, series_compose, series_mul
 from .virasoro import apply_exp_raising, gbinom
 
 __all__ = [
@@ -109,6 +113,9 @@ class CoordChange:
     (a_0 = 0, a_1 != 0), regenerable as a series at any truncation order."""
 
     def __init__(self, poly: dict):
+        for v in poly.values():
+            if not _is_scalar(v):
+                raise ValueError(f"a coefficient of rho must be an int or a Fraction, not {v!r}")
         poly = {int(k): Fraction(v) for k, v in poly.items() if v}
         if min(poly, default=0) < 0:
             raise ValueError(f"rho has a pole at 0: its z^{min(poly)} coefficient is nonzero")
@@ -116,7 +123,7 @@ class CoordChange:
             raise ValueError("rho(0) must be 0")
         poly.pop(0, None)
         if not poly.get(1):
-            raise ValueError("rho'(0) must be nonzero (not in the group)")
+            raise ValueError("rho'(0) = 0: not a coordinate change")
         self.poly = poly
         self._coeffs: list = []  # [c0, ..., c_m], the longest prefix asked for
 
@@ -152,25 +159,15 @@ def extract_coeffs(rho: TruncSeries, count: int) -> list:
     two Fractions per c_n.  Closed forms at low order:
     c1 = (1/2) rho''(0)/rho'(0),
     c2 = (1/6) rho'''(0)/rho'(0) - (1/4)(rho''(0)/rho'(0))^2.
-    A nonzero term below z^1 is refused; zero ones are allowed.
+    rho is read through ``CoordChange``, the one gate of the group.
     """
     if rho.order < 2:
         raise ValueError("series window too small to see rho'(0)")
-    for e in range(rho.floor, 0):
-        if rho.coeff(e):
-            raise ValueError(f"rho has a pole at 0: its z^{e} coefficient is nonzero")
-    a1 = rho.coeff(1)
-    if not a1:
-        raise ValueError("rho'(0) = 0: not a coordinate change")
-    if rho.floor < 1 and rho.coeff(0):
-        raise ValueError("rho(0) must be 0")
-    if count < 0:
-        raise ValueError(f"coefficient count must be >= 0, got {count}")
+    cc = CoordChange(dict(enumerate(rho.coeffs, rho.floor)))
     if count > rho.order - 2:
         raise ValueError("series order too small for requested coefficient count: "
                          f"{count} coefficients need order >= {count + 2}")
-    a1 = Fraction(a1) if isinstance(a1, int) else a1
-    return _exp_factorization([a1] + [rho.coeff(j) for j in range(2, count + 2)], F1 / a1)
+    return cc.coeffs(count)
 
 
 def _split(x) -> tuple:
@@ -258,8 +255,8 @@ def gamma_relation_check(xi, w: dict, module: Module) -> bool:
     xi = Fraction(xi)
     # U_apply reads c_0, ..., c_W at top weight W; gamma_xi keeps z^1 even for w = 0
     order = max(vec_max_weight(w), 0) + 2
-    lhs = U_apply(gamma_series(xi, order), vec_scale_ltilde0(w, xi), module)
-    rhs = vec_scale_ltilde0(U_apply(gamma_series(F1, order), w, module), F1 / xi)
+    lhs = U_apply(gamma_series(xi, order), U_apply(CoordChange({1: xi}), w, module), module)
+    rhs = U_apply(CoordChange({1: F1 / xi}), U_apply(gamma_series(F1, order), w, module), module)
     diff = vec_add_into(dict(lhs), rhs, Fraction(-1))
     return vec_is_zero(diff)
 

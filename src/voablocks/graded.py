@@ -7,7 +7,8 @@ identified by the label it pairs to 1 with), so the dual-basis pairing is
 label equality.
 
 Vectors are plain ``{label: coefficient}`` dicts of rationals: no vector
-holds a series (see the series module notes).
+holds a series (see the series module notes).  s^{Ltilde0} on a vector is
+U of the scaling z -> s z (``coordchange``).
 
 Exact rational sums that build many entries run on the one private
 accumulator ``_IntVectors``: integer numerators over one running common
@@ -26,7 +27,6 @@ from math import lcm
 __all__ = [
     "weight_of",
     "vec_add_into",
-    "vec_scale_ltilde0",
     "vec_weight_project",
     "vec_max_weight",
     "vec_is_zero",
@@ -90,11 +90,6 @@ class _IntVectors:
         if den == 1:  # integer sums: Fraction(n) skips the gcd
             return {t: {k: Fraction(n) for k, n in vec.items()} for t, vec in self.vecs.items()}
         return {t: {k: Fraction(n, den) for k, n in vec.items()} for t, vec in self.vecs.items()}
-
-
-def vec_scale_ltilde0(v: dict, s) -> dict:
-    """s^{Ltilde0} v: each label's coefficient times s to its weight."""
-    return {label: a * s ** weight_of(label) for label, a in v.items()}
 
 
 def vec_weight_project(v: dict, n: int) -> dict:

@@ -13,7 +13,8 @@ Two models:
 Modes come in weight blocks: ``Module.mode_block(v, h, wt)`` is Y_W(v)_h
 on every basis label of weight wt, memoized per (v label, h, wt).  Every
 basis vector of V peels as v = Y(g)_j u for the generating field g (alpha
-resp. the conformal vector), and the m = 0 case of the Jacobi identity
+resp. the conformal vector; ``VOAModel.peel`` reads j = wt g - 1 - n off the
+first part n of v's label), and the m = 0 case of the Jacobi identity
 rewrites a block of v through generator modes and blocks of the shorter u:
 
     Y_W(Y(g)_j u)_h = sum_l (-1)^l C(j,l) g_{j-l} u_{h+l}
@@ -268,15 +269,14 @@ class VOAModel(Module):
     c: Fraction
     gen_weight: int
     conformal_vector: dict
-    vacuum: tuple = ()
 
     def __init__(self):
         super().__init__()
         self._twists: dict = {}  # label -> memoized gamma_twist terms
 
     def peel(self, label: tuple) -> tuple[int, tuple]:
-        """Split a basis label as v = Y(g)_j u; returns (j, label of u)."""
-        raise NotImplementedError
+        """(j, u) with v = Y(g)_j u: v's first part n is g_{-n} = Y(g)_{wt g - 1 - n}."""
+        return self.gen_weight - 1 - label[0], label[1:]
 
 
 class HeisenbergVOA(VOAModel):
@@ -291,9 +291,6 @@ class HeisenbergVOA(VOAModel):
         self.mu = F0
         self.gen_weight = 1
         self.conformal_vector = {(1, 1): Fraction(1, 2)}
-
-    def peel(self, label: tuple) -> tuple[int, tuple]:
-        return -label[0], label[1:]
 
     def gen_apply(self, k: int, label: tuple) -> dict:
         # alpha_k on a partition word over the highest-weight vector
@@ -346,10 +343,6 @@ class VirasoroVOA(VOAModel):
         self.name = f"virasoro(c={self.c})"
         self.gen_weight = 2
         self.conformal_vector = {(2,): F1}
-
-    def peel(self, label: tuple) -> tuple[int, tuple]:
-        # L_{-n} = Y(conformal vector)_{-n+1}
-        return -label[0] + 1, label[1:]
 
     def gen_apply(self, k: int, label: tuple) -> dict:
         return self._L(k - 1, label)
@@ -472,9 +465,8 @@ def contragredient(module: Module) -> Module:
 
 
 class JacobiReport:
-    def __init__(self, passed: bool, l_ranges: dict, witness: dict | None):
+    def __init__(self, passed: bool, witness: dict | None):
         self.passed = passed
-        self.l_ranges = l_ranges
         self.witness = witness
 
     def __bool__(self):
@@ -482,7 +474,7 @@ class JacobiReport:
 
     def __repr__(self):
         status = "pass" if self.passed else f"FAIL witness={self.witness}"
-        return f"JacobiReport({status}, l_ranges={self.l_ranges})"
+        return f"JacobiReport({status})"
 
 
 def jacobi_check(module: Module, u, v, w: dict, m: int, n: int, h: int) -> JacobiReport:
@@ -492,8 +484,8 @@ def jacobi_check(module: Module, u, v, w: dict, m: int, n: int, h: int) -> Jacob
       = sum_l (-1)^l C(n,l) Y(u)_{m+n-l} Y(v)_{h+l}
       - sum_l (-1)^{l+n} C(n,l) Y(v)_{n+h-l} Y(u)_{m+l}
 
-    All three sums are finite by lower truncation; the report records the
-    l-ranges actually summed.
+    All three sums are finite by lower truncation; a failing report holds
+    the nonzero difference of the two sides as its witness.
     """
     voa = module.voa
     if isinstance(u, tuple):
@@ -536,6 +528,4 @@ def jacobi_check(module: Module, u, v, w: dict, m: int, n: int, h: int) -> Jacob
 
     diff = vec_add_into(dict(lhs), rhs, Fraction(-1))
     passed = vec_is_zero(diff)
-    ranges = {"lhs": (0, max(lmax_L, -1)), "rhs_uv": (0, max(lmax_1, -1)),
-              "rhs_vu": (0, max(lmax_2, -1))}
-    return JacobiReport(passed, ranges, None if passed else diff)
+    return JacobiReport(passed, None if passed else diff)

@@ -119,8 +119,6 @@ class TruncSeries:
             order = floor + len(coeffs)
         if order - floor != len(coeffs):
             raise ValueError("coeffs length must equal order - floor")
-        if order < floor:
-            raise ValueError("order < floor")
         if not _RATIONAL_TYPES.issuperset(map(type, coeffs)):
             bad = next(c for c in coeffs if not _is_scalar(c))
             raise ValueError(f"a series coefficient must be an int or a Fraction, not {bad!r}")
@@ -354,6 +352,9 @@ def series_compose(f: TruncSeries, g: TruncSeries) -> TruncSeries:
     if fn.floor < 0:
         raise ValueError("composition needs f with floor >= 0")
     gn = g.normalize()
+    if gn.floor < 0:
+        raise ValueError(f"composition needs g without a pole at 0: its {g.var}^{gn.floor} "
+                         "coefficient is nonzero")
     if gn.floor < 1:
         raise ValueError("composition needs g(0) = 0")
     k0 = max(fn.floor, 1)

@@ -425,7 +425,7 @@ SWEEP = [
     ("coord extract --series z+z^2 --format csv", "unrecognized arguments: --format"),
     ("coord extract --series 1+z", "rho(0) must be 0"),
     ("coord huang --alpha 1+z", "rho(0) must be 0"),
-    ("coord huang --alpha z^2", "rho'(0) must be nonzero"),
+    ("coord huang --alpha z^2", "rho'(0) = 0: not a coordinate change"),
     ("schwarzian --series z^2", "f'(0) = 0"),
     ("schwarzian --series z+z^3 --format csv", "unrecognized arguments: --format"),
     ("uniformize --series z^3 --order 2", "order 2 too small for the polynomial: "
@@ -505,6 +505,39 @@ class TestMalformedInput:
         (("coord", "huang", "--alpha", "z+w"), "mixed variables 'z' and 'w'"),
     ], ids=["empty", "dangling-caret", "sign-without-term", "mixed-variables"])
     def test_polynomial_refused(self, capsys, argv, message):
+        assert self.check(capsys, *argv) == f"error: {message}\n"
+
+    @pytest.mark.parametrize("rho", ["z^2", "1+z", "z^-1+z"])
+    def test_extract_and_huang_refuse_alike(self, capsys, rho):
+        # both commands read rho through CoordChange (z^-1 fails to parse)
+        assert (self.check(capsys, "coord", "extract", "--series", rho)
+                == self.check(capsys, "coord", "huang", "--alpha", rho))
+
+    @pytest.mark.parametrize("argv, files, message", [
+        (GLUE, {"glue.json": {**glue(), "z0": {"num": "0", "den": "1"}}},
+         "z0 must be nonzero"),
+        (THREE_POINT, {"tp.json": three_point("heisenberg", z0=0)},
+         "z0 must be off the marked points 0 and infinity"),
+        (["ode", "solve", "--matrix", "mat.json", "--order", "2"],
+         {"mat.json": {"entries": [[SERIES, SERIES]]}}, "A must be square"),
+        (["ode", "solve", "--matrix", "mat.json", "--order", "2"],
+         {"mat.json": {"entries": [[{**SERIES, "floor": -1,
+                                     "coeffs": [{"num": "1", "den": "1"}, *SERIES["coeffs"]]}]]}},
+         "entries must be holomorphic at q = 0"),
+        (["ode", "continue", "--matrix", "mat.json", "--path", "path.json"],
+         {"mat.json": {"entries": [[SERIES]]},
+          "path.json": {"waypoints": [[0.05, 0.0]], "start": [[1.0, 0.0]]}},
+         "a path needs at least two waypoints"),
+        (["ode", "continue", "--matrix", "mat.json", "--path", "path.json"],
+         {"mat.json": {"entries": [[SERIES]]},
+          "path.json": {"waypoints": [[0.05, 0.0], [0.05, 0.0]], "start": [[1.0, 0.0]]}},
+         "step underflow: degenerate segment"),
+    ], ids=["glue-z0-zero", "three-point-z0-zero", "ode-not-square", "ode-entry-pole",
+            "continue-one-waypoint", "continue-equal-waypoints"])
+    def test_library_refusal(self, capsys, tmp_path, monkeypatch, argv, files, message):
+        monkeypatch.chdir(tmp_path)
+        for name, obj in files.items():
+            (tmp_path / name).write_text(json.dumps(obj))
         assert self.check(capsys, *argv) == f"error: {message}\n"
 
     def test_ode_entry_not_a_series(self, capsys, tmp_path):

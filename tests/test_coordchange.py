@@ -3,6 +3,7 @@ conjugation, and the gamma relation."""
 
 import hashlib
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -72,6 +73,20 @@ class TestExtract:
         with pytest.raises(ValueError, match=r"pole at 0: its z\^-1 coefficient is nonzero"):
             extract_coeffs(TruncSeries("z", -1, [1, 0, 1, 1]), 1)
 
+    @pytest.mark.parametrize("poly", [{1: 0.1}, {1: True}, {1: "1/3"}, {1: 1, 2: 0.5}],
+                             ids=["float", "bool", "str", "float-above-z"])
+    def test_non_rational_coefficient_refused(self, poly):
+        # CoordChange is the one gate: a float is not read as a binary fraction
+        bad = poly[max(poly)]
+        with pytest.raises(ValueError, match=rf"int or a Fraction, not {re.escape(repr(bad))}$"):
+            CoordChange(poly)
+
+    def test_int_coefficients_read_as_fractions(self):
+        rho = CoordChange({1: 2, 3: -1})
+        assert rho.poly == {1: 2, 3: -1}
+        assert [type(c) for c in rho.poly.values()] == [F, F]
+        assert [type(c) for c in rho.coeffs(3)] == [F] * 4
+
     def test_zero_terms_below_z_allowed(self):
         assert CoordChange({-2: 0, 0: F(0), 1: 2}).coeffs(1) == [F(2), F(0)]
         assert extract_coeffs(TruncSeries("z", -2, [0, F(0), 0, 3, 1]), 1) == [F(3), F(1, 3)]
@@ -136,8 +151,14 @@ def test_poly_compose_against_evaluation(p1, p2, xs):
 @pytest.mark.parametrize("p1, p2", [({-1: 1}, {1: 2}), ({1: 1}, {0: 1, 1: 1}),
                                     ({2: 1}, {-1: 1, 1: 1})])
 def test_poly_compose_refuses_out_of_domain(p1, p2):
-    # a pole in p1, p2(0) != 0 and a pole in p2
-    with pytest.raises(ValueError, match="composition needs"):
+    # a pole in p1, p2(0) != 0 and a pole in p2, each refused by its own rule
+    if min(p1) < 0:
+        match = "composition needs f with floor >= 0"
+    elif min(p2) < 0:
+        match = r"composition needs g without a pole at 0: its z\^-1 coefficient is nonzero"
+    else:
+        match = r"composition needs g\(0\) = 0"
+    with pytest.raises(ValueError, match=match):
         poly_compose(p1, p2)
 
 

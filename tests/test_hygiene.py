@@ -243,8 +243,6 @@ UNIT_TESTED_ONLY = {
     # gamma_xi(z) = 1/(xi+z) - 1/xi, the coordinate change of the gamma_xi
     # relation that gamma_relation_check tests
     "gamma_series",
-    # xi^{Ltilde0} on a vector: the scaling in the gamma_xi relation
-    "vec_scale_ltilde0",
     # the weight-n part of a vector: conformal_transition reads the weight-2
     # part of U(rho) omega
     "vec_weight_project",

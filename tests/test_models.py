@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from voablocks.graded import vec_add_into, vec_is_zero, weight_of
-from voablocks.models import (DualModule, contragredient, fock_module, gamma_twist,
+from voablocks.models import (DualModule, FockModule, contragredient, fock_module, gamma_twist,
                               heisenberg_model, jacobi_check, partition_count, partitions,
                               virasoro_model)
 from voablocks.sewing import torus_character
@@ -69,6 +69,25 @@ class TestAxioms:
             w = {rng.choice(labels): F(rng.randint(1, 5))}
             m, n, h = (rng.randint(-2, 3) for _ in range(3))
             assert jacobi_check(voa, u, v, w, m, n, h), (u, v, w, m, n, h)
+
+    def test_jacobi_fails_on_a_broken_bracket(self):
+        # alpha_2 doubled on F_mu: alpha_2 alpha_{-2}|mu> = 4|mu>, but the
+        # bracket [alpha_2, alpha_{-2}] = 2 is the u = v = alpha, n = 0 case
+        good, bad = FockModule(H, F(2, 3)), DoubledAlpha2(H, F(2, 3))
+        args = ((1,), (1,), {(): F(1)}, 2, 0, -2)
+        assert jacobi_check(good, *args)
+        rep = jacobi_check(bad, *args)
+        assert not rep and rep.witness and not vec_is_zero(rep.witness)
+        assert repr(rep) == f"JacobiReport(FAIL witness={rep.witness})"
+
+
+class DoubledAlpha2(FockModule):
+    """F_mu with every alpha_2 image doubled: the bracket of alpha_2 with
+    alpha_{-2} is off by 2."""
+
+    def gen_apply(self, k, label):
+        img = super().gen_apply(k, label)
+        return {l: 2 * c for l, c in img.items()} if k == 2 else img
 
 
 def vir_commutator_columns(voa, m, n, cap):
