@@ -13,6 +13,16 @@ a global function iff sum_i Res_i (s_i * lambda) = 0 for every 1-form
 lambda with poles only at the marked points; a violated pairing is
 reported as a witness of the shape lambda = zeta^m (zeta - z0)^n dzeta.
 
+A ``RationalFunction`` keeps beside its Fraction maps the integer form its
+constructor builds once: numerators over one denominator for the polynomial
+part and for each pole part, whose point is kept as (num, den).  ``eval``
+and the propagated evaluator read a value as an unreduced (num, den) pair
+through one helper and build one Fraction per value; expansions and slot
+tails come back as series born integer; ``strong_residue_check`` compares
+crosswise on integer numerators and builds a Fraction only for a witness.
+The constructor refuses a coefficient or point that is not an int or a
+Fraction, naming it.
+
 Block functionals are linear maps on tensors of capped module vectors.
 Propagation inserts one extra VOA vector varying over the sphere; its
 value at a rational point y is computed by assembling the Laurent tails of
@@ -38,12 +48,12 @@ every other functional reads all.  Propagation glues these tails and
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
+from math import comb, gcd, lcm
 
 from .graded import vec_add_into, vec_is_zero, weight_of
 from .models import Module, contragredient, gamma_twist
-from .series import TruncSeries, series_mul
-from .virasoro import gbinom
+from .series import TruncSeries, _check_scalars, _integer_form, _series, series_mul
 
 __all__ = [
     "INFINITY",
@@ -117,19 +127,28 @@ class SpherePoints:
 
 
 class RationalFunction:
-    """Partial-fraction form: polynomial part + pole parts at finite points."""
+    """Partial-fraction form: polynomial part + pole parts at finite points.
+    ``poly`` and ``poles`` are read, never written: evaluation and expansion
+    run on the integer form built from them (module docstring)."""
 
     def __init__(self, poly=None, poles=None):
-        self.poly = {int(k): Fraction(c) for k, c in (poly or {}).items() if c}
+        poly, poles = poly or {}, poles or {}
+        _check_scalars([*poly.values(), *chain(*(part.values() for part in poles.values()))],
+                       "a coefficient of a rational function")
+        _check_scalars(poles, "a pole of a rational function")
+        self.poly = {int(k): _rational(c) for k, c in poly.items() if c}
         if any(k < 0 for k in self.poly):
             raise ValueError("polynomial part needs exponents >= 0")
         self.poles = {}
-        for p, part in (poles or {}).items():
-            part = {int(m): Fraction(c) for m, c in part.items() if c}
+        for p, part in poles.items():
+            part = {int(m): _rational(c) for m, c in part.items() if c}
             if any(m < 1 for m in part):
                 raise ValueError("pole orders must be >= 1")
             if part:
-                self.poles[Fraction(p)] = part
+                self.poles[_rational(p)] = part
+        self._poly_ints = _integer_form(_dense(self.poly, 0))
+        self._pole_ints = [(p.numerator, p.denominator, *_integer_form(_dense(part, 1)))
+                           for p, part in self.poles.items()]
 
     def __eq__(self, other):
         # the constructor drops zero coefficients, so equal functions have
@@ -147,36 +166,60 @@ class RationalFunction:
 
     def eval(self, x) -> Fraction:
         x = Fraction(x)
-        if x in self.poles:
-            raise ZeroDivisionError(f"evaluation at the pole {x}")
-        total = sum((c * x ** k for k, c in self.poly.items()), F0)
-        for p, part in self.poles.items():
-            for m, c in part.items():
-                total += c * (x - p) ** (-m)
-        return total
+        return Fraction(*self._value(x.numerator, x.denominator))
+
+    def _value(self, a: int, b: int):
+        """f(a/b), b > 0, as an unreduced pair (num, den), by Horner's rule:
+        the polynomial part is sum_k n_k a^k b^(K-k) / (D b^K), and with
+        x - p = u/v, u = a p_den - p_num b, a pole part is
+        sum_m n_m v^m u^(M-m) / (D u^M)."""
+        nums, den = self._poly_ints
+        num, bk = 0, 1
+        for n in reversed(nums):
+            num = num * a + n * bk
+            bk *= b
+        num, den = num * b, den * bk
+        for pn, pd, nums, pden in self._pole_ints:
+            u, v = a * pd - pn * b, b * pd
+            if not u:
+                raise ZeroDivisionError(f"evaluation at the pole {Fraction(a, b)}")
+            acc, uk = 0, 1
+            for n in reversed(nums):
+                acc = acc * v + n * uk
+                uk *= u
+            pden *= uk
+            num, den = num * pden + acc * v * den, den * pden
+        return num, den
 
     def expand_at(self, p, order: int, var: str = "t") -> TruncSeries:
         """Laurent expansion in the local coordinate t = zeta - p."""
-        p = Fraction(p)
-        cmap = {-m: c for m, c in self.poles.get(p, {}).items()}
-        for k, c in self.poly.items():
-            for j in range(0, min(k, max(order - 1, 0)) + 1):
-                cmap[j] = cmap.get(j, F0) + c * gbinom(k, j) * p ** (k - j)
-        terms = []
-        for p2, part in self.poles.items():
-            if p2 != p:
-                # (t + d)^{-m} = d^{-m} (1 - r t)^{-m} with d = p - p2 and r = -1/d
-                d = p - p2
-                terms += [(c.numerator * d.denominator ** m, c.denominator * d.numerator ** m,
-                           -d.denominator, d.numerator, m, 0) for m, c in part.items()]
-        return _expansion(cmap, terms, order, var)
+        p = _rational(p)
+        pn, pd = p.numerator, p.denominator
+        nums, den = self._poly_ints
+        k_top = len(nums) - 1
+        # [t^j] of the polynomial part at zeta = t + p:
+        # sum_k n_k C(k, j) p_num^(k-j) p_den^(K-k) / (D p_den^(K-j))
+        terms = [(j, sum(n * comb(k, j) * pn ** (k - j) * pd ** (k_top - k)
+                         for k, n in enumerate(nums[j:], j)), den * pd ** (k_top - j))
+                 for j in range(min(k_top, order - 1) + 1)]
+        poles = []
+        for qn, qd, qnums, qden in self._pole_ints:
+            if (qn, qd) == (pn, pd):
+                terms += [(-m, n, qden) for m, n in enumerate(qnums, 1)]
+            else:
+                # (t + d)^{-m} = d^{-m} (1 - r t)^{-m} with d = p - q = dn/dd and r = -dd/dn
+                dn, dd = pn * qd - qn * pd, pd * qd
+                poles += [(n * dd ** m, qden * dn ** m, -dd, dn, m, 0)
+                          for m, n in enumerate(qnums, 1) if n]
+        return _expansion(terms, poles, order, var)
 
     def expand_at_infinity(self, order: int, var: str = "w") -> TruncSeries:
         """Laurent expansion in w = 1/zeta."""
-        cmap = {-k: c for k, c in self.poly.items()}
-        # (1/w - p)^{-m} = w^m (1 - p w)^{-m}
-        return _expansion(cmap, [(c.numerator, c.denominator, p.numerator, p.denominator, m, m)
-                                 for p, part in self.poles.items() for m, c in part.items()],
+        nums, den = self._poly_ints
+        # (1/w - q)^{-m} = w^m (1 - q w)^{-m}
+        return _expansion([(-k, n, den) for k, n in enumerate(nums)],
+                          [(n, qden, qn, qd, m, m) for qn, qd, qnums, qden in self._pole_ints
+                           for m, n in enumerate(qnums, 1) if n],
                           order, var)
 
     def expand_at_point(self, p, order: int, var: str | None = None) -> TruncSeries:
@@ -188,21 +231,36 @@ class RationalFunction:
         return f"RationalFunction(poly={self.poly}, poles={self.poles})"
 
 
-def _expansion(cmap: dict, terms, order: int, var: str) -> TruncSeries:
-    """The series known below var^order of cmap plus the pole terms
-    num/den (1 - r x)^{-m} x^shift, given as (num, den, r_num, r_den, m,
-    shift) in ints.  The x^{shift+e} coefficient of a term,
-    C(m+e-1, e) r^e num/den, is kept as integer factors from one e to the
-    next: no Fraction is formed but the one added to cmap."""
-    for num, den, rn, rd, m, shift in terms:
+def _rational(x) -> Fraction:
+    return x if type(x) is Fraction else Fraction(x)
+
+
+def _dense(cmap: dict, low: int) -> list:
+    """The values of cmap at low, low + 1, ..., max(cmap), zeros filled in."""
+    return [cmap.get(k, F0) for k in range(low, max(cmap, default=low - 1) + 1)]
+
+
+def _expansion(terms: list, poles, order: int, var: str) -> TruncSeries:
+    """The series known below var^order of the terms (e, num, den), each
+    num/den x^e, plus the pole terms num/den (1 - r x)^{-m} x^shift given as
+    (num, den, r_num, r_den, m, shift), whose x^{shift+e} coefficient
+    C(m+e-1, e) r^e num/den is kept as integer factors from one e to the
+    next.  The sum is integer numerators over one common denominator, from
+    the lowest nonzero coefficient; its Fractions are built when read."""
+    for num, den, rn, rd, m, shift in poles:
         binom = 1
         for e in range(0, order - shift):
-            cmap[e + shift] = cmap.get(e + shift, F0) + Fraction(binom * num, den)
+            terms.append((e + shift, binom * num, den))
             binom = binom * (m + e) // (e + 1)
             num *= rn
             den *= rd
-    cmap = {e: c for e, c in cmap.items() if c and e < order}
-    return TruncSeries.from_coeff_map(var, cmap, order)
+    terms = [t for t in terms if t[0] < order and t[1]]
+    den = lcm(*(d for _, _, d in terms))
+    acc: dict = {}
+    for e, n, d in terms:
+        acc[e] = acc.get(e, 0) + n * (den // d)
+    floor = min((e for e, c in acc.items() if c), default=order)
+    return _series(var, floor, [acc.get(e, 0) for e in range(floor, order)], den, order)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +303,7 @@ def _form_expansion(g: RationalFunction, p, order: int) -> TruncSeries:
     infinity the Jacobian dzeta = -w^{-2} dw is included."""
     if p is INFINITY:
         s = g.expand_at_infinity(order + 2)
-        return s.shift(-2).scale(Fraction(-1)).truncate(order)
+        return s.shift(-2).scale(-1).truncate(order)
     return g.expand_at(p, order)
 
 
@@ -275,34 +333,35 @@ def strong_residue_check(tails) -> ResidueReport:
     """
     if INFINITY not in tails:
         raise ValueError("configurations must include the point at infinity")
-    finite = [p for p in tails if p is not INFINITY]
-    points = finite + [INFINITY]
-    for p in points:
+    at_inf = tails[INFINITY]
+    finite = [(p, tail) for p, tail in tails.items() if p is not INFINITY]
+    points = finite + [(INFINITY, at_inf)]
+    for p, tail in points:
         need = 1 if p is INFINITY else 0
-        if tails[p].order < need:
+        if tail.order < need:
             raise UnderdeterminedCap(
-                f"tail at {p} has order {tails[p].order}; "
+                f"tail at {p} has order {tail.order}; "
                 f"the residue check needs order >= {need}")
 
-    poles = {p: {m: tails[p].coeff(-m) for m in range(1, 1 - tails[p].floor)}
-             for p in finite}
-    at_inf = tails[INFINITY]
+    poles = {p: {m: tail.coeff(-m) for m in range(1, 1 - tail.floor)} for p, tail in finite}
     poly = {k: at_inf.coeff(-k) for k in range(0, 1 - at_inf.floor)}
     section = RationalFunction(poly, poles)
 
-    if all(tails[p].is_zero() for p in points):
+    if all(tail.is_zero() for _, tail in points):
         # the zero section re-expands to zero on every window
-        conditions = sum(tails[p].order - (1 if p is INFINITY else 0) for p in points)
+        conditions = sum(tail.order - (1 if p is INFINITY else 0) for p, tail in points)
         return ResidueReport(True, section, None, conditions)
     conditions = 0
-    for p in points:
-        tail = tails[p]
+    for p, tail in points:
         s = section.expand_at_point(p, tail.order)
+        (ta, da), (sb, db) = tail._ints(), s._ints()
         for e in range(1 if p is INFINITY else 0, tail.order):
             conditions += 1
-            a, b = tail.coeff(e), s.coeff(e)
+            # tail and s coefficients a / da and b / db, compared crosswise
+            a = ta[e - tail.floor] * db if e >= tail.floor else 0
+            b = sb[e - s.floor] * da if e >= s.floor else 0
             if a != b:
-                d = a - b
+                d = Fraction(a - b, da * db)
                 witness = (_Witness("infinity", INFINITY, e - 1, -d)
                            if p is INFINITY else _Witness("pole", p, e + 1, d))
                 return ResidueReport(False, None, witness, conditions)
@@ -516,13 +575,14 @@ def _slot_tail(phi: BlockFunctional, i: int, terms, w_vecs, var: str) -> TruncSe
     cap = phi.caps[i]
     w_i = w_vecs[i]
     weights = phi.reads(i, w_vecs) if phi.reads else None
-    cmap: dict = {}
+    coeffs = []  # (exponent, num, den) of each nonzero term
     order = None
     for shift, vec in terms:
         for vl, vc in vec.items():
             wt_v = weight_of(vl)
             for wl, wc in w_i.items():
                 wt_w = weight_of(wl)
+                cn, cd = vc.numerator * wc.numerator, vc.denominator * wc.denominator
                 n_min = wt_v + wt_w - 1 - cap  # Y(vector)_n w_i of weight in [0, cap]
                 for n in range(n_min, n_min + cap + 1):
                     if weights is not None and wt_v + wt_w - 1 - n not in weights:
@@ -533,14 +593,13 @@ def _slot_tail(phi: BlockFunctional, i: int, terms, w_vecs, var: str) -> TruncSe
                         args[i] = img
                         val = phi(*args)
                         if val:
-                            e = shift - n - 1
-                            cmap[e] = cmap.get(e, F0) + vc * wc * val
+                            coeffs.append((shift - n - 1, cn * val.numerator,
+                                           cd * val.denominator))
                 top = shift - n_min  # exponents < top are fully certified
                 order = top if order is None else min(order, top)
     if order is None:
         order = cap + 1
-    cmap = {e: c for e, c in cmap.items() if c and e < order}
-    return TruncSeries.from_coeff_map(var, cmap, order)
+    return _expansion(coeffs, (), order, var)
 
 
 def _tails(phi: BlockFunctional, v: dict, w_vecs) -> dict:
@@ -587,6 +646,7 @@ def propagate_block(phi: BlockFunctional, y, cap: int) -> BlockFunctional:
     kept in ``phi._sections``, which serves every point phi is propagated
     to.  The memo stays private: the evaluator returns only values."""
     y = Fraction(y)
+    a, b = y.numerator, y.denominator
     voa = phi.modules[0].voa
     finite_count = len(phi.points.finite)
     pts = SpherePoints(phi.points.finite + [y] +
@@ -597,23 +657,29 @@ def propagate_block(phi: BlockFunctional, y, cap: int) -> BlockFunctional:
         v = args[finite_count]
         w_vecs = args[:finite_count] + args[finite_count + 1:]
         vac = v.get((), F0)
-        total = vac * phi(*w_vecs) if vac else F0
-        w_terms = [[(wl, wc) for wl, wc in w.items() if wc] for w in w_vecs]
+        num, den = 0, 1
+        if vac:
+            val = phi(*w_vecs)
+            num, den = vac.numerator * val.numerator, vac.denominator * val.denominator
+        w_terms = [[(wl, wc.numerator, wc.denominator) for wl, wc in w.items() if wc]
+                   for w in w_vecs]
         for vl, vc in v.items():
             if not vl or not vc:
                 continue
             for combo in product(*w_terms):
-                key = (vl,) + tuple(wl for wl, _ in combo)
+                key = (vl,) + tuple(wl for wl, _, _ in combo)
                 section = sections.get(key)
                 if section is None:
                     section = sections[key] = _propagated_section(
                         phi, {vl: F1}, [{wl: F1} for wl in key[1:]])
-                val = section.eval(y)
-                if val:
-                    for _, wc in combo:
-                        val *= wc
-                    total += vc * val
-        return total
+                n, d = section._value(a, b)
+                if n:
+                    n, d = n * vc.numerator, d * vc.denominator
+                    for _, cn, cd in combo:
+                        n, d = n * cn, d * cd
+                    g = gcd(den, d)
+                    num, den = num * (d // g) + n * (den // g), den * (d // g)
+        return Fraction(num, den)
 
     modules = phi.modules[:finite_count] + [voa] + phi.modules[finite_count:]
     # the inherited slots lose cap headroom: evaluating them goes through a

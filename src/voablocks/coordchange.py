@@ -66,7 +66,7 @@ from operator import mul
 
 from .graded import vec_add_into, vec_is_zero, vec_max_weight, weight_of
 from .models import Module
-from .series import TruncSeries, _is_scalar, _series, series_compose, series_mul
+from .series import TruncSeries, _check_scalars, _series, series_compose, series_mul
 from .virasoro import apply_exp_raising, gbinom
 
 __all__ = [
@@ -86,6 +86,7 @@ F1 = Fraction(1)
 
 def poly_series(cmap: dict, var: str, order: int) -> TruncSeries:
     """Exact polynomial as a truncated series at any requested order."""
+    _check_scalars(cmap.values())
     cmap = {k: Fraction(v) if isinstance(v, int) else v for k, v in cmap.items() if v}
     if cmap and max(cmap) >= order:
         raise ValueError(f"order {order} too small for the polynomial: "
@@ -113,9 +114,7 @@ class CoordChange:
     (a_0 = 0, a_1 != 0), regenerable as a series at any truncation order."""
 
     def __init__(self, poly: dict):
-        for v in poly.values():
-            if not _is_scalar(v):
-                raise ValueError(f"a coefficient of rho must be an int or a Fraction, not {v!r}")
+        _check_scalars(poly.values(), "a coefficient of rho")
         poly = {int(k): Fraction(v) for k, v in poly.items() if v}
         if min(poly, default=0) < 0:
             raise ValueError(f"rho has a pole at 0: its z^{min(poly)} coefficient is nonzero")

@@ -64,6 +64,14 @@ def _is_scalar(x) -> bool:
     return type(x) in _RATIONAL_TYPES
 
 
+def _check_scalars(values, what: str = "a series coefficient") -> None:
+    """Refuse, naming it, the first of ``values`` (a collection) that is not
+    an int or a Fraction: the one test of an exact scalar at a constructor."""
+    if not _RATIONAL_TYPES.issuperset(map(type, values)):
+        bad = next(x for x in values if not _is_scalar(x))
+        raise ValueError(f"{what} must be an int or a Fraction, not {bad!r}")
+
+
 def _integer_form(cs):
     """(integer numerators, common denominator) of a sequence of rationals,
     so that cs[i] == nums[i] / den, in lowest terms.
@@ -119,9 +127,7 @@ class TruncSeries:
             order = floor + len(coeffs)
         if order - floor != len(coeffs):
             raise ValueError("coeffs length must equal order - floor")
-        if not _RATIONAL_TYPES.issuperset(map(type, coeffs)):
-            bad = next(c for c in coeffs if not _is_scalar(c))
-            raise ValueError(f"a series coefficient must be an int or a Fraction, not {bad!r}")
+        _check_scalars(coeffs)
         self.var = var
         self.floor = floor
         self.order = order
@@ -141,7 +147,8 @@ class TruncSeries:
         if order <= 0:
             raise ValueError("constant needs order > 0")
         coeffs = [_ZERO] * order
-        coeffs[0] = Fraction(value) if isinstance(value, int) else value
+        # a bool is no int here: the constructor refuses it
+        coeffs[0] = Fraction(value) if type(value) is int else value
         return cls(var, 0, coeffs, order)
 
     @classmethod
@@ -421,6 +428,7 @@ class BivarSeries:
         for r, s in cmap:
             if r >= self.orders[0] or s >= self.orders[1]:
                 raise ValueError(f"monomial {(r, s)} at or beyond the orders {self.orders}")
+        _check_scalars(cmap.values())
         self.coeffs = {k: Fraction(c) if isinstance(c, int) else c
                        for k, c in sorted(cmap.items()) if c}
 
@@ -442,7 +450,7 @@ class QExpansion:
     def __init__(self, offset, coeffs):
         self.offset = Fraction(offset)
         if not isinstance(coeffs, TruncSeries):
-            coeffs = TruncSeries("q", 0, [Fraction(c) if isinstance(c, int) else c for c in coeffs])
+            coeffs = TruncSeries("q", 0, [Fraction(c) if type(c) is int else c for c in coeffs])
         elif coeffs.var != "q" or coeffs.floor != 0:
             raise ValueError(f"a q-expansion needs a q-series at floor 0, not {coeffs!r}")
         self.series = coeffs

@@ -1,5 +1,6 @@
 """Genus-0 blocks: residue machinery, hom/3-point blocks, propagation."""
 
+import hashlib
 import random
 from fractions import Fraction as F
 from math import comb
@@ -293,6 +294,58 @@ def test_expansion_matches_closed_form(data):
         closed_form_tail(f, p, order)
 
 
+def partial_fraction_value(f, x):
+    """f(x) summed term by term from f's maps in plain Fractions."""
+    return (sum((c * x ** k for k, c in f.poly.items()), F(0)) +
+            sum((c / (x - q) ** m for q, part in f.poles.items() for m, c in part.items()), F(0)))
+
+
+# negative and non-integer points and coefficients
+rationals = st.builds(F, st.integers(-9, 9), st.integers(1, 5))
+
+
+@settings(max_examples=120, derandomize=True)
+@given(st.data())
+def test_values_and_expansions_match_partial_fractions(data):
+    """eval, expand_at and expand_at_infinity against the partial fractions
+    summed in Fractions (values) and the binomial series (coefficients):
+    polynomial degree and pole orders up to 4, the zero function included,
+    and eval at a pole raises."""
+    poles = data.draw(st.lists(rationals, max_size=3, unique=True))
+    f = RationalFunction(
+        data.draw(st.dictionaries(st.integers(0, 4), rationals, max_size=5)),
+        {q: data.draw(st.dictionaries(st.integers(1, 4), rationals, max_size=4)) for q in poles})
+    for x in data.draw(st.lists(rationals.filter(lambda x: x not in poles), min_size=1,
+                                max_size=3)):
+        got = f.eval(x)
+        assert type(got) is F and got == partial_fraction_value(f, x), x
+    for q in f.poles:
+        with pytest.raises(ZeroDivisionError, match=f"^evaluation at the pole {q}$"):
+            f.eval(q)
+    order = data.draw(st.integers(0, 8))
+    for p in [*poles, INFINITY, data.draw(rationals)]:
+        s = f.expand_at_point(p, order)
+        want = closed_form_tail(f, p, order)
+        assert s.order == order and s.var == ("w" if p is INFINITY else "t")
+        assert s.floor == min(want, default=order), p
+        assert {e: s.coeff(e) for e in range(s.floor, order) if s.coeff(e)} == want, p
+
+
+def test_expansion_floor_skips_cancelled_terms():
+    # 1 + 1/(zeta - 1) = -t - t^2 + O(t^3) at 0: the constant terms cancel
+    s = RationalFunction({0: 1}, {1: {1: 1}}).expand_at(0, 3)
+    assert (s.floor, list(s.coeffs)) == (1, [-1, -1])
+
+
+def test_zero_function_is_zero_everywhere():
+    zero = RationalFunction({0: 0}, {F(1, 2): {2: F(0)}})
+    assert zero == RationalFunction() and zero.poles == {}
+    assert zero.eval(F(-3, 2)) == 0 and type(zero.eval(F(-3, 2))) is F
+    for p in (F(0), F(-7, 3), INFINITY):
+        s = zero.expand_at_point(p, 5)
+        assert s.is_zero() and (s.floor, s.order) == (5, 5)
+
+
 class TestResiduePairing:
     def test_unit_residue(self):
         form = RationalFunction(poles={0: {1: F(1)}})
@@ -583,6 +636,44 @@ def run_nested_golden(modules):
 
 def test_nested_propagation_golden():
     run_nested_golden({"heisenberg": H, "virasoro": VIR, "fock": fock_module(H, F(1, 2))})
+
+
+# sha256 of ``propagation_golden_text()``, captured before RationalFunction
+# evaluated and expanded on integer numerators: same values and value types
+PROPAGATION_GOLDEN = "cb4ab601b6ae31ad20750efa5b25433b3da297ba3a9512073cdbb6428a494747"
+
+
+def propagation_golden_text():
+    """One line per value on identity_hom(H, 10) at the points +-1, +-2,
+    +-1/2, +-3/2 with insertions of weight <= 2: propagate_eval, the
+    evaluator of propagate_block at the same point, then nested
+    propagations of the benchmark's shape, A = <phi~y~x> and B = <phi~x~y>."""
+    rng = random.Random(4040)
+    phi = identity_hom(heisenberg_model(), 10)
+    points = [F(s * n, d) for n, d in ((1, 1), (2, 1), (1, 2), (3, 2)) for s in (1, -1)]
+    labels = [(), (1,), (2,), (1, 1)]
+
+    def vec(k):
+        return {label: rand_frac(rng, nonzero=True) for label in rng.sample(labels, k)}
+
+    lines = []
+    for y in points:
+        py = propagate_block(phi, y, 4)
+        for _ in range(3):
+            v, w1, w2 = vec(rng.randint(1, 3)), vec(2), vec(2)
+            lines += [("eval", y, v, w1, w2, propagate_eval(phi, v, y, [w1, w2])),
+                      ("block", y, v, w1, w2, py(w1, v, w2))]
+    for u, v in (((1,), (2,)), ((2,), (1,)), ((1, 1), (1,))) * 3:
+        x, y = rng.sample(points, 2)
+        w1, w2 = vec(2), vec(2)
+        a = propagate_eval(propagate_block(phi, y, 4), u, x, [w1, {v: F(1)}, w2])
+        b = propagate_eval(propagate_block(phi, x, 4), v, y, [w1, {u: F(1)}, w2])
+        lines += [("nested", x, y, u, v, w1, w2, a), ("nested", y, x, v, u, w1, w2, b)]
+    return "\n".join(repr(line[:-1] + (type(line[-1]).__name__, line[-1])) for line in lines)
+
+
+def test_propagation_golden():
+    assert hashlib.sha256(propagation_golden_text().encode()).hexdigest() == PROPAGATION_GOLDEN
 
 
 def fresh_golden_modules():

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
@@ -223,6 +224,78 @@ class TestBlocks:
             "0": {"var": "t", "floor": 0, "order": 0, "coeffs": []},
             "inf": {"var": "w", "floor": 0, "order": 0, "coeffs": []}}}))
         self.check_underdetermined(capsys, "residue-check", fx)
+
+
+def closed_tail(poly, poles, p, order):
+    """The tail below ``order`` at p ("inf": in w = 1/zeta) of
+    sum_k poly[k] zeta^k + sum_q sum_m poles[q][m] (zeta - q)^-m, as a
+    fixture series, from the binomial series of each term."""
+    cs = {}
+
+    def add(e, c):
+        if e < order:
+            cs[e] = cs.get(e, 0) + c
+
+    for k, c in poly.items():
+        if p == "inf":
+            add(-k, c)
+        else:
+            for j in range(k + 1):
+                add(j, c * comb(k, j) * p ** (k - j))
+    for q, part in poles.items():
+        for m, c in part.items():
+            if p == "inf":
+                for e in range(order):
+                    add(m + e, c * comb(m + e - 1, e) * q ** e)
+            elif q == p:
+                add(-m, c)
+            else:
+                for e in range(order):
+                    add(e, c * (-1) ** e * comb(m + e - 1, e) * (p - q) ** (-m - e))
+    floor = min(min(cs, default=order), order)
+    return {"var": "w" if p == "inf" else "t", "floor": floor, "order": order,
+            "coeffs": [str(F(cs.get(e, 0))) for e in range(floor, order)]}
+
+
+# a section with poles of order 3 at 0 and 2 at z0 = -3/2 and a quadratic
+# polynomial part, and one with poles at three finite points
+GLUE_F = ({0: F(1, 2), 1: F(-3), 2: F(2, 3)},
+          {F(0): {1: F(5, 4), 2: F(-1, 3), 3: F(1, 2)}, F(-3, 2): {1: F(2), 2: F(3, 5)}})
+RESIDUE_F = ({0: F(-2, 3), 1: F(1, 4)},
+             {F(1, 2): {1: F(3), 2: F(-1, 2)}, F(-2): {1: F(2, 7)}, F(5, 3): {1: F(-4, 5), 2: F(1)}})
+BLOCKS_GOLDEN = "fcee6d0cd7e5f30e831162654a3d368752158ef8085335228688308ace595cf9"
+
+
+def blocks_golden_runs():
+    """(argv, fixture, exit code) of the blocks golden: glue on GLUE_F's
+    tails, then with one coefficient of the tail at z0 tampered, a residue
+    check of RESIDUE_F's tails, and a Virasoro three-point value."""
+    poly, poles = GLUE_F
+    glue = {"at0": closed_tail(poly, poles, F(0), 4), "z0": "-3/2",
+            "atz0": closed_tail(poly, poles, F(-3, 2), 4),
+            "atinf": closed_tail(poly, poles, "inf", 5)}
+    tampered = json.loads(json.dumps(glue))
+    tampered["atz0"]["coeffs"][4] = str(F(glue["atz0"]["coeffs"][4]) + F(1, 3))
+    poly, poles = RESIDUE_F
+    residue = {"tails": {str(p): closed_tail(poly, poles, p, 4) for p in poles}}
+    residue["tails"]["inf"] = closed_tail(poly, poles, "inf", 4)
+    three = {"model": "virasoro", "c": "-22/5", "v": {"2": 1, "3": "-1/2"}, "z0": "-3/2",
+             "w": {"": 1, "2": "2/3", "2,2": 3}, "wp": {"2": 1, "3": "1/4", "4": -2}}
+    return [(["blocks", "glue"], glue, 0), (["blocks", "glue"], tampered, 1),
+            (["blocks", "residue-check"], residue, 0), (["blocks", "three-point"], three, 0)]
+
+
+def test_blocks_golden(capsys, tmp_path):
+    # sha256 of the concatenated stdout, captured before RationalFunction
+    # evaluated and expanded on integer numerators
+    digest = hashlib.sha256()
+    for argv, fixture, want in blocks_golden_runs():
+        fx = tmp_path / "fx.json"
+        fx.write_text(json.dumps(fixture))
+        code, out = run(capsys, *argv, "--fixture", str(fx))
+        assert code == want, argv
+        digest.update(out.encode())
+    assert digest.hexdigest() == BLOCKS_GOLDEN
 
 
 class TestOde:

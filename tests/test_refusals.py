@@ -6,7 +6,7 @@ import pytest
 
 from voablocks.blocks import (INFINITY, BlockFunctional, RationalFunction, SpherePoints,
                               block_property_check)
-from voablocks.coordchange import gamma_series
+from voablocks.coordchange import gamma_series, poly_series
 from voablocks.jsonio import decode_text
 from voablocks.linalg import solve_linear
 from voablocks.models import CapError, heisenberg_model
@@ -41,6 +41,24 @@ REFUSALS = [
      ValueError, r"compositional inverse needs f\(0\)=0 and f'\(0\) != 0"),
     ("bivar-variables", lambda: BivarSeries(("x",), {}, (1,)), ValueError,
      "need exactly two variables"),
+    ("rational-float", lambda: RationalFunction(poly={1: 0.1}), ValueError,
+     "a coefficient of a rational function must be an int or a Fraction, not 0.1"),
+    ("rational-text", lambda: RationalFunction(poles={F(1): {1: "1/3"}}), ValueError,
+     "a coefficient of a rational function must be an int or a Fraction, not '1/3'"),
+    ("rational-bool", lambda: RationalFunction(poly={0: 1, 2: True}), ValueError,
+     "a coefficient of a rational function must be an int or a Fraction, not True"),
+    ("rational-float-pole", lambda: RationalFunction(poles={0.5: {1: 1}}), ValueError,
+     "a pole of a rational function must be an int or a Fraction, not 0.5"),
+    ("rational-bool-pole", lambda: RationalFunction(poles={True: {1: 1}}), ValueError,
+     "a pole of a rational function must be an int or a Fraction, not True"),
+    ("poly-series-bool", lambda: poly_series({1: True}, "z", 3), ValueError,
+     "a series coefficient must be an int or a Fraction, not True"),
+    ("series-const-bool", lambda: TruncSeries.const("z", True, 2), ValueError,
+     "a series coefficient must be an int or a Fraction, not True"),
+    ("bivar-bool", lambda: BivarSeries(("xi", "w"), {(0, 0): True}, (1, 1)), ValueError,
+     "a series coefficient must be an int or a Fraction, not True"),
+    ("qexpansion-bool", lambda: QExpansion(0, [1, False]), ValueError,
+     "a series coefficient must be an int or a Fraction, not False"),
     ("rational-polynomial", lambda: RationalFunction(poly={-1: 1}), ValueError,
      "polynomial part needs exponents >= 0"),
     ("rational-pole-order", lambda: RationalFunction(poles={1: {0: 1}}), ValueError,
